@@ -9,10 +9,12 @@ Three layers:
 - the aspect checker (`checker`): four independent violation detectors
   that together decide linearizability of complete differentiated
   histories, a witness constructor, and a brute-force oracle;
-- an operational queue model (`hwmodel`, `explorer`, `sweep`): a
-  slot-array queue with seeded bug variants, exhaustive interleaving
-  exploration, divergence harnesses, and a packed-state sweep engine
-  for larger configurations.
+- an operational queue model: `hwmodel` is the readable specification
+  of a slot-array queue with seeded bug variants; `sweep` explores
+  every interleaving of a configuration on packed integer states and
+  checks every history it can produce; `explorer` replays schedules on
+  the readable model and runs the divergence harnesses, whose choice
+  threads and prophecy dequeues only the readable model covers.
 
 `cli.main` wires these into the `qlin` command.
 """
@@ -88,19 +90,12 @@ from .hwmodel import (
     successors,
 )
 from .explorer import (
-    ConfigReport,
     Counterexample,
     DivergenceReport,
     ExecutionTrace,
-    PurityReport,
-    ViolationRecord,
-    check_configuration,
-    count_traces,
     divergence_check_vord,
     divergence_check_vrepet,
-    enumerate_traces,
     induce_history,
-    purity_sweep,
     replay_schedule,
     vord_config,
     vrepet_config,

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .history import DEQ, ENQ, NULL, Event, History, Value
-from .queuespec import Behavior, SearchBoundExceeded, is_legal
+from .queuespec import Behavior, SearchBoundExceeded, candidate_matches, is_legal
 
 DEFAULT_MATCH_BOUND = 10_000
 
@@ -138,41 +137,6 @@ def derive_match(c: History) -> Match | None:
                 return None
             match[d.uid] = e
     return match
-
-
-def candidate_matches(c: History, bound: int = DEFAULT_MATCH_BOUND) -> Iterator[Match]:
-    """Every value-respecting injective match of a complete history.
-
-    For a differentiated history this yields at most the single value-derived
-    match.  Raises SearchBoundExceeded after ``bound`` full candidates.
-    """
-    deqs = [d for d in c.events if d.is_deq and d.value is not NULL]
-    base: Match = {d.uid: None for d in c.events if d.is_deq and d.value is NULL}
-    by_value: dict[Value, list[int]] = {}
-    for e in c.events:
-        if e.is_enq:
-            by_value.setdefault(e.value, []).append(e.uid)
-    count = 0
-
-    def assign(i: int, used: set[int], acc: Match) -> Iterator[Match]:
-        nonlocal count
-        if i == len(deqs):
-            count += 1
-            if count > bound:
-                raise SearchBoundExceeded(f"more than {bound} candidate matches")
-            yield dict(acc)
-            return
-        d = deqs[i]
-        for euid in by_value.get(d.value, ()):
-            if euid in used:
-                continue
-            acc[d.uid] = euid
-            used.add(euid)
-            yield from assign(i + 1, used, acc)
-            used.remove(euid)
-            del acc[d.uid]
-
-    yield from assign(0, set(), dict(base))
 
 
 def check_safe(c: History, match: Match) -> str | None:
@@ -662,7 +626,7 @@ def _check_complete(c: History, match_bound: int, build_witness: bool) -> Verdic
         witness = construct_linearization(c, match) if build_witness else None
         return Verdict(LINEARIZABLE, witness=witness)
     try:
-        for match in candidate_matches(c, match_bound):
+        for match in candidate_matches(c.events, match_bound):
             if check_safe(c, match) is not None:
                 continue
             if check_ordered(c, match) is not None:

@@ -5,8 +5,8 @@ with the brute-force oracle, exhaustively explore a queue-machine
 configuration, run the bounded divergence harnesses, and generate
 random histories for differential fuzzing.
 
-Exit codes: 0 no violation, 1 violation or counterexample found,
-2 usage, parse, bound, or IO error.
+Exit codes: 0 no violation, 1 violation, impure dequeue or counterexample
+found, 2 usage, parse, bound, or IO error.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ def cmd_oracle(args) -> int:
 def _build_config(args):
     from .hwmodel import Config, DeqOp, EnqOp
 
+    if args.enq < 0 or args.deq < 0:
+        raise ValueError("need --enq >= 0 and --deq >= 0")
     if args.values is not None:
         values = [int(tok) for tok in args.values.split(",") if tok.strip()]
         if len(values) != args.enq:
@@ -142,22 +144,15 @@ def _build_config(args):
 
 
 def cmd_explore(args) -> int:
-    from .explorer import check_configuration
-    from .sweep import SweepScopeError, sweep_config
+    from .sweep import sweep_config
 
     try:
         config = _build_config(args)
     except ValueError as exc:
         return _fail(str(exc))
-    if args.engine == "packed":
-        try:
-            report = sweep_config(
-                config, oracle=args.oracle, check_purity=args.purity, quotient=True
-            )
-        except SweepScopeError as exc:
-            return _fail(str(exc))
-    else:
-        report = check_configuration(config, oracle=args.oracle)
+    report = sweep_config(
+        config, quotient=True, oracle=args.oracle, check_purity=args.purity
+    )
     if args.format == "lines":
         print(report.summary())
         for v in report.violations:
@@ -166,9 +161,14 @@ def cmd_explore(args) -> int:
                 print(f"  {line}")
             print(f"  schedule {' '.join(v.schedule)}")
     else:
-        kind = "clean" if report.clean else f"{len(report.violations)} violation(s)"
+        problems = []
+        if report.violations:
+            problems.append(f"{len(report.violations)} violation(s)")
+        if report.purity_violations:
+            problems.append(f"{report.purity_violations} purity violation(s)")
         print(f"explored {report.total_traces} schedules, "
-              f"{report.distinct_complete} distinct complete histories: {kind}")
+              f"{report.distinct_complete} isomorphism classes of complete histories: "
+              f"{', '.join(problems) or 'clean'}")
         for v in report.violations:
             print(f"- {v.verdict.summary()}")
             print(f"  history: {'; '.join(serialize_history(v.history).splitlines())}")
@@ -181,18 +181,17 @@ def cmd_explore(args) -> int:
 def cmd_divergence(args) -> int:
     from .explorer import divergence_check_vord, divergence_check_vrepet
 
-    if args.harness == "vrepet":
-        if args.m < 1 or args.k < 0:
-            return _fail("vrepet needs --m >= 1 and --k >= 0")
-        report = divergence_check_vrepet(
-            m=args.m, k=args.k, loop_bound=args.loop_bound, mutant=args.mutant
-        )
-    else:
-        if args.k < 0:
-            return _fail("vord needs --k >= 0")
-        report = divergence_check_vord(
-            k=args.k, loop_bound=args.loop_bound, mutant=args.mutant
-        )
+    try:
+        if args.harness == "vrepet":
+            report = divergence_check_vrepet(
+                m=args.m, k=args.k, loop_bound=args.loop_bound, mutant=args.mutant
+            )
+        else:
+            report = divergence_check_vord(
+                k=args.k, loop_bound=args.loop_bound, mutant=args.mutant
+            )
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.format == "lines":
         print(report.summary())
         if report.counterexample is not None:
@@ -291,10 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check every complete history by brute force")
     p.add_argument("--purity", action="store_true",
-                   help="purity-check pending dequeues (packed engine only)")
-    p.add_argument("--engine", choices=("reference", "packed"), default="reference",
-                   help="packed scales further and reports one history per "
-                        "isomorphism class")
+                   help="purity-check every reachable pending dequeue")
     add_format(p)
     p.set_defaults(func=cmd_explore)
 

@@ -1,14 +1,13 @@
-"""Exhaustive exploration of queue-machine configurations.
+"""Schedule replay and the divergence harnesses on the readable model.
 
-Three layers live here.  ``enumerate_traces`` walks every schedule of a
-configuration depth-first and yields maximal traces with their induced
-histories.  ``check_configuration`` sweeps a configuration once, counts
-schedules exactly (by dynamic programming on machine states, so the count
-is exact even though duplicate schedules are never materialized), and runs
-the linearizability checker on every distinct complete history.
-``divergence_check_vrepet`` and ``divergence_check_vord`` build the two
-theorem-shaped programs around the prophecy-instrumented dequeue and
-assert their termination properties at every reachable state.
+``replay_schedule`` re-runs a schedule through hwmodel and
+``induce_history`` reads off its history; every schedule that sweep
+reports is checked this way.  ``divergence_check_vrepet`` and
+``divergence_check_vord`` build the two theorem-shaped programs around
+the prophecy-instrumented dequeue and assert their termination
+properties at every reachable state.  They walk the dataclass states of
+hwmodel because they need the choice threads and prophecy dequeues that
+the packed kernel in sweep does not model.
 
 Schedules are tuples of ``tid:instruction`` labels and are always
 replayable: feeding one back through ``replay_schedule`` reproduces the
@@ -17,15 +16,9 @@ same final state and the same induced history byte for byte.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
-from .checker import (
-    LINEARIZABLE,
-    Verdict,
-    brute_force_linearizable,
-    check_linearizable,
-)
 from .history import Action, History, NULL
 from .hwmodel import (
     ChoiceOp,
@@ -38,15 +31,8 @@ from .hwmodel import (
     classify_endpoint,
     hw_init,
     hw_step,
-    purely_blocking_check,
     successors,
 )
-
-# endpoint statuses, re-exported for callers that only import the explorer
-STATUS_COMPLETE = "COMPLETE"
-STATUS_OVERFLOW = "OVERFLOW"
-STATUS_BOUND_HIT = "BOUND_HIT"
-STATUS_STUCK = "STUCK"
 
 
 @dataclass(frozen=True)
@@ -86,179 +72,6 @@ def _expand(config: Config, state: HWState) -> list:
     for tid in range(len(config.threads)):
         out.extend(successors(config, state, tid))
     return out
-
-
-def enumerate_traces(config: Config, *, start: ExecutionTrace | None = None, dedup: bool = False):
-    """Depth-first stream of every maximal trace of the configuration.
-
-    With dedup on, schedules that reach an already-seen (state, emitted
-    actions) pair are pruned; this drops duplicate schedules but preserves
-    the set of distinct (final state, status, history) outcomes, because
-    the future of a run depends only on the machine state.  Off by
-    default: the raw walk visits every schedule.
-    """
-    if start is None:
-        root = (hw_init(config), (), ())
-    else:
-        root = (start.final, start.schedule, start.actions)
-    seen: set | None = set() if dedup else None
-    stack = [root]
-    while stack:
-        state, schedule, actions = stack.pop()
-        if seen is not None:
-            key = (state, actions)
-            if key in seen:
-                continue
-            seen.add(key)
-        succs = _expand(config, state)
-        if not succs:
-            yield ExecutionTrace(schedule, state, classify_endpoint(config, state), actions)
-            continue
-        # push in reverse so lower thread ids are explored first
-        for succ in reversed(succs):
-            acts = actions if succ.action is None else actions + (succ.action,)
-            stack.append((succ.state, schedule + (succ.label,), acts))
-
-
-def count_traces(config: Config) -> Counter:
-    """Exact number of maximal schedules, split by endpoint status.
-
-    Counts paths without enumerating them: the number of maximal runs from
-    a state depends only on that state, so one memoized sum per reachable
-    state suffices.
-    """
-    memo: dict[HWState, Counter] = {}
-
-    def walk(state: HWState) -> Counter:
-        got = memo.get(state)
-        if got is not None:
-            return got
-        succs = _expand(config, state)
-        if not succs:
-            result = Counter({classify_endpoint(config, state): 1})
-        else:
-            result = Counter()
-            for succ in succs:
-                result.update(walk(succ.state))
-        memo[state] = result
-        return result
-
-    return walk(hw_init(config))
-
-
-@dataclass(frozen=True)
-class ViolationRecord:
-    history: History
-    verdict: Verdict
-    schedule: tuple[str, ...]
-
-    def to_lines(self) -> list[str]:
-        lines = ["schedule:"]
-        lines.extend(f"  {label}" for label in self.schedule)
-        lines.append("history:")
-        lines.extend(f"  {line}" for line in self.history.serialize().splitlines())
-        lines.append(self.verdict.summary())
-        return lines
-
-
-@dataclass(frozen=True)
-class ConfigReport:
-    config: Config
-    trace_counts: Counter
-    distinct_complete: int
-    endpoint_counts: Counter
-    violations: tuple[ViolationRecord, ...]
-    nodes: int
-    oracle_checked: int
-    oracle_disagreements: int
-
-    @property
-    def total_traces(self) -> int:
-        return sum(self.trace_counts.values())
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        status = "clean" if self.clean else f"violations={len(self.violations)}"
-        parts = [
-            f"EXPLORE {status}",
-            f"traces={self.total_traces}",
-            f"complete-histories={self.distinct_complete}",
-        ]
-        for name in (STATUS_COMPLETE, STATUS_OVERFLOW, STATUS_BOUND_HIT, STATUS_STUCK):
-            if self.trace_counts.get(name):
-                parts.append(f"{name.lower().replace('_', '-')}-traces={self.trace_counts[name]}")
-        if self.oracle_checked:
-            parts.append(f"oracle-checked={self.oracle_checked}")
-            parts.append(f"oracle-disagreements={self.oracle_disagreements}")
-        return " ".join(parts)
-
-
-def check_configuration(config: Config, *, oracle: bool = False) -> ConfigReport:
-    """Sweep one configuration and check every distinct complete history.
-
-    Exploration walks (state, emitted actions) pairs breadth-first with a
-    visited set; that quotient preserves the set of complete histories, and
-    parent pointers recover one replayable schedule per outcome.  Raw
-    schedule counts come from count_traces.  With oracle on, each distinct
-    complete history is also fed to the brute-force linearization search
-    and disagreements with the detector verdict are counted.
-    """
-    init = hw_init(config)
-    root = (init, ())
-    parents: dict = {root: None}
-    endpoint_counts: Counter = Counter()
-    complete: dict[tuple[Action, ...], tuple] = {}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        state, actions = node
-        succs = _expand(config, state)
-        if not succs:
-            status = classify_endpoint(config, state)
-            endpoint_counts[status] += 1
-            if status == STATUS_COMPLETE and actions not in complete:
-                complete[actions] = node
-            continue
-        for succ in succs:
-            acts = actions if succ.action is None else actions + (succ.action,)
-            child = (succ.state, acts)
-            if child not in parents:
-                parents[child] = (node, succ.label)
-                queue.append(child)
-
-    def schedule_of(node) -> tuple[str, ...]:
-        labels: list[str] = []
-        while parents[node] is not None:
-            node, label = parents[node]
-            labels.append(label)
-        return tuple(reversed(labels))
-
-    violations: list[ViolationRecord] = []
-    oracle_checked = 0
-    oracle_disagreements = 0
-    for actions, node in complete.items():
-        c = History(actions)
-        verdict = check_linearizable(c, build_witness=False)
-        if oracle:
-            oracle_checked += 1
-            if brute_force_linearizable(c) != (verdict.status == LINEARIZABLE):
-                oracle_disagreements += 1
-        if verdict.status != LINEARIZABLE:
-            violations.append(ViolationRecord(c, verdict, schedule_of(node)))
-
-    return ConfigReport(
-        config=config,
-        trace_counts=count_traces(config),
-        distinct_complete=len(complete),
-        endpoint_counts=endpoint_counts,
-        violations=tuple(violations),
-        nodes=len(parents),
-        oracle_checked=oracle_checked,
-        oracle_disagreements=oracle_disagreements,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +140,7 @@ def _sweep_states(config: Config, predicates) -> tuple[dict, bool, dict]:
             if name not in failures and not pred(state):
                 failures[name] = state
         succs = _expand(config, state)
-        if not succs and classify_endpoint(config, state) == STATUS_BOUND_HIT:
+        if not succs and classify_endpoint(config, state) == "BOUND_HIT":
             bound_hit = True
         for succ in succs:
             if succ.state not in parents:
@@ -494,71 +307,4 @@ def divergence_check_vord(k: int = 0, *, v1: int = 1, v2: int = 2,
         counterexample=ce,
         invariant_ok=None if not check_invariant else "slot-invariant" not in failures,
         invariant_example=inv_example,
-    )
-
-
-# ---------------------------------------------------------------------------
-# purity sweep
-
-
-@dataclass(frozen=True)
-class PurityReport:
-    config: Config
-    states: int
-    checks: int
-    outcomes: Counter
-    violations: tuple[tuple[HWState, int], ...] = field(default=())
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        parts = [
-            "PURITY " + ("clean" if self.clean else f"violations={len(self.violations)}"),
-            f"states={self.states}",
-            f"checks={self.checks}",
-        ]
-        parts.extend(f"{k.lower()}={v}" for k, v in sorted(self.outcomes.items()))
-        return " ".join(parts)
-
-
-def purity_sweep(config: Config) -> PurityReport:
-    """Run every invoked-but-unfinished dequeue solo from every reachable
-    state and classify it.
-
-    The solo run only depends on the shared state and that thread's frame,
-    so results are memoized on exactly that projection.
-    """
-    init = hw_init(config)
-    seen: set[HWState] = {init}
-    queue = deque([init])
-    memo: dict = {}
-    outcomes: Counter = Counter()
-    checks = 0
-    violations: list[tuple[HWState, int]] = []
-    while queue:
-        state = queue.popleft()
-        for tid, f in enumerate(state.frames):
-            if not isinstance(f.op, DeqOp) or f.uid is None or f.done:
-                continue
-            key = (state.back, state.items, state.scratch, tid, f)
-            got = memo.get(key)
-            if got is None:
-                got = purely_blocking_check(config, state, tid)
-                memo[key] = got
-            checks += 1
-            outcomes[got] += 1
-            if got == "VIOLATION":
-                violations.append((state, tid))
-        for succ in _expand(config, state):
-            if succ.state not in seen:
-                seen.add(succ.state)
-                queue.append(succ.state)
-    return PurityReport(
-        config=config,
-        states=len(seen),
-        checks=checks,
-        outcomes=outcomes,
-        violations=tuple(violations),
     )

@@ -220,23 +220,29 @@ def check_sequential_witness(b: Behavior, mu: Witness) -> str | None:
     return None
 
 
-def _candidate_witnesses(b: Behavior, max_candidates: int) -> Iterator[Witness]:
-    """Every value-respecting injective total mapping, NULL dequeues to
-    bottom.  Raises SearchBoundExceeded past max_candidates mappings."""
-    deqs = [d for d in b.deq_events() if d.value is not NULL]
-    null_deqs = [d for d in b.deq_events() if d.value is NULL]
+def candidate_matches(events: Iterable[Event], bound: int = 10_000) -> Iterator[Witness]:
+    """Every value-respecting injective match of the dequeues among
+    ``events`` to its enqueues, NULL dequeues to bottom.
+
+    When every value is enqueued at most once this yields at most the
+    single value-derived match.  Raises SearchBoundExceeded after
+    ``bound`` full candidates.
+    """
+    events = tuple(events)
+    deqs = [d for d in events if d.is_deq and d.value is not NULL]
+    base: Witness = {d.uid: None for d in events if d.is_deq and d.value is NULL}
     by_value: dict[Value, list[int]] = {}
-    for e in b.enq_events():
-        by_value.setdefault(e.value, []).append(e.uid)
-    base: Witness = {d.uid: None for d in null_deqs}
+    for e in events:
+        if e.is_enq:
+            by_value.setdefault(e.value, []).append(e.uid)
     count = 0
 
     def assign(i: int, used: set[int], acc: Witness) -> Iterator[Witness]:
         nonlocal count
         if i == len(deqs):
             count += 1
-            if count > max_candidates:
-                raise SearchBoundExceeded(f"more than {max_candidates} candidate mappings")
+            if count > bound:
+                raise SearchBoundExceeded(f"more than {bound} candidate matches")
             yield dict(acc)
             return
         d = deqs[i]
@@ -249,7 +255,7 @@ def _candidate_witnesses(b: Behavior, max_candidates: int) -> Iterator[Witness]:
             used.remove(euid)
             del acc[d.uid]
 
-    yield from assign(0, set(), dict(base))
+    yield from assign(0, set(), base)
 
 
 def find_sequential_witness(b: Behavior, max_candidates: int = 10_000) -> Witness | None:
@@ -260,7 +266,7 @@ def find_sequential_witness(b: Behavior, max_candidates: int = 10_000) -> Witnes
     injections are tried, capped at ``max_candidates`` full mappings
     (SearchBoundExceeded beyond that).
     """
-    for mu in _candidate_witnesses(b, max_candidates):
+    for mu in candidate_matches(b.events, max_candidates):
         if check_sequential_witness(b, mu) is None:
             return mu
     return None

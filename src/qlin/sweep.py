@@ -1,17 +1,22 @@
-"""Fast exhaustive sweep of plain queue-machine configurations.
+"""Exhaustive sweep of plain queue-machine configurations.
 
-The reference interpreter in hwmodel builds a dataclass per transition,
-which caps exploration well below the sizes the acceptance scales need.
-This module re-implements the same transition semantics on states packed
-into a single integer and is cross-validated against the reference
-interpreter by the test suite (identical history sets, trace counts,
-endpoint classifications and purity verdicts on overlapping scales).
+``qlin explore`` runs on this module.  The interpreter in hwmodel is
+the readable specification and builds a dataclass per transition, which
+caps exploration well below the sizes the acceptance scales need.  This
+module implements the same transition semantics on states packed into a
+single integer, in the manner of the state compression of Holzmann's
+SPIN model checker, and is cross-validated against the interpreter by
+the test suite (identical history sets, trace counts, endpoint
+classifications and purity verdicts on overlapping scales).
 
-Scope: fixed enqueue/dequeue threads only, no choice threads, no
-prophecy, and no mutant whose shared state grows without bound.  Thread
-identity is erased eagerly: operation identifiers are reconstructed from
-invocation order when a history is materialized, which is sound because
-no transition reads them.
+Scope: every configuration of fixed enqueue and plain dequeue threads,
+under every mutant, at any capacity and loop bound, with repeated
+enqueue values allowed; each packed field is sized from the
+configuration.  Choice threads and prophecy-instrumented dequeues are
+out of scope (SweepScopeError); only the divergence harnesses in
+explorer use them.  Thread identity is erased eagerly: operation
+identifiers are reconstructed from invocation order when a history is
+materialized, which is sound because no transition reads them.
 
 The sweep produces
   - exact counts of maximal schedules by endpoint status, computed by
@@ -19,8 +24,7 @@ The sweep produces
     frames sorted (schedule counts are invariant under permuting such
     threads, so the quotient is free);
   - the distinct complete histories, found by a breadth-first walk over
-    (state, emitted actions) pairs in which runs of internal steps are
-    contracted through a memoized closure per state;
+    (state, emitted actions) pairs with the emitted prefixes interned;
   - a purity verdict for every reachable (shared state, pending dequeue
     frame) pair, memoized on exactly that projection.
 
@@ -55,10 +59,6 @@ from .hwmodel import (
 
 # frame program counters, same meaning as in hwmodel
 _IDLE, _E1B, _E2, _D1, _D2, _RET, _DONE = range(7)
-
-# frame bit layout: pc(3) slot(3) rngp1(3) iters(3) result(4)
-_F_BITS = 16
-_PC_SH, _SLOT_SH, _RNG_SH, _IT_SH, _RES_SH = 0, 3, 6, 9, 12
 
 _STATUS_ORDER = ("COMPLETE", "OVERFLOW", "BOUND_HIT", "STUCK")
 
@@ -101,7 +101,7 @@ class SweepReport:
 
     @property
     def clean(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.purity_violations
 
     def summary(self) -> str:
         status = "clean" if self.clean else f"violations={len(self.violations)}"
@@ -124,11 +124,17 @@ class SweepReport:
 
 
 class _Kernel:
-    """Packed-state transition relation for one configuration."""
+    """Packed-state transition relation for one configuration.
+
+    A state is one integer: back, then the slot array, then the
+    dirty_spin scratch counter, then one frame per thread.  A frame
+    holds pc, slot, rng + 1, iters and result, in that order from the
+    low bits.  Every field is as wide as the largest value the
+    configuration lets it hold; slots and results store 1-based indices
+    into the distinct enqueue values, with 0 for NULL.
+    """
 
     def __init__(self, config: Config):
-        if config.mutant == MUTANT_DIRTY_SPIN:
-            raise SweepScopeError("dirty_spin grows shared state unboundedly")
         ops = []
         for op in config.threads:
             if isinstance(op, EnqOp):
@@ -143,21 +149,44 @@ class _Kernel:
         self.lb = config.loop_bound
         self.nonatomic = config.mutant == MUTANT_NONATOMIC_ENQ
         self.keep_on_swap = config.mutant == MUTANT_NO_SWAP_CLEAR
+        self.dirty = config.mutant == MUTANT_DIRTY_SPIN
         self.scan_start = 1 if config.mutant == MUTANT_SKIP_SLOT_ZERO else 0
         self.is_enq = [isinstance(op, EnqOp) for op in ops]
-        # enqueue values are stored as 1-based indices; slot nibbles and
-        # result nibbles must fit, so at most 15 distinct enqueuers
-        self.values = [op.value for op in ops if isinstance(op, EnqOp)]
-        if len(self.values) != len(set(self.values)):
-            raise SweepScopeError("enqueue values must be distinct")
-        if len(self.values) > 15 or self.cap > 7 or self.lb > 7:
-            raise SweepScopeError("configuration exceeds packed field widths")
-        self.vidx = {v: i + 1 for i, v in enumerate(self.values)}
+        self.values = list(dict.fromkeys(op.value for op in ops if isinstance(op, EnqOp)))
+        vidx = {v: i + 1 for i, v in enumerate(self.values)}
         self.enq_vbits = [
-            self.vidx[op.value] if isinstance(op, EnqOp) else 0 for op in ops
+            vidx[op.value] if isinstance(op, EnqOp) else 0 for op in ops
         ]
-        self.items_sh = 4
-        self.frames_sh = 4 + 4 * self.cap
+
+        # field widths: back and rng + 1 hold 0..cap, slot 0..cap-1,
+        # iters 0..lb, slots and results 0..number of distinct values
+        back_w = self.cap.bit_length()
+        slot_w = max(self.cap - 1, 0).bit_length()
+        it_w = self.lb.bit_length()
+        value_w = len(self.values).bit_length()
+        # the scratch counter bounds the dequeuers' NULL swaps, at most cap
+        # per scan round, plus one fresh loop budget for a purity solo run
+        n_deq = self.n - sum(self.is_enq)
+        scratch_w = ((n_deq + 1) * self.lb * self.cap).bit_length() if self.dirty else 0
+        self.back_mask = (1 << back_w) - 1
+        self.scratch_sh = back_w + value_w * self.cap
+        self.scratch_mask = (1 << scratch_w) - 1
+        self.frames_sh = self.scratch_sh + scratch_w
+        slot_sh = 3
+        rng_sh = slot_sh + slot_w
+        self.it_sh = rng_sh + back_w
+        self.it_mask = (1 << it_w) - 1
+        res_sh = self.it_sh + it_w
+        self.f_bits = res_sh + value_w
+        self.f_mask = (1 << self.f_bits) - 1
+        self.shifts = tuple(self.frames_sh + self.f_bits * t for t in range(self.n))
+        # what successors reads, unpacked in one step per call
+        self.layout = (
+            self.shifts, self.f_mask, slot_sh, (1 << slot_w) - 1, rng_sh,
+            self.back_mask, self.it_sh, self.it_mask, res_sh,
+            back_w, value_w, (1 << value_w) - 1,
+        )
+
         # threads with identical programs are interchangeable
         by_op: dict = {}
         for tid, op in enumerate(ops):
@@ -187,21 +216,19 @@ class _Kernel:
     # -- field helpers ----------------------------------------------------
 
     def frame(self, state: int, tid: int) -> int:
-        return (state >> (self.frames_sh + _F_BITS * tid)) & 0xFFFF
-
-    def item(self, state: int, slot: int) -> int:
-        return (state >> (self.items_sh + 4 * slot)) & 0xF
+        return (state >> self.shifts[tid]) & self.f_mask
 
     def init_state(self) -> int:
         return 0
 
     def canon(self, state: int) -> int:
         # sort frames within each interchangeable group
+        shifts, f_mask = self.shifts, self.f_mask
         for tids in self.sym_groups:
-            fields = sorted(self.frame(state, t) for t in tids)
+            fields = sorted((state >> shifts[t]) & f_mask for t in tids)
             for t, fbits in zip(tids, fields):
-                sh = self.frames_sh + _F_BITS * t
-                state = (state & ~(0xFFFF << sh)) | (fbits << sh)
+                sh = shifts[t]
+                state = (state & ~(f_mask << sh)) | (fbits << sh)
         return state
 
     # -- transitions -------------------------------------------------------
@@ -218,42 +245,42 @@ class _Kernel:
         group-internal identity is fixed by invocation order.
         """
         out = []
-        frames_sh = self.frames_sh
-        back = state & 0xF
+        (shifts, f_mask, slot_sh, slot_mask, rng_sh, rng_mask, it_sh, it_mask,
+         res_sh, items_sh, item_w, item_mask) = self.layout
+        back = state & self.back_mask
         gate: dict[int, int] = {}
         for tids in gate_groups:
             for t in tids:
-                if (state >> (frames_sh + _F_BITS * t)) & 0x7 == _IDLE:
+                if (state >> shifts[t]) & 0x7 == _IDLE:
                     gate.update((u, t) for u in tids)
                     break
-        for tid in range(self.n):
-            sh = frames_sh + _F_BITS * tid
-            f = (state >> sh) & 0xFFFF
+        for tid, sh in enumerate(shifts):
+            f = (state >> sh) & f_mask
             pc = f & 0x7
             if pc == _DONE:
                 continue
             if pc == _IDLE and gate.get(tid, tid) != tid:
                 continue
-            base = state & ~(0xFFFF << sh)
+            base = state & ~(f_mask << sh)
             if self.is_enq[tid]:
                 if pc == _IDLE:
                     if back >= self.cap:
                         continue  # slot array exhausted
                     if self.nonatomic:
-                        nf = _E1B | (back << _SLOT_SH)
+                        nf = _E1B | (back << slot_sh)
                         ns = base | (nf << sh)
                     else:
-                        nf = _E2 | (back << _SLOT_SH)
+                        nf = _E2 | (back << slot_sh)
                         ns = (base | (nf << sh)) + 1  # back += 1
                     out.append((tid, "E1", (_T_EINV, tid, 0), ns))
                 elif pc == _E1B:
-                    nf = _E2 | (f & (0x7 << _SLOT_SH))
+                    nf = _E2 | (f & (slot_mask << slot_sh))
                     ns = (base | (nf << sh)) + 1
                     out.append((tid, "E1b", None, ns))
                 elif pc == _E2:
-                    slot = (f >> _SLOT_SH) & 0x7
-                    ish = self.items_sh + 4 * slot
-                    ns = (base & ~(0xF << ish)) | (self.enq_vbits[tid] << ish)
+                    slot = (f >> slot_sh) & slot_mask
+                    ish = items_sh + item_w * slot
+                    ns = (base & ~(item_mask << ish)) | (self.enq_vbits[tid] << ish)
                     ns |= _RET << sh
                     out.append((tid, "E2", None, ns))
                 else:  # _RET
@@ -262,39 +289,43 @@ class _Kernel:
                 continue
             # dequeue thread
             if pc == _IDLE or pc == _D1:
-                iters = (f >> _IT_SH) & 0x7
+                iters = (f >> it_sh) & it_mask
                 if iters >= self.lb:
                     continue  # loop budget exhausted
                 rng = back - 1
                 start = self.scan_start
                 if start <= rng:
-                    nf = _D2 | (start << _SLOT_SH) | ((rng + 1) << _RNG_SH)
+                    nf = _D2 | (start << slot_sh) | ((rng + 1) << rng_sh)
                 else:
                     nf = _D1
-                nf |= (iters + 1) << _IT_SH
+                nf |= (iters + 1) << it_sh
                 ns = base | (nf << sh)
                 token = (_T_DINV, tid, 0) if pc == _IDLE else None
                 out.append((tid, "D1", token, ns))
             elif pc == _D2:
-                slot = (f >> _SLOT_SH) & 0x7
-                rng = ((f >> _RNG_SH) & 0x7) - 1
-                ish = self.items_sh + 4 * slot
-                held = (state >> ish) & 0xF
+                slot = (f >> slot_sh) & slot_mask
+                rng = ((f >> rng_sh) & rng_mask) - 1
+                ish = items_sh + item_w * slot
+                held = (state >> ish) & item_mask
                 if held == 0:
                     nxt = slot + 1
                     if nxt > rng:
-                        nf = _D1 | (f & (0x7 << _IT_SH))
+                        nf = _D1 | (f & (it_mask << it_sh))
                     else:
-                        nf = (f & ~(0x7 << _SLOT_SH)) | (nxt << _SLOT_SH)
+                        nf = (f & ~(slot_mask << slot_sh)) | (nxt << slot_sh)
                     ns = base | (nf << sh)
+                    if self.dirty:
+                        if (state >> self.scratch_sh) & self.scratch_mask == self.scratch_mask:
+                            raise AssertionError("scratch counter overflowed its field")
+                        ns += 1 << self.scratch_sh
                 else:
-                    ns = base if self.keep_on_swap else base & ~(0xF << ish)
-                    nf = _RET | (held << _RES_SH)
+                    ns = base if self.keep_on_swap else base & ~(item_mask << ish)
+                    nf = _RET | (held << res_sh)
                     ns |= nf << sh
                 out.append((tid, "D2", None, ns))
             else:  # _RET
-                res = (f >> _RES_SH) & 0xF
-                nf = _DONE | (res << _RES_SH)
+                res = f >> res_sh
+                nf = _DONE | (res << res_sh)
                 ns = base | (nf << sh)
                 out.append((tid, "ret", (_T_DRES, tid, res), ns))
         return out
@@ -302,7 +333,7 @@ class _Kernel:
     def classify(self, state: int) -> str:
         all_done = True
         overflow = bound = False
-        back = state & 0xF
+        back = state & self.back_mask
         for tid in range(self.n):
             f = self.frame(state, tid)
             pc = f & 0x7
@@ -312,7 +343,7 @@ class _Kernel:
             if self.is_enq[tid]:
                 if pc == _IDLE and back >= self.cap:
                     overflow = True
-            elif pc in (_IDLE, _D1) and ((f >> _IT_SH) & 0x7) >= self.lb:
+            elif pc in (_IDLE, _D1) and ((f >> self.it_sh) & self.it_mask) >= self.lb:
                 bound = True
         if all_done:
             return "COMPLETE"
@@ -327,8 +358,8 @@ class _Kernel:
     def purity(self, state: int, tid: int) -> str:
         """Solo run of one pending dequeue with a fresh loop budget;
         mirrors purely_blocking_check."""
-        sh = self.frames_sh + _F_BITS * tid
-        start = state & ~(0x7 << (sh + _IT_SH))  # iters := 0
+        sh = self.shifts[tid]
+        start = state & ~(self.it_mask << (sh + self.it_sh))  # iters := 0
         shared_mask = (1 << self.frames_sh) - 1
         base_shared = start & shared_mask
         blocked_pure = False
@@ -524,7 +555,7 @@ def purity_scan(kernel: _Kernel):
             pc = f & 0x7
             if pc == _IDLE or pc == _DONE:
                 continue
-            key = (shared, f & ~(0x7 << _IT_SH))
+            key = (shared, f & ~(kernel.it_mask << kernel.it_sh))
             got = memo.get(key)
             if got is None:
                 got = kernel.purity(state, tid)
@@ -574,7 +605,7 @@ def collect_histories(kernel: _Kernel, *, quotient: bool, value_sym: bool = True
         return out
 
     init = kernel.init_state()
-    state_bits = kernel.frames_sh + _F_BITS * kernel.n
+    state_bits = kernel.frames_sh + kernel.f_bits * kernel.n
     complete: set[tuple] = set()
     successors = kernel.successors
     classify = kernel.classify
@@ -645,8 +676,7 @@ def collect_histories(kernel: _Kernel, *, quotient: bool, value_sym: bool = True
 
 def sweep_config(config: Config, *, oracle: bool = False,
                  check_purity: bool = False,
-                 quotient: bool = False,
-                 count: bool = True) -> SweepReport:
+                 quotient: bool = False) -> SweepReport:
     """Full exhaustive sweep of one plain configuration.
 
     Counts every maximal schedule, checks every distinct complete
@@ -654,17 +684,14 @@ def sweep_config(config: Config, *, oracle: bool = False,
     oracle), and optionally purity-checks every reachable pending
     dequeue.  Violations carry a replayable schedule.  With quotient
     one history per isomorphism class is materialized and checked; the
-    class covers the rest (see module docstring).
+    class covers the rest (see module docstring).  Without it every
+    distinct history is checked, which is the quotient's reference.
     """
     from .checker import LINEARIZABLE, brute_force_linearizable, check_linearizable
 
     kernel = _Kernel(config)
-    if count:
-        counts = count_schedules(kernel)
-        canonical_states = counts.pop("__states__")
-    else:
-        counts = Counter()
-        canonical_states = 0
+    counts = count_schedules(kernel)
+    canonical_states = counts.pop("__states__")
 
     purity_outcomes: Counter = Counter()
     purity_bad: list = []

@@ -34,9 +34,7 @@ from qlin.cli import generate_history
 from qlin.explorer import (
     divergence_check_vord,
     divergence_check_vrepet,
-    enumerate_traces,
     induce_history,
-    purity_sweep,
     replay_schedule,
 )
 from qlin.history import NULL, parse_history
@@ -64,6 +62,8 @@ from support import (
     behavior_seqs,
     brute_covering_exists,
     canonical_histories,
+    enumerate_traces,
+    purity_sweep,
     pwit_prime,
     seq_history,
 )

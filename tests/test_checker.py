@@ -182,10 +182,10 @@ def test_candidate_matches_duplicates():
         "inv 0 enq 5\nres 0 enq\ninv 1 enq 5\nres 1 enq\n"
         "inv 2 deq\nres 2 deq 5"
     )
-    got = list(candidate_matches(c))
+    got = list(candidate_matches(c.events))
     assert got == [{2: 0}, {2: 1}]
     with pytest.raises(SearchBoundExceeded):
-        list(candidate_matches(c, bound=1))
+        list(candidate_matches(c.events, bound=1))
 
 
 def test_check_safe_clauses():

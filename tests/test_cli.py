@@ -10,6 +10,8 @@ from qlin.explorer import induce_history, replay_schedule
 from qlin.history import NULL, parse_history
 from qlin.hwmodel import Config, DeqOp, EnqOp, MUTANT_NO_SWAP_CLEAR
 
+from support import check_configuration
+
 
 LIN = "inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq 1\n"
 VIO = "inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq 2\n"
@@ -139,7 +141,9 @@ def test_oracle_parse_error(capsys, hist_file):
 def test_explore_clean_human(capsys):
     code, out, _ = run(capsys, ["explore", "--enq", "1", "--deq", "1"])
     assert code == 0
-    assert out == "explored 46 schedules, 5 distinct complete histories: clean\n"
+    assert out == (
+        "explored 46 schedules, 2 isomorphism classes of complete histories: clean\n"
+    )
 
 
 def test_explore_clean_lines_with_oracle(capsys):
@@ -148,9 +152,10 @@ def test_explore_clean_lines_with_oracle(capsys):
     )
     assert code == 0
     assert out == (
-        "EXPLORE clean traces=46 complete-histories=5 "
+        "SWEEP clean traces=46 complete-histories=2 "
+        "history-mode=one-per-isomorphism-class "
         "complete-traces=42 bound-hit-traces=4 "
-        "oracle-checked=5 oracle-disagreements=0\n"
+        "oracle-checked=2 oracle-disagreements=0\n"
     )
 
 
@@ -158,7 +163,7 @@ def test_explore_packed_violations_replay(capsys):
     code, out, _ = run(
         capsys,
         ["explore", "--enq", "1", "--deq", "2", "--mutant", "no_swap_clear",
-         "--engine", "packed", "--format", "lines"],
+         "--format", "lines"],
     )
     assert code == 1
     lines = out.splitlines()
@@ -192,15 +197,15 @@ def test_explore_packed_violations_replay(capsys):
 
 
 def test_explore_engines_agree_on_clean_and_counts(capsys):
-    code_r, out_r, _ = run(capsys, ["explore", "--enq", "2", "--deq", "1", "--format", "lines"])
-    code_p, out_p, _ = run(
-        capsys,
-        ["explore", "--enq", "2", "--deq", "1", "--format", "lines", "--engine", "packed"],
+    # the packed kernel behind explore against the readable model's report
+    ref = check_configuration(
+        Config((EnqOp(1), EnqOp(2), DeqOp()), capacity=2, loop_bound=3)
     )
-    assert code_r == code_p == 0
-    assert "EXPLORE clean traces=12102 complete-histories=124" in out_r
-    # packed counts the same schedules, materializes one history per class
-    assert "SWEEP clean traces=12102 complete-histories=12" in out_p
+    assert ref.clean and ref.total_traces == 12102 and ref.distinct_complete == 124
+    code, out, _ = run(capsys, ["explore", "--enq", "2", "--deq", "1", "--format", "lines"])
+    assert code == 0
+    # the same schedules, one history per isomorphism class
+    assert "SWEEP clean traces=12102 complete-histories=12 " in out
 
 
 def test_explore_custom_values_do_not_change_anything(capsys):
@@ -208,7 +213,20 @@ def test_explore_custom_values_do_not_change_anything(capsys):
         capsys, ["explore", "--enq", "2", "--deq", "1", "--values", "4,9", "--capacity", "2"]
     )
     assert code == 0
-    assert out == "explored 12102 schedules, 124 distinct complete histories: clean\n"
+    assert out == (
+        "explored 12102 schedules, 12 isomorphism classes of complete histories: clean\n"
+    )
+
+
+def test_explore_wide_fields(capsys):
+    code, out, _ = run(
+        capsys,
+        ["explore", "--enq", "1", "--deq", "1", "--capacity", "8", "--loop-bound", "8"],
+    )
+    assert code == 0
+    assert out == (
+        "explored 261 schedules, 2 isomorphism classes of complete histories: clean\n"
+    )
 
 
 def test_explore_values_arity_error(capsys):
@@ -217,19 +235,32 @@ def test_explore_values_arity_error(capsys):
     assert err == "error: --values needs exactly 2 entries\n"
 
 
-def test_explore_packed_scope_error(capsys):
-    code, _, err = run(
-        capsys,
-        ["explore", "--enq", "1", "--deq", "1", "--mutant", "dirty_spin", "--engine", "packed"],
+def test_explore_dirty_spin_purity_fails(capsys):
+    argv = ["explore", "--enq", "1", "--deq", "1", "--mutant", "dirty_spin"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0  # no linearizability violation without the purity check
+    code, out, _ = run(capsys, argv + ["--purity"])
+    assert code == 1
+    assert out == (
+        "explored 46 schedules, 2 isomorphism classes of complete histories: "
+        "7 purity violation(s)\n"
     )
-    assert code == 2
-    assert err == "error: dirty_spin grows shared state unboundedly\n"
+    code, out, _ = run(capsys, argv + ["--purity", "--format", "lines"])
+    assert code == 1
+    assert out.rstrip().endswith("purity-violations=7")
 
 
 def test_explore_needs_threads(capsys):
     code, _, err = run(capsys, ["explore", "--enq", "0", "--deq", "0"])
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("counts", [("-1", "1"), ("1", "-2")])
+def test_explore_rejects_negative_thread_counts(capsys, counts):
+    code, out, err = run(capsys, ["explore", "--enq", counts[0], "--deq", counts[1]])
+    assert (code, out) == (2, "")
+    assert err == "error: need --enq >= 0 and --deq >= 0\n"
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +298,21 @@ def test_divergence_vord_lines(capsys):
 def test_divergence_parameter_errors(capsys):
     code, _, err = run(capsys, ["divergence", "vrepet", "--m", "0"])
     assert code == 2
-    assert err == "error: vrepet needs --m >= 1 and --k >= 0\n"
+    assert err == "error: m must be at least 2\n"
     code, _, err = run(capsys, ["divergence", "vord", "--k", "-1"])
     assert code == 2
-    assert err == "error: vord needs --k >= 0\n"
+    assert err == "error: k must be non-negative\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["vrepet", "--m", "1"], "m must be at least 2"),
+    (["vord", "--loop-bound", "0"], "loop_bound must be at least 1"),
+    (["vrepet", "--loop-bound", "0"], "loop_bound must be at least 1"),
+], ids=["vrepet-m1", "vord-loop-bound0", "vrepet-loop-bound0"])
+def test_divergence_bad_parameters_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, ["divergence"] + argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Exploration layer: trace enumeration, per-configuration reports,
-divergence harnesses, and the purity sweep.
+"""Exploration on the readable model: schedule replay and the divergence
+harnesses, plus the reference trace enumeration, per-configuration
+reports and purity sweep that the packed kernel is compared against.
 
 Expected counts in this file were frozen from reference runs of the
 exhaustive sweeps themselves; every schedule-shaped expectation is also
@@ -9,15 +10,10 @@ replayed through the machine to confirm it is not a stale literal.
 import pytest
 
 from qlin.explorer import (
-    ConfigReport,
     Counterexample,
-    check_configuration,
-    count_traces,
     divergence_check_vord,
     divergence_check_vrepet,
-    enumerate_traces,
     induce_history,
-    purity_sweep,
     replay_schedule,
     vord_config,
     vrepet_config,
@@ -33,6 +29,14 @@ from qlin.hwmodel import (
     MUTANT_NO_SWAP_CLEAR,
     MUTANT_NONATOMIC_ENQ,
     MUTANT_SKIP_SLOT_ZERO,
+)
+
+from support import (
+    ConfigReport,
+    check_configuration,
+    count_traces,
+    enumerate_traces,
+    purity_sweep,
 )
 
 

@@ -9,7 +9,7 @@ out in either order.
 import pytest
 
 from qlin.checker import LINEARIZABLE, check_linearizable
-from qlin.explorer import enumerate_traces, induce_history, replay_schedule
+from qlin.explorer import induce_history, replay_schedule
 from qlin.history import NULL
 from qlin.hwmodel import (
     GATE_FLAG_DONE,
@@ -29,6 +29,8 @@ from qlin.hwmodel import (
     successors,
 )
 from qlin.queuespec import obs_equiv
+
+from support import enumerate_traces
 
 
 def run(config, labels):

@@ -10,14 +10,7 @@ canonical form.  Numeric literals were frozen from those cross-runs.
 
 import pytest
 
-from qlin.explorer import (
-    check_configuration,
-    count_traces,
-    enumerate_traces,
-    induce_history,
-    purity_sweep,
-    replay_schedule,
-)
+from qlin.explorer import induce_history, replay_schedule
 from qlin.hwmodel import (
     ChoiceOp,
     Config,
@@ -38,7 +31,14 @@ from qlin.sweep import (
     sweep_config,
 )
 
-from support import canonical_form, isomorphic
+from support import (
+    canonical_form,
+    check_configuration,
+    count_traces,
+    enumerate_traces,
+    isomorphic,
+    purity_sweep,
+)
 
 
 def plain_config(n_enq, n_deq, *, mutant="none", loop_bound=3, capacity=None):
@@ -47,7 +47,8 @@ def plain_config(n_enq, n_deq, *, mutant="none", loop_bound=3, capacity=None):
     return Config(threads, capacity=cap, loop_bound=loop_bound, mutant=mutant)
 
 
-# configs small enough for the reference interpreter, one per mutant
+# configs small enough for the reference interpreter: one per mutant,
+# one with a repeated enqueue value, one with fields wider than 3 bits
 CROSS_CONFIGS = [
     pytest.param(plain_config(1, 1), id="1enq-1deq"),
     pytest.param(plain_config(2, 1), id="2enq-1deq"),
@@ -55,6 +56,12 @@ CROSS_CONFIGS = [
     pytest.param(plain_config(1, 2, mutant=MUTANT_NO_SWAP_CLEAR), id="no-swap-clear"),
     pytest.param(plain_config(2, 1, mutant=MUTANT_SKIP_SLOT_ZERO), id="skip-slot-zero"),
     pytest.param(plain_config(2, 1, mutant=MUTANT_NONATOMIC_ENQ), id="nonatomic-enq"),
+    pytest.param(plain_config(1, 1, mutant=MUTANT_DIRTY_SPIN), id="dirty-spin"),
+    pytest.param(
+        Config((EnqOp(5), EnqOp(5), DeqOp()), capacity=2, loop_bound=3),
+        id="repeated-value",
+    ),
+    pytest.param(plain_config(1, 1, capacity=8, loop_bound=8), id="wide-fields"),
 ]
 
 
@@ -65,12 +72,7 @@ def exact_histories(config):
 
 
 # ---------------------------------------------------------------------------
-# scope guard
-
-
-def test_scope_rejects_dirty_spin():
-    with pytest.raises(SweepScopeError):
-        _Kernel(plain_config(1, 1, mutant=MUTANT_DIRTY_SPIN))
+# scope guard: only the divergence harnesses' thread kinds are refused
 
 
 def test_scope_rejects_instrumented_dequeue():
@@ -82,18 +84,6 @@ def test_scope_rejects_instrumented_dequeue():
 def test_scope_rejects_choice_threads():
     menu = ((EnqOp(1), None),)
     c = Config((ChoiceOp(menu), DeqOp()), capacity=1, loop_bound=3)
-    with pytest.raises(SweepScopeError):
-        _Kernel(c)
-
-
-def test_scope_rejects_duplicate_enqueue_values():
-    c = Config((EnqOp(5), EnqOp(5), DeqOp()), capacity=2, loop_bound=3)
-    with pytest.raises(SweepScopeError):
-        _Kernel(c)
-
-
-def test_scope_rejects_oversized_fields():
-    c = Config((EnqOp(1), DeqOp()), capacity=8, loop_bound=3)
     with pytest.raises(SweepScopeError):
         _Kernel(c)
 
@@ -122,7 +112,7 @@ def test_exact_histories_match_reference(config):
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
 def test_exact_violations_match_reference(config):
-    report = sweep_config(config, count=False)
+    report = sweep_config(config)
     ref = check_configuration(config)
     assert {v.history.serialize() for v in report.violations} == {
         v.history.serialize() for v in ref.violations
@@ -239,11 +229,18 @@ def test_report_exact_mode():
     assert "history-mode" not in r.summary()
 
 
-def test_report_without_counting():
-    r = sweep_config(plain_config(2, 1), count=False)
-    assert r.total_traces == 0
-    assert r.canonical_states == 0
-    assert r.distinct_complete == 124
+def test_impure_dequeues_make_the_report_unclean():
+    r = sweep_config(plain_config(1, 1, mutant=MUTANT_DIRTY_SPIN), quotient=True,
+                     check_purity=True)
+    assert not r.violations
+    assert not r.clean
+    assert dict(r.purity_outcomes) == {"PURE": 1, "TERMINATES": 10, "VIOLATION": 7}
+    assert r.purity_violations == 7
+    assert r.summary() == (
+        "SWEEP violations=0 traces=46 complete-histories=2 "
+        "history-mode=one-per-isomorphism-class "
+        "complete-traces=42 bound-hit-traces=4 purity-violations=7"
+    )
 
 
 def test_starved_dequeues_never_complete():

@@ -24,6 +24,7 @@ accepts, and shares nothing with the pattern scan above.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .history import DEQ, ENQ, NULL, Event, History, Value
@@ -184,8 +185,8 @@ def check_ordered(c: History, match: Match) -> str | None:
     return None
 
 
-def bad_levels(c: History, match: Match, d_bot: int) -> list[frozenset[int]]:
-    """Cumulative stages of the bad set for a NULL dequeue.
+def compute_bad(c: History, match: Match, d_bot: int) -> frozenset[int]:
+    """The bad set of a NULL dequeue, built in cumulative stages.
 
     Stage 0 holds every enqueue that cannot be drained before d_bot returns:
     it starts after d_bot, or its dequeue is missing or starts after d_bot.
@@ -200,7 +201,6 @@ def bad_levels(c: History, match: Match, d_bot: int) -> list[frozenset[int]]:
         d = inverse.get(e)
         if c.precedes(d_bot, e) or d is None or c.precedes(d_bot, d):
             level.add(e)
-    levels = [frozenset(level)]
     while True:
         new = set(level)
         for e in enqs:
@@ -212,13 +212,8 @@ def bad_levels(c: History, match: Match, d_bot: int) -> list[frozenset[int]]:
                     new.add(e)
                     break
         if new == level:
-            return levels
+            return frozenset(level)
         level = new
-        levels.append(frozenset(level))
-
-
-def compute_bad(c: History, match: Match, d_bot: int) -> frozenset[int]:
-    return bad_levels(c, match, d_bot)[-1]
 
 
 def is_linearization_witness(c: History, match: Match) -> bool:
@@ -421,13 +416,20 @@ def detect_vfresh(c: History) -> VFresh | None:
 
 
 def detect_vrepet(c: History) -> VRepet | None:
-    """Two dequeues returning the same non-NULL value."""
-    seen: dict[Value, int] = {}
+    """A non-NULL value dequeued more often than it is enqueued, and at
+    least twice; the evidence is its first two dequeues."""
+    deqs: dict[Value, list[int]] = {}
+    enqueued: Counter | None = None  # counted once some value repeats
     for d in c.events:
         if d.is_deq and d.value is not NULL:
-            if d.value in seen:
-                return VRepet(seen[d.value], d.uid)
-            seen[d.value] = d.uid
+            ds = deqs.setdefault(d.value, [])
+            ds.append(d.uid)
+            if len(ds) < 2:
+                continue
+            if enqueued is None:
+                enqueued = Counter(e.value for e in c.events if e.is_enq)
+            if len(ds) > enqueued[d.value]:
+                return VRepet(ds[0], ds[1])
     return None
 
 
@@ -592,28 +594,6 @@ def verify_covering(c: History, d_bot: int, chain: tuple[int, ...]) -> bool:
 # ---- top-level decision ----
 
 
-def _generalized_fresh_or_repet(c: History) -> Violation | None:
-    """Sound violation evidence valid even with duplicate enqueue values."""
-    enq_count: dict[Value, int] = {}
-    enq_uids_by_value: dict[Value, list[int]] = {}
-    for e in c.events:
-        if e.is_enq:
-            enq_count[e.value] = enq_count.get(e.value, 0) + 1
-            enq_uids_by_value.setdefault(e.value, []).append(e.uid)
-    deqs_by_value: dict[Value, list[int]] = {}
-    for d in c.events:
-        if d.is_deq and d.value is not NULL:
-            deqs_by_value.setdefault(d.value, []).append(d.uid)
-    for v, ds in deqs_by_value.items():
-        if not enq_count.get(v):
-            return VFresh(ds[0])
-        if all(c.precedes(ds[0], e) for e in enq_uids_by_value[v]):
-            return VFresh(ds[0])
-        if len(ds) > enq_count[v]:
-            return VRepet(ds[0], ds[1])
-    return None
-
-
 def _check_complete(c: History, match_bound: int, build_witness: bool) -> Verdict:
     if not c.events:
         return Verdict(LINEARIZABLE, witness=Behavior(()))
@@ -637,7 +617,7 @@ def _check_complete(c: History, match_bound: int, build_witness: bool) -> Verdic
             return Verdict(LINEARIZABLE, witness=witness)
     except SearchBoundExceeded as exc:
         return Verdict(INDETERMINATE, reason=str(exc))
-    violation = _generalized_fresh_or_repet(c)
+    violation = detect_vfresh(c) or detect_vrepet(c)
     if violation is not None:
         return Verdict(VIOLATION, violation=violation)
     return Verdict(VIOLATION, reason="no candidate match satisfies the conditions")

@@ -20,17 +20,18 @@ materialized, which is sound because no transition reads them.
 
 The sweep produces
   - exact counts of maximal schedules by endpoint status, computed by
-    dynamic programming keyed on states with interchangeable-thread
-    frames sorted (schedule counts are invariant under permuting such
-    threads, so the quotient is free);
-  - the distinct complete histories, found by a breadth-first walk over
-    (state, emitted actions) pairs with the emitted prefixes interned;
+    dynamic programming in one iterative post-order walk over states
+    with interchangeable-thread frames sorted (schedule counts are
+    invariant under permuting such threads, so the quotient is free);
   - a purity verdict for every reachable (shared state, pending dequeue
-    frame) pair, memoized on exactly that projection.
+    frame) pair, memoized on exactly that projection, in a pass over
+    the states the count walk visited;
+  - the distinct complete histories, found by a breadth-first walk over
+    (state, closed runs, open run) nodes with the closed runs interned.
 
-Two history-collection modes exist.  The exact mode keeps emission
-order and returns every distinct history.  The quotient mode
-additionally sorts each maximal run of same-kind actions (adjacent
+One collection loop serves two modes.  The exact mode keeps emission
+order (every action closes its run) and returns every distinct history.
+The quotient mode sorts each maximal run of same-kind actions (adjacent
 invocations, adjacent responses) and, when enabled, renames enqueue
 values by invocation rank.  Permuting adjacent same-kind actions and
 renaming operations or values are isomorphisms of histories: they
@@ -42,7 +43,6 @@ test suite verifies that expansion exhaustively at small scales.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -424,38 +424,43 @@ class _Kernel:
 
     def _find_schedule(self, runs: list) -> tuple[str, ...]:
         dead: set = set()
-
-        def go(state: int, idx: int, remaining: tuple, acc: list[str]):
+        path: list = []  # (key, untried successors) per node on the path
+        labels: list[str] = []  # the step taken out of each node on the path
+        node = (self.init_state(), 0, ())
+        while True:
+            state, idx, remaining = node
             while not remaining and idx < len(runs):
                 idx, remaining = idx + 1, runs[idx]
             key = (state, idx, remaining)
-            if key in dead:
-                return None
-            succs = self.successors(state)
-            if not succs:
-                if not remaining and idx >= len(runs) and self.classify(state) == "COMPLETE":
-                    return acc
-                dead.add(key)
-                return None
-            for tid, instr, token, ns in succs:
-                if token is not None:
-                    if token not in remaining:
-                        continue
-                    rest = list(remaining)
-                    rest.remove(token)
-                    got = go(ns, idx, tuple(rest), acc + [f"{tid}:{instr}"])
+            if key not in dead:
+                succs = self.successors(state)
+                if succs:
+                    path.append((key, iter(succs)))
+                elif not remaining and idx >= len(runs) and self.classify(state) == "COMPLETE":
+                    return tuple(labels)
                 else:
-                    got = go(ns, idx, remaining, acc + [f"{tid}:{instr}"])
-                if got is not None:
-                    return got
-            dead.add(key)
-            return None
-
-        sys.setrecursionlimit(100_000)
-        got = go(self.init_state(), 0, (), [])
-        if got is None:
-            raise RuntimeError("token sequence is not realizable")
-        return tuple(got)
+                    dead.add(key)
+            # descend along the next untried successor of the deepest node
+            node = None
+            while path and node is None:
+                key, untried = path[-1]
+                _, idx, remaining = key
+                for tid, instr, token, ns in untried:
+                    if token is None:
+                        node = (ns, idx, remaining)
+                    elif token in remaining:
+                        rest = list(remaining)
+                        rest.remove(token)
+                        node = (ns, idx, tuple(rest))
+                    else:
+                        continue
+                    labels[len(path) - 1:] = [f"{tid}:{instr}"]
+                    break
+                else:
+                    dead.add(key)
+                    path.pop()
+            if node is None:
+                raise RuntimeError("token sequence is not realizable")
 
 
 def canonicalize_tokens(kernel: _Kernel, tokens, *, value_sym: bool = True) -> tuple:
@@ -490,187 +495,135 @@ def canonicalize_tokens(kernel: _Kernel, tokens, *, value_sym: bool = True) -> t
     return tuple(out)
 
 
-def count_schedules(kernel: _Kernel) -> Counter:
-    """Exact maximal-schedule counts by endpoint status.
+def count_schedules(kernel: _Kernel):
+    """Exact maximal-schedule counts by endpoint status, and the
+    canonical states visited.
 
     Memoized on the sorted-frames quotient: permuting interchangeable
-    threads bijects schedules and preserves endpoint status.
+    threads bijects schedules and preserves endpoint status.  The loop
+    bound makes the state graph acyclic, so a post-order walk with an
+    explicit stack sums each state's counts from its successors'.
     """
+    successors, canon = kernel.successors, kernel.canon
     memo: dict[int, tuple] = {}
-    sys.setrecursionlimit(100_000)
-
-    def walk(state: int) -> tuple:
-        key = kernel.canon(state)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        succs = kernel.successors(state)
-        if not succs:
-            result = tuple(
-                1 if kernel.classify(state) == name else 0 for name in _STATUS_ORDER
-            )
+    init = canon(kernel.init_state())
+    stack: list = [(init, None)]
+    while stack:
+        state, kids = stack[-1]
+        if state in memo:
+            stack.pop()
+        elif kids is None:
+            kids = [canon(ns) for _, _, _, ns in successors(state)]
+            stack[-1] = (state, kids)
+            stack.extend((k, None) for k in kids if k not in memo)
         else:
-            acc = [0, 0, 0, 0]
-            for _, _, _, ns in succs:
-                sub = walk(ns)
-                acc[0] += sub[0]
-                acc[1] += sub[1]
-                acc[2] += sub[2]
-                acc[3] += sub[3]
-            result = tuple(acc)
-        memo[key] = result
-        return result
-
-    totals = walk(kernel.init_state())
-    counts = Counter(
-        {name: n for name, n in zip(_STATUS_ORDER, totals) if n}
-    )
-    counts["__states__"] = len(memo)
-    return counts
+            stack.pop()
+            if kids:
+                memo[state] = tuple(map(sum, zip(*(memo[k] for k in kids))))
+            else:
+                status = kernel.classify(state)
+                memo[state] = tuple(int(name == status) for name in _STATUS_ORDER)
+    totals = memo[init]
+    counts = Counter({name: n for name, n in zip(_STATUS_ORDER, totals) if n})
+    return counts, memo.keys()
 
 
-def purity_scan(kernel: _Kernel):
-    """Purity-check every reachable pending dequeue.
+def purity_scan(kernel: _Kernel, states):
+    """Purity-check every pending dequeue in the given canonical states.
 
-    Walks the symmetry-reduced state graph (interchangeable frames
-    sorted), which visits every reachable (shared state, dequeue frame)
-    pair up to that permutation; the pair fully determines the solo-run
-    verdict, which is memoized on it.
+    Over the states count_schedules visited, this covers every reachable
+    (shared state, dequeue frame) pair up to permuting interchangeable
+    threads; the pair fully determines the solo-run verdict, which is
+    memoized on it.
     """
     memo: dict = {}
     outcomes: Counter = Counter()
     bad: list = []
-    init = kernel.canon(kernel.init_state())
-    seen = {init}
-    queue = deque([init])
-    frames_sh = kernel.frames_sh
-    shared_mask = (1 << frames_sh) - 1
-    while queue:
-        state = queue.popleft()
+    shared_mask = (1 << kernel.frames_sh) - 1
+    deq_tids = [t for t in range(kernel.n) if not kernel.is_enq[t]]
+    for state in states:
         shared = state & shared_mask
-        for tid in range(kernel.n):
-            if kernel.is_enq[tid]:
-                continue
+        for tid in deq_tids:
             f = kernel.frame(state, tid)
             pc = f & 0x7
             if pc == _IDLE or pc == _DONE:
                 continue
             key = (shared, f & ~(kernel.it_mask << kernel.it_sh))
-            got = memo.get(key)
-            if got is None:
-                got = kernel.purity(state, tid)
-                memo[key] = got
+            if key not in memo:
+                got = memo[key] = kernel.purity(state, tid)
                 outcomes[got] += 1
                 if got == "VIOLATION":
                     bad.append((state, tid))
-        for _, _, _, ns in kernel.successors(state):
-            c = kernel.canon(ns)
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return outcomes, bad, len(seen)
+    return outcomes, bad
 
 
 def collect_histories(kernel: _Kernel, *, quotient: bool, value_sym: bool = True):
     """All distinct complete token sequences.
 
-    Exact mode walks (state, emission sequence) pairs.  Quotient mode
-    stores each prefix as closed sorted runs plus the open trailing run,
-    so sequences of one isomorphism class share a node; with value_sym
-    the enqueuers are additionally gated to invoke in value order, which
-    renames values by invocation rank.  Node keys are packed into single
-    integers to keep the visited set compact.
+    A node is (state, closed runs, open run), where a run is a maximal
+    stretch of invocations or of responses: closed run chains are
+    interned and open runs are kept in a table.  In quotient mode each
+    run is sorted, so sequences of one isomorphism class share a node;
+    with value_sym the enqueuers are additionally gated to invoke in
+    value order, which renames values by invocation rank.  In exact mode
+    every token closes its run, so a node keeps the emission order.
+    Node keys are packed into single integers to keep the visited set
+    compact.
     """
-    gate_groups = kernel.emit_groups(value_sym) if quotient else kernel.emit_groups(False)
+    gate_groups = kernel.emit_groups(quotient and value_sym)
 
-    # interning tables for prefixes: a prefix is a chain of payloads
-    # (tokens in exact mode, closed runs in quotient mode)
+    # closed run chains: id -> (parent id, run)
     seq_next: dict = {}
-    seq_parent: list = [(None, None)]  # id -> (parent id, payload)
+    seq_parent: list = [(None, None)]
+    open_ids: dict[tuple, int] = {(): 0}
+    open_seqs: list[tuple] = [()]
 
-    def extend(pid: int, payload) -> int:
-        got = seq_next.get((pid, payload))
+    def intern_open(run: tuple) -> int:
+        got = open_ids.get(run)
         if got is None:
-            got = len(seq_parent)
-            seq_parent.append((pid, payload))
-            seq_next[(pid, payload)] = got
+            got = open_ids[run] = len(open_seqs)
+            open_seqs.append(run)
         return got
 
-    def expand(pid: int) -> list:
-        out = []
-        while pid:
-            pid, payload = seq_parent[pid]
-            out.append(payload)
-        out.reverse()
-        return out
+    def close(cid: int, run: tuple) -> int:
+        got = seq_next.get((cid, run))
+        if got is None:
+            got = seq_next[(cid, run)] = len(seq_parent)
+            seq_parent.append((cid, run))
+        return got
 
     init = kernel.init_state()
     state_bits = kernel.frames_sh + kernel.f_bits * kernel.n
     complete: set[tuple] = set()
     successors = kernel.successors
-    classify = kernel.classify
-    if quotient:
-        # node: (state, closed runs id, open run id); open runs stay
-        # few (short sorted tuples), closed chains are interned
-        open_ids: dict[tuple, int] = {(): 0}
-        open_seqs: list[tuple] = [()]
-        seen = {init}  # key = ((cid << 14 | oid) << state_bits) | state
-        queue = deque([(init, 0, 0)])
-        while queue:
-            state, cid, oid = queue.popleft()
-            succs = successors(state, gate_groups)
-            orun = open_seqs[oid]
-            if not succs:
-                if classify(state) == "COMPLETE":
-                    seq = []
-                    for run in expand(cid):
-                        seq.extend(run)
-                    seq.extend(orun)
-                    complete.add(tuple(seq))
-                continue
-            for _, _, token, ns in succs:
-                if token is None:
-                    ncid, noid = cid, oid
-                elif orun and _is_inv(orun[0]) == _is_inv(token):
-                    nrun = tuple(sorted(orun + (token,)))
-                    noid = open_ids.get(nrun)
-                    if noid is None:
-                        noid = len(open_seqs)
-                        open_seqs.append(nrun)
-                        open_ids[nrun] = noid
-                    ncid = cid
-                else:
-                    ncid = extend(cid, orun) if orun else cid
-                    nrun = (token,)
-                    noid = open_ids.get(nrun)
-                    if noid is None:
-                        noid = len(open_seqs)
-                        open_seqs.append(nrun)
-                        open_ids[nrun] = noid
-                key = ((ncid << 14 | noid) << state_bits) | ns
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((ns, ncid, noid))
-        if len(open_seqs) >= 1 << 14:
-            raise AssertionError("open-run table overflowed its key field")
-        return complete, len(seen)
-
-    # exact mode: node = (state, emission sequence id)
-    seen = {init}
-    queue = deque([(init, 0)])
+    seen = {init}  # key = ((cid << 14 | oid) << state_bits) | state
+    queue = deque([(init, 0, 0)])
     while queue:
-        state, pid = queue.popleft()
+        state, cid, oid = queue.popleft()
         succs = successors(state, gate_groups)
+        orun = open_seqs[oid]
         if not succs:
-            if classify(state) == "COMPLETE":
-                complete.add(tuple(expand(pid)))
+            if kernel.classify(state) == "COMPLETE":
+                runs = [orun]
+                while cid:
+                    cid, run = seq_parent[cid]
+                    runs.append(run)
+                complete.add(tuple(t for run in reversed(runs) for t in run))
             continue
         for _, _, token, ns in succs:
-            npid = pid if token is None else extend(pid, token)
-            key = (npid << state_bits) | ns
+            if token is None:
+                ncid, noid = cid, oid
+            elif quotient and orun and _is_inv(orun[0]) == _is_inv(token):
+                ncid, noid = cid, intern_open(tuple(sorted(orun + (token,))))
+            else:
+                ncid = close(cid, orun) if orun else cid
+                noid = intern_open((token,))
+            key = ((ncid << 14 | noid) << state_bits) | ns
             if key not in seen:
                 seen.add(key)
-                queue.append((ns, npid))
+                queue.append((ns, ncid, noid))
+    if len(open_seqs) >= 1 << 14:
+        raise AssertionError("open-run table overflowed its key field")
     return complete, len(seen)
 
 
@@ -690,13 +643,13 @@ def sweep_config(config: Config, *, oracle: bool = False,
     from .checker import LINEARIZABLE, brute_force_linearizable, check_linearizable
 
     kernel = _Kernel(config)
-    counts = count_schedules(kernel)
-    canonical_states = counts.pop("__states__")
-
+    counts, states = count_schedules(kernel)
+    canonical_states = len(states)
     purity_outcomes: Counter = Counter()
     purity_bad: list = []
     if check_purity:
-        purity_outcomes, purity_bad, _ = purity_scan(kernel)
+        purity_outcomes, purity_bad = purity_scan(kernel, states)
+    del states  # collection's peak memory comes on top otherwise
 
     complete, nodes = collect_histories(kernel, quotient=quotient)
 

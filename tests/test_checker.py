@@ -492,6 +492,14 @@ def test_duplicates_generalized_vrepet():
     )
     v = check_linearizable(c)
     assert v.status == VIOLATION and v.violation == VRepet(d=1, d2=2)
+    # with a repeated enqueue value: two enq(5), three deq -> 5
+    c = h(
+        "inv 0 enq 5\nres 0 enq\ninv 1 enq 5\nres 1 enq\n"
+        "inv 2 deq\nres 2 deq 5\ninv 3 deq\nres 3 deq 5\ninv 4 deq\nres 4 deq 5"
+    )
+    assert not c.is_differentiated
+    v = check_linearizable(c)
+    assert v.summary() == "VIOLATION vrepet d=2 d2=3"
 
 
 def test_duplicates_violation_without_pattern_evidence():

@@ -8,6 +8,8 @@ the isomorphism quotient is compared against an independent semantic
 canonical form.  Numeric literals were frozen from those cross-runs.
 """
 
+import sys
+
 import pytest
 
 from qlin.explorer import induce_history, replay_schedule
@@ -94,8 +96,7 @@ def test_scope_rejects_choice_threads():
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
 def test_trace_counts_match_reference(config):
-    counts = count_schedules(_Kernel(config))
-    counts.pop("__states__")
+    counts, _ = count_schedules(_Kernel(config))
     assert counts == count_traces(config)
 
 
@@ -124,7 +125,8 @@ def test_exact_violations_match_reference(config):
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
 def test_purity_scan_agrees_with_reference(config):
-    outcomes, bad, _ = purity_scan(_Kernel(config))
+    kernel = _Kernel(config)
+    outcomes, bad = purity_scan(kernel, count_schedules(kernel)[1])
     ref = purity_sweep(config)
     assert (len(bad) == 0) == ref.clean
     assert set(outcomes) == set(ref.outcomes)
@@ -168,16 +170,16 @@ def test_quotient_sizes_at_small_scale():
         (plain_config(2, 1, mutant=MUTANT_NONATOMIC_ENQ), "nonatomic"),
     ]:
         kernel = _Kernel(config)
-        exact, _ = collect_histories(kernel, quotient=False)
-        quot, _ = collect_histories(kernel, quotient=True)
-        sizes[key] = (len(exact), len(quot))
+        exact, exact_nodes = collect_histories(kernel, quotient=False)
+        quot, quot_nodes = collect_histories(kernel, quotient=True)
+        sizes[key] = (len(exact), exact_nodes, len(quot), quot_nodes)
     assert sizes == {
-        "1+1": (5, 2),
-        "2+1": (124, 12),
-        "2+2": (1704, 67),
-        "noswap": (33, 6),
-        "skip0": (66, 7),
-        "nonatomic": (132, 14),
+        "1+1": (5, 53, 2, 32),
+        "2+1": (124, 1230, 12, 261),
+        "2+2": (1704, 23457, 67, 3075),
+        "noswap": (33, 634, 6, 250),
+        "skip0": (66, 774, 7, 175),
+        "nonatomic": (132, 3176, 14, 613),
     }
 
 
@@ -253,6 +255,20 @@ def test_starved_dequeues_never_complete():
     assert big.canonical_states == 5614
 
 
+def test_deep_state_graph_leaves_the_recursion_limit_alone():
+    # a 600-iteration loop bound makes paths far deeper than the default
+    # recursion limit of 1000, so every walk here must be iterative
+    limit = sys.getrecursionlimit()
+    r = sweep_config(plain_config(1, 1, capacity=1, loop_bound=600), quotient=True,
+                     oracle=True, check_purity=True)
+    assert sys.getrecursionlimit() == limit
+    assert dict(r.trace_counts) == {"COMPLETE": 1262100, "BOUND_HIT": 601}
+    assert r.canonical_states == 4208
+    assert r.distinct_complete == 2
+    assert dict(r.purity_outcomes) == {"PURE": 3, "TERMINATES": 3}
+    assert r.clean
+
+
 def test_mutant_violation_schedules_replay():
     config = plain_config(1, 2, mutant=MUTANT_NO_SWAP_CLEAR)
     r = sweep_config(config, oracle=True)
@@ -302,7 +318,8 @@ def test_purity_outcome_counts():
         ("2+1", plain_config(2, 1)),
         ("skip0", plain_config(2, 1, mutant=MUTANT_SKIP_SLOT_ZERO)),
     ]:
-        outcomes, bad, _ = purity_scan(_Kernel(config))
+        kernel = _Kernel(config)
+        outcomes, bad = purity_scan(kernel, count_schedules(kernel)[1])
         assert not bad
         got[key] = dict(outcomes)
     assert got == expect

@@ -23,11 +23,12 @@ accepts, and shares nothing with the pattern scan above.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .history import DEQ, ENQ, NULL, Event, History, Value
+from .history import DEQ, ENQ, INV, NULL, RES, Event, History, Value
 from .queuespec import Behavior, SearchBoundExceeded, candidate_matches, is_legal
 
 DEFAULT_MATCH_BOUND = 10_000
@@ -261,14 +262,13 @@ def alt_witness_check(c: History, match: Match, d_bot: int) -> bool:
     return True
 
 
-def enq_order(c: History, match: Match) -> frozenset[tuple[int, int]]:
-    """The transitive enqueue-ordering relation induced by the match.
+def _enq_pairs(c: History, match: Match) -> tuple[list[int], set[tuple[int, int]]]:
+    """The enqueue uids and the direct ordering pairs the match induces.
 
     Two enqueues are ordered when one precedes the other; overlapping
     enqueues are ordered by their dequeues (consumed before unconsumed;
     earlier dequeue first) or by a NULL dequeue that separates them into
-    drainable and undrainable.  Raises EnqOrderCycle if the transitive
-    closure is not a strict partial order.
+    drainable and undrainable.
     """
     enqs = [e.uid for e in c.events if e.is_enq]
     inverse = {e: d for d, e in match.items() if e is not None}
@@ -291,7 +291,15 @@ def enq_order(c: History, match: Match) -> frozenset[tuple[int, int]]:
                 pairs.add((e1, e2))
             elif any(e1 not in bad and e2 in bad for bad in null_bads):
                 pairs.add((e1, e2))
-    # transitive closure
+    return enqs, pairs
+
+
+def enq_order(c: History, match: Match) -> frozenset[tuple[int, int]]:
+    """The transitive enqueue-ordering relation induced by the match: the
+    closure of the ordering pairs of ``_enq_pairs``.  Raises EnqOrderCycle
+    if the closure is not a strict partial order.
+    """
+    enqs, pairs = _enq_pairs(c, match)
     succ: dict[int, set[int]] = {e: set() for e in enqs}
     for a, b in pairs:
         succ[a].add(b)
@@ -313,19 +321,34 @@ def enq_order(c: History, match: Match) -> frozenset[tuple[int, int]]:
 
 def _total_enq_order(c: History, match: Match) -> dict[int, int]:
     """Extend the enqueue order to a total order, lowest uid first among
-    unconstrained enqueues.  Returns uid -> rank."""
-    enqs = sorted(e.uid for e in c.events if e.is_enq)
-    order = enq_order(c, match)
-    preds: dict[int, set[int]] = {e: set() for e in enqs}
-    for a, b in order:
-        preds[b].add(a)
+    unconstrained enqueues.  Returns uid -> rank.
+
+    Kahn's algorithm over the direct ordering pairs, with the available
+    enqueues in a min-heap on uid.  Since every enqueue ranked so far had
+    all its predecessors ranked before it, an enqueue has an unranked
+    predecessor under the pairs exactly when it has one under their
+    closure, so the ranks are those of the closure.  Raises EnqOrderCycle
+    when the pairs contain a cycle.
+    """
+    enqs, pairs = _enq_pairs(c, match)
+    succ: dict[int, list[int]] = {e: [] for e in enqs}
+    indegree = dict.fromkeys(enqs, 0)
+    for a, b in pairs:
+        succ[a].append(b)
+        indegree[b] += 1
+    avail = [e for e in enqs if not indegree[e]]
+    heapq.heapify(avail)
     rank: dict[int, int] = {}
-    remaining = set(enqs)
-    while remaining:
-        avail = [e for e in sorted(remaining) if not preds[e] & remaining]
-        pick = avail[0]
+    while avail:
+        pick = heapq.heappop(avail)
         rank[pick] = len(rank)
-        remaining.remove(pick)
+        for b in succ[pick]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                heapq.heappush(avail, b)
+    if len(rank) < len(enqs):
+        stuck = min(e for e in enqs if e not in rank)
+        raise EnqOrderCycle(f"enqueue {stuck} lies on or behind an ordering cycle")
     return rank
 
 
@@ -339,6 +362,19 @@ def construct_linearization(c: History, match: Match) -> Behavior:
     set is empty, else the top-ranked remaining enqueue provided it is not
     consumed by a remaining dequeue, else the dequeue consuming the
     top-ranked still-matched enqueue.  Ties break to the lowest uid.
+
+    Three facts keep each stage free of sub-histories and bad-set
+    fixpoints.  An event is precedence-maximal among the remaining ones
+    exactly when its response comes after the last remaining invocation;
+    removals only lower that invocation, so once maximal an event stays
+    maximal.  A maximal NULL dequeue precedes nothing that remains, so
+    stage 0 of its bad set in the remaining sub-history is the set of
+    remaining enqueues no remaining dequeue consumes, and a fixpoint that
+    starts empty stays empty: it is eligible exactly when no remaining
+    enqueue is unconsumed.  And the enqueue and dequeue candidates are
+    single events, the top-ranked remaining enqueue and the consumer of
+    the top-ranked consumed enqueue (unique, since the match is
+    injective).
 
     Two orderings here are load-bearing.  The rank must come from the full
     history: dropping a dequeue forgets how it ordered the overlapping
@@ -357,40 +393,51 @@ def construct_linearization(c: History, match: Match) -> Behavior:
         raise ValueError(f"match is not ordered: {clause}")
     if not is_linearization_witness(c, match):
         raise ValueError("match fails the NULL-dequeue condition")
-    by_uid = {e.uid: e for e in c.events}
+    events = c.events  # in invocation order
+    by_uid = {e.uid: e for e in events}
+    inv_at = [pos for pos, a in enumerate(c.actions) if a.kind == INV]
+    # (position, uid) of every response, last response first
+    responses = [(pos, a.uid) for pos, a in enumerate(c.actions) if a.kind == RES][::-1]
     rank = _total_enq_order(c, match)
-    remaining = set(by_uid)
+    by_rank = sorted(rank, key=rank.get)
+    consumer = {e: d for d, e in match.items() if e is not None}
+    consumed = set(consumer)  # enqueues whose consumer remains
+    unconsumed = len(rank) - len(consumed)  # remaining enqueues not consumed
+    removed: set[int] = set()
+    maximal: set[int] = set()
+    null_heap: list[int] = []  # maximal remaining NULL dequeues
+    last_inv = len(events) - 1  # index of the last remaining invocation
+    next_res = 0  # responses[:next_res] are the events known to be maximal
+    top_enq = top_consumed = len(by_rank) - 1  # lazy rank pointers
     out_rev: list[Event] = []
-    while remaining:
-        sub = c.restrict(remaining)
-        m = {d: e for d, e in match.items() if d in remaining}
-        matched_targets = {e for e in m.values() if e is not None}
-        live_ranks = [rank[u] for u in remaining if u in rank]
-        e_star_rank = max(live_ranks, default=None)
-        top_matched = max((rank[e] for e in matched_targets), default=None)
-        null_picks: list[int] = []
-        deq_picks: list[int] = []
-        enq_picks: list[int] = []
-        for uid in remaining:
-            if sub.after_set(uid):
-                continue
-            ev = by_uid[uid]
-            if ev.is_enq:
-                if rank[uid] == e_star_rank and uid not in matched_targets:
-                    enq_picks.append(uid)
-            elif m[uid] is None:
-                if not compute_bad(sub, m, uid):
-                    null_picks.append(uid)
-            elif rank[m[uid]] == top_matched:
-                deq_picks.append(uid)
-        for picks in (null_picks, enq_picks, deq_picks):
-            if picks:
-                chosen = min(picks)
-                break
+    while len(out_rev) < len(events):
+        while events[last_inv].uid in removed:
+            last_inv -= 1
+        while next_res < len(responses) and responses[next_res][0] > inv_at[last_inv]:
+            uid = responses[next_res][1]
+            maximal.add(uid)
+            if by_uid[uid].is_deq and match[uid] is None:
+                heapq.heappush(null_heap, uid)
+            next_res += 1
+        while top_enq >= 0 and by_rank[top_enq] in removed:
+            top_enq -= 1
+        while top_consumed >= 0 and by_rank[top_consumed] not in consumed:
+            top_consumed -= 1
+        e_star = by_rank[top_enq] if top_enq >= 0 else None
+        d_star = consumer[by_rank[top_consumed]] if top_consumed >= 0 else None
+        if not unconsumed and null_heap:
+            chosen = heapq.heappop(null_heap)
+        elif e_star in maximal and e_star not in consumed:
+            chosen = e_star
+            unconsumed -= 1
+        elif d_star in maximal:
+            chosen = d_star
+            consumed.remove(by_rank[top_consumed])
+            unconsumed += 1
         else:
             raise AssertionError("no maximal event; match was not a witness")
         out_rev.append(by_uid[chosen])
-        remaining.remove(chosen)
+        removed.add(chosen)
     witness = Behavior(reversed(out_rev))
     if not is_legal(witness):
         raise AssertionError("constructed linearization is not legal")
@@ -453,43 +500,40 @@ def detect_vord(c: History) -> VOrd | None:
     return None
 
 
-def _alive_enq_at(c: History, prefix_len: int) -> int | None:
-    """An enqueue completed within the first prefix_len actions whose
-    value-matching dequeue is not invoked there; lowest uid wins."""
-    best: int | None = None
-    for e in c.events:
-        if not e.is_enq:
-            continue
-        r = c.res_index(e.uid)
-        if r is None or r >= prefix_len:
-            continue
-        taken = False
-        for d in c.events:
-            if d.is_deq and d.value == e.value and c.inv_index(d.uid) < prefix_len:
-                taken = True
-                break
-        if not taken and (best is None or e.uid < best):
-            best = e.uid
-    return best
-
-
 def detect_vwit(c: History) -> VWit | None:
     """A NULL dequeue whose whole pending window sees a non-empty queue: at
     every prefix while it is pending, some completed enqueue has not had its
-    dequeue invoked."""
-    for d in c.events:
-        if not (d.is_deq and d.value is NULL):
-            continue
-        lo = c.inv_index(d.uid) + 1
-        hi = c.res_index(d.uid)
-        alive: list[int] = []
-        for k in range(lo, hi + 1):
-            e = _alive_enq_at(c, k)
-            if e is None:
-                break
-            alive.append(e)
-        else:
-            return VWit(d.uid, tuple(alive))
+    dequeue invoked.
+
+    Each completed enqueue is alive over one interval of prefix lengths,
+    [res(e)+1, min inv(d)+1) over the dequeues d of its value, the
+    intervals of ``detect_pwit_covering``.  One sweep over the prefixes
+    keeps the alive enqueues in a min-heap on uid, dropping dead ones
+    lazily, and records the lowest alive uid at every prefix; that uid is
+    the evidence for the prefix, and a NULL dequeue fires when every
+    prefix of its window has one.
+    """
+    nulls = [d for d in c.events if d.is_deq and d.value is NULL]
+    if not nulls:
+        return None
+    n = len(c.actions)
+    taken: dict[Value | None, int] = {}  # result -> first prefix with a dequeue of it
+    for pos, a in enumerate(c.actions):
+        if a.kind == INV and a.method == DEQ:
+            taken.setdefault(c.event(a.uid).value, pos + 1)
+    alive: list[tuple[int, int]] = []  # (uid, end of its interval)
+    lowest: list[int | None] = [None] * (n + 1)  # prefix length -> evidence
+    for k, a in enumerate(c.actions, start=1):
+        if a.kind == RES and a.method == ENQ:
+            heapq.heappush(alive, (a.uid, taken.get(c.event(a.uid).value, n + 1)))
+        while alive and alive[0][1] <= k:
+            heapq.heappop(alive)
+        if alive:
+            lowest[k] = alive[0][0]
+    for d in nulls:
+        window = lowest[c.inv_index(d.uid) + 1:c.res_index(d.uid) + 1]
+        if None not in window:
+            return VWit(d.uid, tuple(window))
     return None
 
 

@@ -167,7 +167,8 @@ def cmd_explore(args) -> int:
         if report.purity_violations:
             problems.append(f"{report.purity_violations} purity violation(s)")
         print(f"explored {report.total_traces} schedules, "
-              f"{report.distinct_complete} isomorphism classes of complete histories: "
+              f"{report.distinct_complete} representative histories "
+              f"(at least one per isomorphism class): "
               f"{', '.join(problems) or 'clean'}")
         for v in report.violations:
             print(f"- {v.verdict.summary()}")

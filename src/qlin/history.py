@@ -246,9 +246,15 @@ class History:
     # ---- precedence ----
 
     def precedes(self, a: int, b: int) -> bool:
-        """True when event a's response occurs before event b's invocation."""
-        ra = self.res_index(a)
-        return ra is not None and ra < self.inv_index(b)
+        """True when event a's response occurs before event b's invocation.
+        Raises HistoryError when either uid is not in this history."""
+        ra = self._res_pos.get(a)
+        ib = self._inv_pos.get(b)
+        if ra is not None and ib is not None:
+            return ra < ib
+        self.event(a)
+        self.event(b)
+        return False
 
     def before_set(self, a: int) -> frozenset[int]:
         """Uids of events that precede a."""
@@ -296,9 +302,9 @@ class History:
             else:
                 options.append([None] + [deq_res(e.uid, v) for v in cands])
         for choice in itertools.product(*options):
-            appended = [a for a in choice if a is not None]
-            completed = History(self.actions + tuple(appended))
-            yield completed.remove_pending()
+            dropped = {e.uid for e, a in zip(pending, choice) if a is None}
+            kept = [a for a in self.actions if a.uid not in dropped]
+            yield History(kept + [a for a in choice if a is not None])
 
     # ---- sequential form ----
 

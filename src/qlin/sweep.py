@@ -37,8 +37,11 @@ values by invocation rank.  Permuting adjacent same-kind actions and
 renaming operations or values are isomorphisms of histories: they
 preserve methods, matching values and the precedes relation, hence
 every checker and oracle verdict.  The quotient therefore covers the
-full history set with one representative per isomorphism class; the
-test suite verifies that expansion exhaustively at small scales.
+full history set with representative histories, at least one per
+isomorphism class: sorting runs is finer than isomorphism, and value
+renaming is skipped when two enqueuers share a value, so a class can
+keep several representatives.  The test suite verifies that expansion
+exhaustively at small scales.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class SweepReport:
             f"complete-histories={self.distinct_complete}",
         ]
         if self.quotient:
-            parts.append("history-mode=one-per-isomorphism-class")
+            parts.append("history-mode=quotient")
         for name in _STATUS_ORDER:
             if self.trace_counts.get(name):
                 parts.append(f"{name.lower().replace('_', '-')}-traces={self.trace_counts[name]}")
@@ -464,7 +467,7 @@ class _Kernel:
 
 
 def canonicalize_tokens(kernel: _Kernel, tokens, *, value_sym: bool = True) -> tuple:
-    """Canonical representative of a token sequence's isomorphism class:
+    """Representative of a token sequence under the quotient's moves:
     group members renamed by invocation rank, dequeued value indices
     remapped through the enqueuer renaming, then each maximal run of
     same-kind tokens sorted.  Used by the quotient validation tests."""
@@ -563,7 +566,8 @@ def collect_histories(kernel: _Kernel, *, quotient: bool, value_sym: bool = True
     A node is (state, closed runs, open run), where a run is a maximal
     stretch of invocations or of responses: closed run chains are
     interned and open runs are kept in a table.  In quotient mode each
-    run is sorted, so sequences of one isomorphism class share a node;
+    run is sorted, so sequences that differ only in the order within
+    runs share a node;
     with value_sym the enqueuers are additionally gated to invoke in
     value order, which renames values by invocation rank.  In exact mode
     every token closes its run, so a node keeps the emission order.
@@ -636,9 +640,10 @@ def sweep_config(config: Config, *, oracle: bool = False,
     history with the aspect detectors (and optionally the brute-force
     oracle), and optionally purity-checks every reachable pending
     dequeue.  Violations carry a replayable schedule.  With quotient
-    one history per isomorphism class is materialized and checked; the
-    class covers the rest (see module docstring).  Without it every
-    distinct history is checked, which is the quotient's reference.
+    representative histories (at least one per isomorphism class) are
+    materialized and checked; they cover the rest (see module
+    docstring).  Without it every distinct history is checked, which is
+    the quotient's reference.
     """
     from .checker import LINEARIZABLE, brute_force_linearizable, check_linearizable
 

@@ -6,6 +6,10 @@ two implementations that can actually disagree: a dead-simple list
 queue for legality, brute-force searches for witnesses and coverings,
 and exhaustive enumerators for small history and behavior spaces.
 
+The checker's witness construction and VWit detector are kept here in
+their rescanning form, the reference for the product's sweeps, next to
+a seeded atomic-queue generator of long histories to compare them on.
+
 The last section is the reference exploration of queue-machine
 configurations on the readable model in ``qlin.hwmodel``: trace
 enumeration, exact schedule counts, per-configuration reports and the
@@ -23,14 +27,22 @@ from itertools import permutations
 
 from qlin.checker import (
     LINEARIZABLE,
+    Match,
     Verdict,
+    VWit,
     brute_force_linearizable,
     check_linearizable,
+    check_ordered,
+    check_safe,
+    compute_bad,
+    enq_order,
+    is_linearization_witness,
 )
 from qlin.explorer import ExecutionTrace, _expand
 from qlin.history import (
     NULL,
     Action,
+    Event,
     History,
     deq_inv,
     deq_res,
@@ -45,6 +57,7 @@ from qlin.hwmodel import (
     hw_init,
     purely_blocking_check,
 )
+from qlin.queuespec import Behavior, is_legal
 
 ENQ, DEQ = "enq", "deq"
 
@@ -356,6 +369,207 @@ def pwit_prime(c: History, d_bot: int) -> bool:
         if not alive:
             return True
     return False
+
+
+# ---- witness construction and VWit, the rescanning way ------------------------
+#
+# The checker's peel loop, closure-based total order and VWit detector in
+# their direct form: every peel step restricts the history and recomputes
+# maximality and bad sets, and VWit rescans every prefix of a NULL
+# dequeue's window.  The product's sweeps must agree with these on every
+# witness and every piece of evidence.
+
+
+def reference_total_enq_order(c: History, match: Match) -> dict[int, int]:
+    """Extend the enqueue order to a total order, lowest uid first among
+    unconstrained enqueues.  Returns uid -> rank."""
+    enqs = sorted(e.uid for e in c.events if e.is_enq)
+    order = enq_order(c, match)
+    preds: dict[int, set[int]] = {e: set() for e in enqs}
+    for a, b in order:
+        preds[b].add(a)
+    rank: dict[int, int] = {}
+    remaining = set(enqs)
+    while remaining:
+        avail = [e for e in sorted(remaining) if not preds[e] & remaining]
+        pick = avail[0]
+        rank[pick] = len(rank)
+        remaining.remove(pick)
+    return rank
+
+
+def reference_construct_linearization(c: History, match: Match) -> Behavior:
+    """Build a legal linearization of a complete history from a match that
+    passed the safety, ordering and NULL-dequeue checks.
+
+    The enqueue order is extended once to a total order; events are then
+    peeled off the end.  At each stage a precedence-maximal event is chosen
+    that the queue could perform last: a NULL dequeue whose remaining bad
+    set is empty, else the top-ranked remaining enqueue provided it is not
+    consumed by a remaining dequeue, else the dequeue consuming the
+    top-ranked still-matched enqueue.  Ties break to the lowest uid.
+
+    Two orderings here are load-bearing.  The rank must come from the full
+    history: dropping a dequeue forgets how it ordered the overlapping
+    enqueues around it, so ranks recomputed on sub-histories can flip.  And
+    an eligible unconsumed enqueue must be peeled before any dequeue: it
+    sits behind every value still to be consumed, so a dequeue peeled past
+    it would strand a NULL dequeue deeper in (a NULL dequeue is never
+    eligible while an unconsumed enqueue remains beside it, which also
+    means the first two pick classes cannot both be nonempty).
+    """
+    if not c.is_complete:
+        raise ValueError("history must be complete")
+    if (clause := check_safe(c, match)) is not None:
+        raise ValueError(f"match is not safe: {clause}")
+    if (clause := check_ordered(c, match)) is not None:
+        raise ValueError(f"match is not ordered: {clause}")
+    if not is_linearization_witness(c, match):
+        raise ValueError("match fails the NULL-dequeue condition")
+    by_uid = {e.uid: e for e in c.events}
+    rank = reference_total_enq_order(c, match)
+    remaining = set(by_uid)
+    out_rev: list[Event] = []
+    while remaining:
+        sub = c.restrict(remaining)
+        m = {d: e for d, e in match.items() if d in remaining}
+        matched_targets = {e for e in m.values() if e is not None}
+        live_ranks = [rank[u] for u in remaining if u in rank]
+        e_star_rank = max(live_ranks, default=None)
+        top_matched = max((rank[e] for e in matched_targets), default=None)
+        null_picks: list[int] = []
+        deq_picks: list[int] = []
+        enq_picks: list[int] = []
+        for uid in remaining:
+            if sub.after_set(uid):
+                continue
+            ev = by_uid[uid]
+            if ev.is_enq:
+                if rank[uid] == e_star_rank and uid not in matched_targets:
+                    enq_picks.append(uid)
+            elif m[uid] is None:
+                if not compute_bad(sub, m, uid):
+                    null_picks.append(uid)
+            elif rank[m[uid]] == top_matched:
+                deq_picks.append(uid)
+        for picks in (null_picks, enq_picks, deq_picks):
+            if picks:
+                chosen = min(picks)
+                break
+        else:
+            raise AssertionError("no maximal event; match was not a witness")
+        out_rev.append(by_uid[chosen])
+        remaining.remove(chosen)
+    witness = Behavior(reversed(out_rev))
+    if not is_legal(witness):
+        raise AssertionError("constructed linearization is not legal")
+    return witness
+
+
+def _alive_enq_at(c: History, prefix_len: int) -> int | None:
+    """An enqueue completed within the first prefix_len actions whose
+    value-matching dequeue is not invoked there; lowest uid wins."""
+    best: int | None = None
+    for e in c.events:
+        if not e.is_enq:
+            continue
+        r = c.res_index(e.uid)
+        if r is None or r >= prefix_len:
+            continue
+        taken = False
+        for d in c.events:
+            if d.is_deq and d.value == e.value and c.inv_index(d.uid) < prefix_len:
+                taken = True
+                break
+        if not taken and (best is None or e.uid < best):
+            best = e.uid
+    return best
+
+
+def reference_detect_vwit(c: History) -> VWit | None:
+    """A NULL dequeue whose whole pending window sees a non-empty queue: at
+    every prefix while it is pending, some completed enqueue has not had its
+    dequeue invoked."""
+    for d in c.events:
+        if not (d.is_deq and d.value is NULL):
+            continue
+        lo = c.inv_index(d.uid) + 1
+        hi = c.res_index(d.uid)
+        alive: list[int] = []
+        for k in range(lo, hi + 1):
+            e = _alive_enq_at(c, k)
+            if e is None:
+                break
+            alive.append(e)
+        else:
+            return VWit(d.uid, tuple(alive))
+    return None
+
+
+# ---- seeded atomic-queue histories -------------------------------------------
+
+def atomic_queue_history(rng, n_actions: int, *, null_window: bool = False) -> History:
+    """A complete linearizable history of at least n_actions actions by
+    four callers on an atomic FIFO queue.
+
+    Each call is invoked, takes effect at one instant and responds later,
+    so the order of the effects is a linearization.  Enqueued values are
+    1, 2, ... in invocation order.  With null_window, caller 0 makes one
+    dequeue, invoked once six values are queued (or half the calls are
+    made); the other callers enqueue whenever fewer than six values are
+    queued, and once the call budget is spent they drain the queue, after
+    which the long dequeue takes effect on the empty queue, returning
+    NULL, and responds last.
+    """
+    budget = n_actions // 2
+    actions: list[Action] = []
+    queue: deque[int] = deque()
+    busy: dict[int, list] = {}  # caller -> [uid, method, result, took effect]
+    uid = value = invoked = 0
+    null_uid: int | None = None
+    callers = [1, 2, 3] if null_window else [0, 1, 2, 3]
+    while True:
+        if null_window and null_uid is None and (len(queue) >= 6 or 2 * invoked >= budget):
+            null_uid = uid
+            actions.append(deq_inv(uid))
+            uid += 1
+            invoked += 1
+        draining = null_window and invoked >= budget
+        idle_may_call = invoked < budget or draining and bool(queue)
+        choices = [t for t in callers if t in busy or idle_may_call]
+        if not choices:
+            break
+        t = rng.choice(choices)
+        op = busy.get(t)
+        if op is None:
+            if draining:
+                p_enq = 0.0
+            elif null_window:
+                p_enq = 1.0 if len(queue) < 6 else 0.5
+            else:
+                p_enq = 0.6
+            if rng.random() < p_enq:
+                value += 1
+                op = [uid, ENQ, value, False]
+                actions.append(enq_inv(uid, value))
+            else:
+                op = [uid, DEQ, NULL, False]
+                actions.append(deq_inv(uid))
+            busy[t] = op
+            uid += 1
+            invoked += 1
+        elif not op[3]:
+            if op[1] == ENQ:
+                queue.append(op[2])
+            elif queue:
+                op[2] = queue.popleft()
+            op[3] = True
+        else:
+            actions.append(enq_res(op[0]) if op[1] == ENQ else deq_res(op[0], op[2]))
+            del busy[t]
+    if null_uid is not None:
+        actions.append(deq_res(null_uid, NULL))
+    return History(actions)
 
 
 # ---- reference exploration on the readable model ------------------------------

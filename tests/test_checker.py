@@ -6,6 +6,7 @@ the acceptance suite runs the same comparison over the full battery up to
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from qlin.checker import (
     VOrd,
     VRepet,
     VWit,
+    _total_enq_order,
     alt_witness_check,
     brute_force_linearizable,
     candidate_matches,
@@ -53,12 +55,16 @@ from qlin.history import (
 from qlin.queuespec import SearchBoundExceeded
 
 from support import (
+    atomic_queue_history,
     brute_alt_witness,
     brute_covering_exists,
     brute_respects_order,
     canonical_histories,
     isomorphic,
     pwit_prime,
+    reference_construct_linearization,
+    reference_detect_vwit,
+    reference_total_enq_order,
 )
 
 
@@ -357,10 +363,10 @@ def test_enq_order_consumed_before_unconsumed():
     assert (1, 0) in enq_order(c, {2: 1})
 
 
-def test_enq_order_cycle_detected():
+def cyclic_order_history():
     # e0 precedes e1 in real time; e2 overlaps both; the dequeue order
     # 2, 3, 1 forces e1 < e2 < e0, closing a cycle
-    c = h(
+    return h(
         "inv 2 enq 3\n"
         "inv 0 enq 1\nres 0 enq\n"
         "inv 1 enq 2\nres 1 enq\n"
@@ -369,8 +375,16 @@ def test_enq_order_cycle_detected():
         "inv 4 deq\nres 4 deq 3\n"
         "inv 5 deq\nres 5 deq 1"
     )
+
+
+def test_enq_order_cycle_detected():
     with pytest.raises(EnqOrderCycle):
-        enq_order(c, {3: 1, 4: 2, 5: 0})
+        enq_order(cyclic_order_history(), {3: 1, 4: 2, 5: 0})
+
+
+def test_total_enq_order_cycle_detected():
+    with pytest.raises(EnqOrderCycle):
+        _total_enq_order(cyclic_order_history(), {3: 1, 4: 2, 5: 0})
 
 
 def test_construct_linearization_validates_match():
@@ -392,6 +406,103 @@ def test_construct_linearization_small_example():
     assert [(e.method, e.value) for e in w] == [
         ("enq", 1), ("deq", 1), ("deq", NULL),
     ]
+
+
+# ---- the sweeps against the rescanning reference ----
+
+
+def with_values_merged(c):
+    """c with every 2 (enqueued or dequeued) replaced by 1."""
+    def merge(v):
+        return 1 if v == 2 else v
+    acts = []
+    for a in c.actions:
+        if a.kind == "inv" and a.method == "enq":
+            a = enq_inv(a.uid, merge(a.payload))
+        elif a.kind == "res" and a.method == "deq":
+            a = deq_res(a.uid, merge(a.payload))
+        acts.append(a)
+    return History(acts)
+
+
+def assert_witness_matches_reference(c, match):
+    got = [e.uid for e in construct_linearization(c, match)]
+    assert got == [e.uid for e in reference_construct_linearization(c, match)]
+
+
+@pytest.mark.parametrize(
+    "ne,nd", [(ne, nd) for ne in range(4) for nd in range(4) if 0 < ne + nd <= 5]
+)
+def test_sweeps_match_reference_on_canonical_histories(ne, nd):
+    for c in canonical_histories(ne, nd):
+        assert detect_vwit(c) == reference_detect_vwit(c)
+        if detect_first(c) is None:
+            assert_witness_matches_reference(c, derive_match(c))
+        # duplicate values: every candidate match, cyclic ones included
+        dup = with_values_merged(c)
+        assert detect_vwit(dup) == reference_detect_vwit(dup)
+        for match in candidate_matches(dup.events):
+            try:
+                want = reference_total_enq_order(dup, match)
+            except EnqOrderCycle:
+                with pytest.raises(EnqOrderCycle):
+                    _total_enq_order(dup, match)
+                continue
+            assert _total_enq_order(dup, match) == want
+            if (check_safe(dup, match) is None and check_ordered(dup, match) is None
+                    and is_linearization_witness(dup, match)):
+                assert_witness_matches_reference(dup, match)
+
+
+def generated_histories(count, seed):
+    """Atomic-queue histories of 50-600 actions, spread geometrically,
+    every fourth with a long NULL window (at most 250 actions, where the
+    reference VWit scan is cubic)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        size = int(50 * 12 ** rng.random())
+        if i % 4 == 0:
+            yield atomic_queue_history(rng, min(size, 250), null_window=True)
+        else:
+            yield atomic_queue_history(rng, size)
+
+
+def test_sweeps_match_reference_on_generated_histories():
+    rng = random.Random(11)
+    fired = 0
+    for c in generated_histories(100, seed=7):
+        assert detect_first(c) is None
+        match = derive_match(c)
+        assert _total_enq_order(c, match) == reference_total_enq_order(c, match)
+        assert_witness_matches_reference(c, match)
+        assert detect_vwit(c) == reference_detect_vwit(c)
+        # one dequeue's result turned into NULL, usually a VWit
+        d = rng.choice([e.uid for e in c.events if e.is_deq and e.value is not NULL])
+        mutated = History(
+            deq_res(a.uid, NULL) if a.kind == "res" and a.uid == d else a
+            for a in c.actions
+        )
+        v = detect_vwit(mutated)
+        assert v == reference_detect_vwit(mutated)
+        fired += v is not None
+    assert fired >= 50
+
+
+def test_witness_and_vwit_build_no_history(monkeypatch):
+    c = atomic_queue_history(random.Random(5), 600, null_window=True)
+    assert len(c) >= 600
+    match = derive_match(c)
+    built = []
+    init = History.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(History, "__init__", counting_init)
+    construct_linearization(c, match)
+    assert detect_vwit(c) is None
+    assert not built
 
 
 # ---- exhaustive small-scale agreement with the oracle ----

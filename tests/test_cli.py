@@ -142,7 +142,7 @@ def test_explore_clean_human(capsys):
     code, out, _ = run(capsys, ["explore", "--enq", "1", "--deq", "1"])
     assert code == 0
     assert out == (
-        "explored 46 schedules, 2 isomorphism classes of complete histories: clean\n"
+        "explored 46 schedules, 2 representative histories (at least one per isomorphism class): clean\n"
     )
 
 
@@ -153,7 +153,7 @@ def test_explore_clean_lines_with_oracle(capsys):
     assert code == 0
     assert out == (
         "SWEEP clean traces=46 complete-histories=2 "
-        "history-mode=one-per-isomorphism-class "
+        "history-mode=quotient "
         "complete-traces=42 bound-hit-traces=4 "
         "oracle-checked=2 oracle-disagreements=0\n"
     )
@@ -169,7 +169,7 @@ def test_explore_packed_violations_replay(capsys):
     lines = out.splitlines()
     assert lines[0] == (
         "SWEEP violations=6 traces=104940 complete-histories=6 "
-        "history-mode=one-per-isomorphism-class "
+        "history-mode=quotient "
         "complete-traces=93400 bound-hit-traces=11540"
     )
     assert sum(1 for l in lines if l.startswith("VIOLATION ")) == 6
@@ -204,7 +204,7 @@ def test_explore_engines_agree_on_clean_and_counts(capsys):
     assert ref.clean and ref.total_traces == 12102 and ref.distinct_complete == 124
     code, out, _ = run(capsys, ["explore", "--enq", "2", "--deq", "1", "--format", "lines"])
     assert code == 0
-    # the same schedules, one history per isomorphism class
+    # the same schedules, checked by representative histories
     assert "SWEEP clean traces=12102 complete-histories=12 " in out
 
 
@@ -214,7 +214,7 @@ def test_explore_custom_values_do_not_change_anything(capsys):
     )
     assert code == 0
     assert out == (
-        "explored 12102 schedules, 12 isomorphism classes of complete histories: clean\n"
+        "explored 12102 schedules, 12 representative histories (at least one per isomorphism class): clean\n"
     )
 
 
@@ -225,7 +225,7 @@ def test_explore_wide_fields(capsys):
     )
     assert code == 0
     assert out == (
-        "explored 261 schedules, 2 isomorphism classes of complete histories: clean\n"
+        "explored 261 schedules, 2 representative histories (at least one per isomorphism class): clean\n"
     )
 
 
@@ -242,7 +242,7 @@ def test_explore_dirty_spin_purity_fails(capsys):
     code, out, _ = run(capsys, argv + ["--purity"])
     assert code == 1
     assert out == (
-        "explored 46 schedules, 2 isomorphism classes of complete histories: "
+        "explored 46 schedules, 2 representative histories (at least one per isomorphism class): "
         "7 purity violation(s)\n"
     )
     code, out, _ = run(capsys, argv + ["--purity", "--format", "lines"])

@@ -169,6 +169,13 @@ def test_overlapping_events_unordered():
     assert c.before_set(0) == c.before_set(1) == frozenset()
 
 
+def test_precedes_rejects_unknown_uids():
+    c = seq_pair()
+    for a, b in [(0, 7), (7, 1), (7, 8)]:
+        with pytest.raises(HistoryError):
+            c.precedes(a, b)
+
+
 def test_pending_event_precedes_nothing():
     c = History([enq_inv(0, 1), deq_inv(1), deq_res(1, NULL)])
     assert not c.precedes(0, 1)

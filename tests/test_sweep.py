@@ -218,7 +218,7 @@ def test_report_small_clean():
     assert r.purity_violations == 0
     assert r.summary() == (
         "SWEEP clean traces=46 complete-histories=2 "
-        "history-mode=one-per-isomorphism-class "
+        "history-mode=quotient "
         "complete-traces=42 bound-hit-traces=4 "
         "oracle-checked=2 oracle-disagreements=0 purity-violations=0"
     )
@@ -240,7 +240,7 @@ def test_impure_dequeues_make_the_report_unclean():
     assert r.purity_violations == 7
     assert r.summary() == (
         "SWEEP violations=0 traces=46 complete-histories=2 "
-        "history-mode=one-per-isomorphism-class "
+        "history-mode=quotient "
         "complete-traces=42 bound-hit-traces=4 purity-violations=7"
     )
 

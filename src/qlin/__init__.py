@@ -30,7 +30,6 @@ from .history import (
     deq_res,
     enq_inv,
     enq_res,
-    enumerate_completions,
     parse_history,
     serialize_history,
 )

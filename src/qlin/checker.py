@@ -12,9 +12,11 @@ four violation patterns:
 
 A complete differentiated history is linearizable exactly when none of the
 four patterns occurs; in that case a witness linearization is built from
-the value-derived match between dequeues and enqueues.  Histories with
-duplicate enqueue arguments fall back to enumerating candidate matches, and
-incomplete histories are handled through their completions.
+the value-derived match between dequeues and enqueues.  A history with
+duplicate enqueue arguments has many candidate matches; each is tested by
+VOrd and VWit read through the match, which gives every enqueue a consumer
+from the match instead of from its value.  Incomplete histories are
+handled through their completions.
 
 ``brute_force_linearizable`` is the independent oracle: it searches for a
 precedence-respecting permutation of some completion that the queue LTS
@@ -28,7 +30,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .history import DEQ, ENQ, INV, NULL, RES, Event, History, Value
+from .history import ENQ, INV, NULL, RES, Event, History, Value
 from .queuespec import Behavior, SearchBoundExceeded, candidate_matches, is_legal
 
 DEFAULT_MATCH_BOUND = 10_000
@@ -123,22 +125,11 @@ Match = dict[int, int | None]
 
 def derive_match(c: History) -> Match | None:
     """The unique value-derived match of a complete differentiated history,
-    or None when some dequeued value was never enqueued."""
+    or None when none exists: some dequeued value was never enqueued, or a
+    value is dequeued twice, which leaves no injective match."""
     if not c.is_differentiated:
         raise ValueError("history has duplicate enqueue values; use candidate_matches")
-    enq_by_value = {e.value: e.uid for e in c.events if e.is_enq}
-    match: Match = {}
-    for d in c.events:
-        if not d.is_deq:
-            continue
-        if d.value is NULL:
-            match[d.uid] = None
-        else:
-            e = enq_by_value.get(d.value)
-            if e is None:
-                return None
-            match[d.uid] = e
-    return match
+    return next(candidate_matches(c.events), None)
 
 
 def check_safe(c: History, match: Match) -> str | None:
@@ -165,24 +156,18 @@ def check_safe(c: History, match: Match) -> str | None:
 def check_ordered(c: History, match: Match) -> str | None:
     """The two ordering clauses; None when both hold.
 
-    no-future-take: a dequeue must not strictly precede the enqueue it takes
-    its value from.  fifo: when an enqueue precedes the enqueue consumed by
-    d2, that earlier enqueue is itself consumed, by a dequeue that d2 does
-    not strictly precede.
+    Assumes the match already passed check_safe.  no-future-take: a
+    dequeue must not strictly precede the enqueue it takes its value from.
+    fifo: when an enqueue precedes the enqueue consumed by d2, that earlier
+    enqueue is itself consumed, by a dequeue that d2 does not strictly
+    precede.  The fifo clause is VOrd read through the match: the scan of
+    ``detect_vord`` with each enqueue's consumer given by the match
+    instead of by its value.
     """
-    for d, target in match.items():
-        if target is not None and c.precedes(d, target):
-            return "no-future-take"
-    inverse = {e: d for d, e in match.items() if e is not None}
-    enq_uids = [e.uid for e in c.events if e.is_enq]
-    for d2, target in match.items():
-        if target is None:
-            continue
-        for e in enq_uids:
-            if c.precedes(e, target):
-                d = inverse.get(e)
-                if d is None or c.precedes(d2, d):
-                    return "fifo"
+    if any(t is not None and c.precedes(d, t) for d, t in match.items()):
+        return "no-future-take"
+    if _first_vord(c, {e: d for d, e in match.items() if e is not None}) is not None:
+        return "fifo"
     return None
 
 
@@ -220,13 +205,17 @@ def compute_bad(c: History, match: Match, d_bot: int) -> frozenset[int]:
 def is_linearization_witness(c: History, match: Match) -> bool:
     """True when no NULL dequeue has a bad enqueue among its predecessors.
 
-    Assumes the match already passed check_safe and check_ordered.
+    Assumes the match already passed check_safe and check_ordered.  The
+    condition is VWit read through the match: each enqueue is alive until
+    its consumer is invoked, and forever when the match leaves it
+    unconsumed.  Relabelling every enqueue with its uid as value and every
+    dequeue with the uid it is matched to gives a differentiated history
+    with the same precedes whose value-derived match is this one.  There
+    the clauses already checked rule out VFresh, VRepet and VOrd, so the
+    relabelled history is linearizable exactly when it has no VWit, and
+    exactly when this match, its only one, meets the bad-set condition.
     """
-    for d, target in match.items():
-        if target is None:
-            if compute_bad(c, match, d) & c.before_set(d):
-                return False
-    return True
+    return _first_vwit(c, {e: d for d, e in match.items() if e is not None}) is None
 
 
 def alt_witness_check(c: History, match: Match, d_bot: int) -> bool:
@@ -482,50 +471,62 @@ def detect_vrepet(c: History) -> VRepet | None:
 
 def detect_vord(c: History) -> VOrd | None:
     """An enqueue ordered before another whose value is dequeued, while the
-    earlier value is never dequeued or only by a strictly later dequeue."""
-    deq_by_value = {d.value: d.uid for d in c.events if d.is_deq and d.value is not NULL}
-    enqs = [e for e in c.events if e.is_enq]
+    earlier value is never dequeued or only by a strictly later dequeue.
+    An enqueue's consumer is the last dequeue of its value."""
+    last = {d.value: d.uid for d in c.events if d.is_deq}
+    return _first_vord(c, {e.uid: last[e.value] for e in c.events
+                           if e.is_enq and e.value in last})
+
+
+def _first_vord(c: History, consumer: dict[int, int]) -> VOrd | None:
+    """The first VOrd when each enqueue uid is consumed by the dequeue uid
+    ``consumer`` maps it to, and unconsumed when it maps to none."""
+    enqs = [e.uid for e in c.events if e.is_enq]
     for e1 in enqs:
         for e2 in enqs:
-            if e1.uid == e2.uid or not c.precedes(e1.uid, e2.uid):
+            d2 = consumer.get(e2)
+            if d2 is None or e1 == e2 or not c.precedes(e1, e2):
                 continue
-            d2 = deq_by_value.get(e2.value)
-            if d2 is None:
-                continue
-            d1 = deq_by_value.get(e1.value)
+            d1 = consumer.get(e1)
             if d1 is None:
-                return VOrd(e1.uid, e2.uid, d2)
+                return VOrd(e1, e2, d2)
             if c.precedes(d2, d1):
-                return VOrd(e1.uid, e2.uid, d2, d1)
+                return VOrd(e1, e2, d2, d1)
     return None
 
 
 def detect_vwit(c: History) -> VWit | None:
     """A NULL dequeue whose whole pending window sees a non-empty queue: at
     every prefix while it is pending, some completed enqueue has not had its
-    dequeue invoked.
+    dequeue invoked.  An enqueue's consumer is the first dequeue of its
+    value, events being in invocation order."""
+    first = {d.value: d.uid for d in reversed(c.events) if d.is_deq}
+    return _first_vwit(c, {e.uid: first[e.value] for e in c.events
+                           if e.is_enq and e.value in first})
 
-    Each completed enqueue is alive over one interval of prefix lengths,
-    [res(e)+1, min inv(d)+1) over the dequeues d of its value, the
-    intervals of ``detect_pwit_covering``.  One sweep over the prefixes
-    keeps the alive enqueues in a min-heap on uid, dropping dead ones
-    lazily, and records the lowest alive uid at every prefix; that uid is
-    the evidence for the prefix, and a NULL dequeue fires when every
-    prefix of its window has one.
+
+def _first_vwit(c: History, consumer: dict[int, int]) -> VWit | None:
+    """The first VWit when each enqueue uid is consumed by the dequeue uid
+    ``consumer`` maps it to, and unconsumed when it maps to none.
+
+    A completed enqueue is alive over the prefix lengths from res(e)+1 up
+    to, not including, inv(consumer)+1, and to the end when unconsumed;
+    these are the intervals of ``detect_pwit_covering``.  One sweep over
+    the prefixes keeps the alive enqueues in a min-heap on uid, dropping
+    dead ones lazily, and records the lowest alive uid at every prefix;
+    that uid is the evidence for the prefix, and a NULL dequeue fires when
+    every prefix of its window has one.
     """
     nulls = [d for d in c.events if d.is_deq and d.value is NULL]
     if not nulls:
         return None
     n = len(c.actions)
-    taken: dict[Value | None, int] = {}  # result -> first prefix with a dequeue of it
-    for pos, a in enumerate(c.actions):
-        if a.kind == INV and a.method == DEQ:
-            taken.setdefault(c.event(a.uid).value, pos + 1)
+    ends = {e: c.inv_index(d) + 1 for e, d in consumer.items()}
     alive: list[tuple[int, int]] = []  # (uid, end of its interval)
     lowest: list[int | None] = [None] * (n + 1)  # prefix length -> evidence
     for k, a in enumerate(c.actions, start=1):
         if a.kind == RES and a.method == ENQ:
-            heapq.heappush(alive, (a.uid, taken.get(c.event(a.uid).value, n + 1)))
+            heapq.heappush(alive, (a.uid, ends.get(a.uid, n + 1)))
         while alive and alive[0][1] <= k:
             heapq.heappop(alive)
         if alive:
@@ -639,26 +640,18 @@ def verify_covering(c: History, d_bot: int, chain: tuple[int, ...]) -> bool:
 
 
 def _check_complete(c: History, match_bound: int, build_witness: bool) -> Verdict:
-    if not c.events:
-        return Verdict(LINEARIZABLE, witness=Behavior(()))
-    if c.is_differentiated:
-        violation = detect_first(c)
-        if violation is not None:
-            return Verdict(VIOLATION, violation=violation)
-        match = derive_match(c)
-        assert match is not None  # no VFresh, so every dequeued value has a source
-        witness = construct_linearization(c, match) if build_witness else None
-        return Verdict(LINEARIZABLE, witness=witness)
+    differentiated = c.is_differentiated
+    if differentiated and (violation := detect_first(c)) is not None:
+        return Verdict(VIOLATION, violation=violation)
     try:
+        # a differentiated history has one candidate, which the detectors
+        # have just cleared
         for match in candidate_matches(c.events, match_bound):
-            if check_safe(c, match) is not None:
-                continue
-            if check_ordered(c, match) is not None:
-                continue
-            if not is_linearization_witness(c, match):
-                continue
-            witness = construct_linearization(c, match) if build_witness else None
-            return Verdict(LINEARIZABLE, witness=witness)
+            if differentiated or (
+                check_ordered(c, match) is None and is_linearization_witness(c, match)
+            ):
+                witness = construct_linearization(c, match) if build_witness else None
+                return Verdict(LINEARIZABLE, witness=witness)
     except SearchBoundExceeded as exc:
         return Verdict(INDETERMINATE, reason=str(exc))
     violation = detect_vfresh(c) or detect_vrepet(c)
@@ -712,20 +705,17 @@ def _legal_linearization_exists(comp: History) -> bool:
     if n == 0:
         return True
     preds = [0] * n
-    pos = {e.uid: i for i, e in enumerate(events)}
     for i, a in enumerate(events):
         for j, b in enumerate(events):
             if i != j and comp.precedes(b.uid, a.uid):
                 preds[i] |= 1 << j
+    # (remaining, queue) states known to reach no legal linearization
     failed: set[tuple[int, tuple[int, ...]]] = set()
-
-    def search(remaining: int, q: tuple[int, ...]) -> bool:
-        if remaining == 0:
-            return True
-        key = (remaining, q)
-        if key in failed:
-            return False
-        m = remaining
+    # depth-first search; a frame is [remaining, queue, untried candidates]
+    stack = [[(1 << n) - 1, (), (1 << n) - 1]]
+    while stack:
+        frame = stack[-1]
+        remaining, q, m = frame
         while m:
             low = m & -m
             m ^= low
@@ -743,12 +733,17 @@ def _legal_linearization_exists(comp: History) -> bool:
                 q2 = q[1:]
             else:
                 continue
-            if search(remaining ^ low, q2):
+            rest = remaining ^ low
+            if not rest:
                 return True
-        failed.add(key)
-        return False
-
-    return search((1 << n) - 1, ())
+            if (rest, q2) not in failed:
+                frame[2] = m
+                stack.append([rest, q2, rest])
+                break
+        else:
+            failed.add((remaining, q))
+            stack.pop()
+    return False
 
 
 def brute_force_linearizable(c: History, max_actions: int | None = None) -> bool:

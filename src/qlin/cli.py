@@ -48,10 +48,6 @@ def _behavior_text(witness) -> str:
     return " ".join(f"{e.method}^{e.uid}({e.value})" for e in witness.events)
 
 
-def _action_count(c: History) -> int:
-    return sum(1 if e.pending else 2 for e in c.events)
-
-
 # ---- check ----------------------------------------------------------------
 
 def cmd_check(args) -> int:
@@ -103,14 +99,12 @@ def cmd_oracle(args) -> int:
         c = _read_history(args.path)
     except (HistoryError, OSError) as exc:
         return _fail(str(exc))
-    if _action_count(c) > args.max_events:
-        return _fail(
-            f"history has {_action_count(c)} actions, above --max-events {args.max_events}"
-        )
     try:
-        ok = brute_force_linearizable(c)
-    except OracleBoundExceeded as exc:
-        return _fail(str(exc))
+        ok = brute_force_linearizable(c, max_actions=args.max_events)
+    except OracleBoundExceeded:
+        return _fail(
+            f"history has {len(c.actions)} actions, above --max-events {args.max_events}"
+        )
     if args.format == "lines":
         print("LINEARIZABLE" if ok else "NOT-LINEARIZABLE")
     else:

@@ -278,22 +278,19 @@ class History:
     def remove_pending(self) -> "History":
         return self.restrict(self._res_pos)
 
-    def completions(self, deq_values: Iterable[Value] | None = None) -> Iterator["History"]:
+    def completions(self) -> Iterator["History"]:
         """All completions of this history.
 
         Each pending event is either dropped or completed by a response
         appended after the existing actions.  A pending dequeue's response
-        value ranges over ``deq_values``; by default that is every value some
-        enqueue was invoked with, plus NULL.  Other values could only make
-        the completion report a never-enqueued result, which is never more
-        linearizable, so the default loses nothing.
+        value ranges over every value some enqueue was invoked with, plus
+        NULL.  Other values could only make the completion report a
+        never-enqueued result, which is never more linearizable, so this
+        loses nothing.
 
         The first completion yielded is always the drop-everything one.
         """
-        if deq_values is None:
-            cands: tuple[Value, ...] = tuple(sorted(set(self.enq_values()))) + (NULL,)
-        else:
-            cands = tuple(deq_values)
+        cands = tuple(sorted(set(self.enq_values()))) + (NULL,)
         pending = [e for e in self._events if e.pending]
         options: list[list[Action | None]] = []
         for e in pending:
@@ -411,10 +408,3 @@ def parse_history(text: str) -> History:
 
 def serialize_history(c: History) -> str:
     return c.serialize()
-
-
-def enumerate_completions(
-    c: History, candidate_values: Iterable[Value] | None = None
-) -> Iterator[History]:
-    """Module-level spelling of History.completions."""
-    return c.completions(candidate_values)

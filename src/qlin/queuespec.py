@@ -230,32 +230,37 @@ def candidate_matches(events: Iterable[Event], bound: int = 10_000) -> Iterator[
     """
     events = tuple(events)
     deqs = [d for d in events if d.is_deq and d.value is not NULL]
-    base: Witness = {d.uid: None for d in events if d.is_deq and d.value is NULL}
+    acc: Witness = {d.uid: None for d in events if d.is_deq and d.value is NULL}
     by_value: dict[Value, list[int]] = {}
     for e in events:
         if e.is_enq:
             by_value.setdefault(e.value, []).append(e.uid)
+    used: set[int] = set()
     count = 0
-
-    def assign(i: int, used: set[int], acc: Witness) -> Iterator[Witness]:
-        nonlocal count
-        if i == len(deqs):
+    # one iterator per assigned dequeue, over the enqueues it may take
+    stack: list[Iterator[int]] = []
+    while True:
+        if len(stack) == len(deqs):
             count += 1
             if count > bound:
                 raise SearchBoundExceeded(f"more than {bound} candidate matches")
             yield dict(acc)
+        else:
+            stack.append(iter(by_value.get(deqs[len(stack)].value, ())))
+        # move the deepest dequeue to its next free enqueue, backtracking
+        # past the dequeues that have none left
+        while stack:
+            d = deqs[len(stack) - 1].uid
+            if d in acc:
+                used.remove(acc.pop(d))
+            euid = next((e for e in stack[-1] if e not in used), None)
+            if euid is not None:
+                acc[d] = euid
+                used.add(euid)
+                break
+            stack.pop()
+        else:
             return
-        d = deqs[i]
-        for euid in by_value.get(d.value, ()):
-            if euid in used:
-                continue
-            acc[d.uid] = euid
-            used.add(euid)
-            yield from assign(i + 1, used, acc)
-            used.remove(euid)
-            del acc[d.uid]
-
-    yield from assign(0, set(), base)
 
 
 def find_sequential_witness(b: Behavior, max_candidates: int = 10_000) -> Witness | None:

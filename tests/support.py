@@ -9,6 +9,8 @@ and exhaustive enumerators for small history and behavior spaces.
 The checker's witness construction and VWit detector are kept here in
 their rescanning form, the reference for the product's sweeps, next to
 a seeded atomic-queue generator of long histories to compare them on.
+The fifo clause and VOrd are kept in their separate pair-scanning
+forms, the reference for the one scan the checker reads both through.
 
 The last section is the reference exploration of queue-machine
 configurations on the readable model in ``qlin.hwmodel``: trace
@@ -29,6 +31,7 @@ from qlin.checker import (
     LINEARIZABLE,
     Match,
     Verdict,
+    VOrd,
     VWit,
     brute_force_linearizable,
     check_linearizable,
@@ -503,6 +506,58 @@ def reference_detect_vwit(c: History) -> VWit | None:
             alive.append(e)
         else:
             return VWit(d.uid, tuple(alive))
+    return None
+
+
+# ---- the ordering clauses, the pair-scanning way ------------------------------
+#
+# ``check_ordered`` and ``detect_vord`` as two separate scans, the fifo
+# clause over the match and VOrd over the dequeued values.  The product
+# runs one VOrd scan for both, reading the consumer of each enqueue from
+# the match or from the values.
+
+
+def reference_check_ordered(c: History, match: Match) -> str | None:
+    """The two ordering clauses; None when both hold.
+
+    no-future-take: a dequeue must not strictly precede the enqueue it takes
+    its value from.  fifo: when an enqueue precedes the enqueue consumed by
+    d2, that earlier enqueue is itself consumed, by a dequeue that d2 does
+    not strictly precede.
+    """
+    for d, target in match.items():
+        if target is not None and c.precedes(d, target):
+            return "no-future-take"
+    inverse = {e: d for d, e in match.items() if e is not None}
+    enq_uids = [e.uid for e in c.events if e.is_enq]
+    for d2, target in match.items():
+        if target is None:
+            continue
+        for e in enq_uids:
+            if c.precedes(e, target):
+                d = inverse.get(e)
+                if d is None or c.precedes(d2, d):
+                    return "fifo"
+    return None
+
+
+def reference_detect_vord(c: History) -> VOrd | None:
+    """An enqueue ordered before another whose value is dequeued, while the
+    earlier value is never dequeued or only by a strictly later dequeue."""
+    deq_by_value = {d.value: d.uid for d in c.events if d.is_deq and d.value is not NULL}
+    enqs = [e for e in c.events if e.is_enq]
+    for e1 in enqs:
+        for e2 in enqs:
+            if e1.uid == e2.uid or not c.precedes(e1.uid, e2.uid):
+                continue
+            d2 = deq_by_value.get(e2.value)
+            if d2 is None:
+                continue
+            d1 = deq_by_value.get(e1.value)
+            if d1 is None:
+                return VOrd(e1.uid, e2.uid, d2)
+            if c.precedes(d2, d1):
+                return VOrd(e1.uid, e2.uid, d2, d1)
     return None
 
 

@@ -1,8 +1,9 @@
 """The aspect detectors, witness machinery, and the brute-force oracle.
 
-Small-scale exhaustive agreement lives here (operation counts up to 2+2);
-the acceptance suite runs the same comparison over the full battery up to
-3 enqueues and 3 dequeues.
+Small-scale exhaustive agreement lives here (operation counts up to 2+2,
+and up to 5 events for the match checks against their references); the
+acceptance suite runs the same comparison over the full battery up to 3
+enqueues and 3 dequeues.
 """
 
 import itertools
@@ -62,7 +63,9 @@ from support import (
     canonical_histories,
     isomorphic,
     pwit_prime,
+    reference_check_ordered,
     reference_construct_linearization,
+    reference_detect_vord,
     reference_detect_vwit,
     reference_total_enq_order,
 )
@@ -411,16 +414,14 @@ def test_construct_linearization_small_example():
 # ---- the sweeps against the rescanning reference ----
 
 
-def with_values_merged(c):
-    """c with every 2 (enqueued or dequeued) replaced by 1."""
-    def merge(v):
-        return 1 if v == 2 else v
+def with_values_merged(c, mapping):
+    """c with every value (enqueued or dequeued) renamed by mapping."""
     acts = []
     for a in c.actions:
         if a.kind == "inv" and a.method == "enq":
-            a = enq_inv(a.uid, merge(a.payload))
+            a = enq_inv(a.uid, mapping.get(a.payload, a.payload))
         elif a.kind == "res" and a.method == "deq":
-            a = deq_res(a.uid, merge(a.payload))
+            a = deq_res(a.uid, mapping.get(a.payload, a.payload))
         acts.append(a)
     return History(acts)
 
@@ -439,7 +440,7 @@ def test_sweeps_match_reference_on_canonical_histories(ne, nd):
         if detect_first(c) is None:
             assert_witness_matches_reference(c, derive_match(c))
         # duplicate values: every candidate match, cyclic ones included
-        dup = with_values_merged(c)
+        dup = with_values_merged(c, {2: 1})
         assert detect_vwit(dup) == reference_detect_vwit(dup)
         for match in candidate_matches(dup.events):
             try:
@@ -452,6 +453,43 @@ def test_sweeps_match_reference_on_canonical_histories(ne, nd):
             if (check_safe(dup, match) is None and check_ordered(dup, match) is None
                     and is_linearization_witness(dup, match)):
                 assert_witness_matches_reference(dup, match)
+
+
+MERGINGS = ({}, {2: 1}, {2: 1, 3: 1}, {3: 2})
+
+
+def test_match_checks_read_the_detectors_exhaustively():
+    """The fifo clause and the NULL-dequeue condition are VOrd and VWit
+    read through the match: on every canonical history up to 5 events,
+    unmerged and under three value mergings, the detectors, the fifo
+    clause and the witness condition decide as their pair-scanning and
+    bad-set references, and the checker agrees with the oracle on the
+    merged histories."""
+    histories = 0
+    for ne, nd in itertools.product(range(4), repeat=2):
+        if ne + nd > 5:
+            continue
+        for base in canonical_histories(ne, nd):
+            for mapping in MERGINGS:
+                c = with_values_merged(base, mapping)
+                histories += 1
+                assert detect_vord(c) == reference_detect_vord(c)
+                assert detect_vwit(c) == reference_detect_vwit(c)
+                for match in candidate_matches(c.events):
+                    if check_safe(c, match) is not None:
+                        continue
+                    clause = check_ordered(c, match)
+                    assert clause == reference_check_ordered(c, match)
+                    if clause is None:
+                        bad_free = all(
+                            not (compute_bad(c, match, d) & c.before_set(d))
+                            for d, t in match.items() if t is None
+                        )
+                        assert is_linearization_witness(c, match) == bad_free
+                if mapping:
+                    verdict = check_linearizable(c, build_witness=False)
+                    assert (verdict.status == LINEARIZABLE) == brute_force_linearizable(c)
+    assert histories == 99_964
 
 
 def generated_histories(count, seed):
@@ -486,6 +524,16 @@ def test_sweeps_match_reference_on_generated_histories():
         assert v == reference_detect_vwit(mutated)
         fired += v is not None
     assert fired >= 50
+
+
+def test_long_differentiated_history_gets_a_witness():
+    # the checker decides every complete history through the
+    # candidate-match search, here 1,100 dequeues deep
+    c = History(a for i in range(1100) for a in (
+        enq_inv(2 * i, i), enq_res(2 * i), deq_inv(2 * i + 1), deq_res(2 * i + 1, i)))
+    v = check_linearizable(c, build_witness=True)
+    assert v.status == LINEARIZABLE
+    assert [e.uid for e in v.witness] == list(range(2200))
 
 
 def test_witness_and_vwit_build_no_history(monkeypatch):

@@ -10,7 +10,7 @@ from qlin.explorer import induce_history, replay_schedule
 from qlin.history import NULL, parse_history
 from qlin.hwmodel import Config, DeqOp, EnqOp, MUTANT_NO_SWAP_CLEAR
 
-from support import check_configuration
+from support import DEQ, ENQ, check_configuration, seq_history
 
 
 LIN = "inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq 1\n"
@@ -100,6 +100,14 @@ def test_check_parse_error(capsys, hist_file):
     assert err == "error: line 2: expected at least 3 tokens, got 2\n"
 
 
+def test_check_decides_long_duplicate_value_history(capsys, hist_file):
+    # 1,100 enqueue/dequeue pairs over three values: the candidate-match
+    # search goes 1,100 dequeues deep
+    seq = [(m, i % 3 + 1) for i in range(1100) for m in (ENQ, DEQ)]
+    code, out, err = run(capsys, ["check", hist_file(seq_history(seq).serialize())])
+    assert (code, out, err) == (0, "linearizable\n", "")
+
+
 def test_check_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["check", str(tmp_path / "nope.txt")])
     assert code == 2
@@ -126,6 +134,14 @@ def test_oracle_event_guard(capsys, hist_file):
     code, _, err = run(capsys, ["oracle", hist_file(LIN), "--max-events", "3"])
     assert code == 2
     assert err == "error: history has 4 actions, above --max-events 3\n"
+
+
+def test_oracle_decides_long_sequential_history(capsys, hist_file):
+    # 1,200 events: the oracle's search goes one level per event
+    seq = [(m, i) for i in range(600) for m in (ENQ, DEQ)]
+    text = seq_history(seq).serialize()
+    code, out, err = run(capsys, ["oracle", hist_file(text), "--max-events", "100000"])
+    assert (code, out, err) == (0, "linearizable\n", "")
 
 
 def test_oracle_parse_error(capsys, hist_file):

@@ -15,7 +15,6 @@ from qlin.history import (
     deq_res,
     enq_inv,
     enq_res,
-    enumerate_completions,
     parse_history,
     serialize_history,
 )
@@ -241,18 +240,9 @@ def test_completions_value_candidates_default():
     assert results == {3, NULL}
 
 
-def test_completions_explicit_candidates():
-    c = History([deq_inv(0)])
-    comps = list(c.completions([7]))
-    assert len(comps) == 2  # dropped, or completed with 7
-    assert comps[0].actions == ()
-    assert comps[1].event(0).value == 7
-
-
 def test_completions_of_complete_history_is_itself():
     c = seq_pair()
     assert list(c.completions()) == [c]
-    assert list(enumerate_completions(c)) == [c]
 
 
 def test_completion_count_formula():

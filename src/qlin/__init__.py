@@ -11,10 +11,10 @@ Three layers:
   histories, a witness constructor, and a brute-force oracle;
 - an operational queue model: `hwmodel` is the readable specification
   of a slot-array queue with seeded bug variants; `sweep` explores
-  every interleaving of a configuration on packed integer states and
-  checks every history it can produce; `explorer` replays schedules on
-  the readable model and runs the divergence harnesses, whose choice
-  threads and prophecy dequeues only the readable model covers.
+  every interleaving of a configuration on packed integer states, up to
+  permuting identical threads, and checks every history it can produce;
+  `explorer` replays schedules on the readable model and runs the
+  divergence harnesses, whose states it reaches through `sweep`.
 
 `cli.main` wires these into the `qlin` command.
 """
@@ -82,10 +82,7 @@ from .hwmodel import (
     HWState,
     ThreadFrame,
     classify_endpoint,
-    enabled_threads,
     hw_init,
-    hw_step,
-    purely_blocking_check,
     successors,
 )
 from .explorer import (
@@ -100,6 +97,7 @@ from .explorer import (
     vrepet_config,
 )
 from .sweep import (
+    SweepImpurity,
     SweepReport,
     SweepScopeError,
     SweepViolation,

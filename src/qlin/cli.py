@@ -100,10 +100,10 @@ def cmd_oracle(args) -> int:
     except (HistoryError, OSError) as exc:
         return _fail(str(exc))
     try:
-        ok = brute_force_linearizable(c, max_actions=args.max_events)
+        ok = brute_force_linearizable(c, max_actions=args.max_actions)
     except OracleBoundExceeded:
         return _fail(
-            f"history has {len(c.actions)} actions, above --max-events {args.max_events}"
+            f"history has {len(c.actions)} actions, above --max-actions {args.max_actions}"
         )
     if args.format == "lines":
         print("LINEARIZABLE" if ok else "NOT-LINEARIZABLE")
@@ -154,6 +154,9 @@ def cmd_explore(args) -> int:
             for line in serialize_history(v.history).splitlines():
                 print(f"  {line}")
             print(f"  schedule {' '.join(v.schedule)}")
+        for imp in report.impure:
+            print(f"IMPURE tid={imp.tid}")
+            print(f"  schedule {' '.join(imp.schedule)}")
     else:
         problems = []
         if report.violations:
@@ -168,6 +171,10 @@ def cmd_explore(args) -> int:
             print(f"- {v.verdict.summary()}")
             print(f"  history: {'; '.join(serialize_history(v.history).splitlines())}")
             print(f"  schedule: {' '.join(v.schedule)}")
+        for imp in report.impure:
+            print(f"- impure dequeue: thread {imp.tid} run alone blocks after "
+                  f"changing shared state")
+            print(f"  schedule: {' '.join(imp.schedule)}")
     return EXIT_OK if report.clean else EXIT_VIOLATION
 
 
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="decide a history file by brute force")
     p.add_argument("path", help="history file, or - for stdin")
-    p.add_argument("--max-events", type=int, default=12,
+    p.add_argument("--max-actions", type=int, default=12,
                    help="refuse histories with more actions than this (default 12)")
     add_format(p)
     p.set_defaults(func=cmd_oracle)

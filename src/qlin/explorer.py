@@ -1,13 +1,17 @@
-"""Schedule replay and the divergence harnesses on the readable model.
+"""Schedule replay and the divergence harnesses.
 
 ``replay_schedule`` re-runs a schedule through hwmodel and
 ``induce_history`` reads off its history; every schedule that sweep
 reports is checked this way.  ``divergence_check_vrepet`` and
 ``divergence_check_vord`` build the two theorem-shaped programs around
 the prophecy-instrumented dequeue and assert their termination
-properties at every reachable state.  They walk the dataclass states of
-hwmodel because they need the choice threads and prophecy dequeues that
-the packed kernel in sweep does not model.
+properties at every reachable state.  They reach those states only
+through the packed kernel in sweep, counted up to permuting threads
+with the same declared operation: the reported state count is the sum
+of the orbit sizes of the canonical states, each predicate is invariant
+under those permutations, and a failing predicate's counterexample is
+the breadth-first schedule to its first failing state, replayed
+through hwmodel.
 
 Schedules are tuples of ``tid:instruction`` labels and are always
 replayable: feeding one back through ``replay_schedule`` reproduces the
@@ -16,7 +20,6 @@ same final state and the same induced history byte for byte.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .history import Action, History, NULL
@@ -30,9 +33,9 @@ from .hwmodel import (
     MUTANT_NONE,
     classify_endpoint,
     hw_init,
-    hw_step,
     successors,
 )
+from .sweep import _Kernel, count_schedules, first_schedule
 
 
 @dataclass(frozen=True)
@@ -60,18 +63,14 @@ def replay_schedule(config: Config, schedule: tuple[str, ...] | list[str]) -> Ex
     state = hw_init(config)
     actions: list[Action] = []
     for label in schedule:
-        succ = hw_step(config, state, label)
+        tid = int(label.partition(":")[0])
+        succ = next((s for s in successors(config, state, tid) if s.label == label), None)
+        if succ is None:
+            raise ValueError(f"label {label!r} is not enabled")
         state = succ.state
         if succ.action is not None:
             actions.append(succ.action)
     return ExecutionTrace(tuple(schedule), state, classify_endpoint(config, state), tuple(actions))
-
-
-def _expand(config: Config, state: HWState) -> list:
-    out = []
-    for tid in range(len(config.threads)):
-        out.extend(successors(config, state, tid))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -121,44 +120,32 @@ def _other_values(*taken: int) -> tuple[int, int]:
     return pool[0], pool[1]
 
 
-def _sweep_states(config: Config, predicates) -> tuple[dict, bool, dict]:
-    """State-only breadth-first sweep.
+def _explore(config: Config, predicates) -> tuple[int, bool, dict]:
+    """Reachable states, whether a run stops at the loop bound, and a
+    schedule to a failing state for each failing predicate.
 
-    predicates maps a name to a state predicate that must hold everywhere;
-    the first failing state per name is recorded.  State-only dedup is
-    sound because each predicate reads only the machine state.  Returns
-    (parents, any bound-hit endpoint, first failures).
+    predicates maps a name to a function of (kernel, packed state) that
+    must hold everywhere.  Each is invariant under permuting threads
+    with the same declared operation, so it is evaluated on the
+    canonical states only; the state count is the sum of their orbits.
     """
-    init = hw_init(config)
-    parents: dict[HWState, tuple | None] = {init: None}
-    failures: dict[str, HWState] = {}
-    bound_hit = False
-    queue = deque([init])
-    while queue:
-        state = queue.popleft()
-        for name, pred in predicates.items():
-            if name not in failures and not pred(state):
-                failures[name] = state
-        succs = _expand(config, state)
-        if not succs and classify_endpoint(config, state) == "BOUND_HIT":
-            bound_hit = True
-        for succ in succs:
-            if succ.state not in parents:
-                parents[succ.state] = (state, succ.label)
-                queue.append(succ.state)
-    return parents, bound_hit, failures
+    kernel = _Kernel(config)
+    counts, canonical = count_schedules(kernel)
+    states = 0
+    failing: list[str] = []
+    for state in canonical:
+        states += kernel.orbit_size(state)
+        for name, holds in predicates.items():
+            if name not in failing and not holds(kernel, state):
+                failing.append(name)
+    schedules = {
+        name: first_schedule(kernel, lambda s, holds=predicates[name]: not holds(kernel, s))[0]
+        for name in failing
+    }
+    return states, counts["BOUND_HIT"] > 0, schedules
 
 
-def _state_schedule(parents: dict, state: HWState) -> tuple[str, ...]:
-    labels: list[str] = []
-    while parents[state] is not None:
-        state, label = parents[state]
-        labels.append(label)
-    return tuple(reversed(labels))
-
-
-def _counterexample(config: Config, parents: dict, state: HWState, note: str) -> Counterexample:
-    schedule = _state_schedule(parents, state)
+def _counterexample(config: Config, schedule: tuple[str, ...], note: str) -> Counterexample:
     trace = replay_schedule(config, schedule)
     return Counterexample(schedule, induce_history(trace), note)
 
@@ -194,32 +181,28 @@ def divergence_check_vrepet(v: int = 7, m: int = 2, k: int = 0, *,
     phrasing.
     """
     config = vrepet_config(v, m, k, loop_bound=loop_bound, mutant=mutant)
+    watched = DeqOp(prophecy=v)
 
-    def terminated(state: HWState) -> int:
-        return sum(
-            1
-            for f in state.frames
-            if f.done
-            and isinstance(f.op, DeqOp)
-            and f.op.prophecy == v
-            and f.result is not None
-            and f.result is not NULL
-        )
+    def at_most_one(kernel: _Kernel, state: int) -> bool:
+        terminated = 0
+        for tid in range(kernel.n):
+            if kernel.done(state, tid) and kernel.op(state, tid) == watched:
+                result = kernel.result(state, tid)
+                terminated += result is not None and result is not NULL
+        return terminated <= 1
 
-    parents, bound_hit, failures = _sweep_states(
-        config, {"at-most-one": lambda s: terminated(s) <= 1}
-    )
+    states, bound_hit, failures = _explore(config, {"at-most-one": at_most_one})
     ce = None
     if "at-most-one" in failures:
         ce = _counterexample(
-            config, parents, failures["at-most-one"],
+            config, failures["at-most-one"],
             f"two deq({v}) threads finished on one enq({v})",
         )
     return DivergenceReport(
         name="vrepet",
         params=(("v", v), ("m", m), ("k", k), ("loop_bound", loop_bound), ("mutant", mutant)),
         passed=ce is None,
-        states=len(parents),
+        states=states,
         bound_caveat=bound_hit,
         counterexample=ce,
     )
@@ -269,13 +252,13 @@ def divergence_check_vord(k: int = 0, *, v1: int = 1, v2: int = 2,
     """
     config = vord_config(k, v1=v1, v2=v2, loop_bound=loop_bound, mutant=mutant)
 
-    predicates = {"main-deq-blocked": lambda s: not s.frames[0].done}
+    predicates = {"main-deq-blocked": lambda kernel, state: not kernel.done(state, 0)}
     check_invariant = mutant == MUTANT_NONE
 
-    def slot_invariant(state: HWState) -> bool:
-        if not state.frames[1].done:
+    def slot_invariant(kernel: _Kernel, state: int) -> bool:
+        if not kernel.done(state, 1):
             return True
-        for i, held in enumerate(state.items[: state.back]):
+        for held in kernel.items(state):
             if held == v2:
                 return False
             if held == v1:
@@ -285,24 +268,24 @@ def divergence_check_vord(k: int = 0, *, v1: int = 1, v2: int = 2,
     if check_invariant:
         predicates["slot-invariant"] = slot_invariant
 
-    parents, bound_hit, failures = _sweep_states(config, predicates)
+    states, bound_hit, failures = _explore(config, predicates)
     ce = None
     if "main-deq-blocked" in failures:
         ce = _counterexample(
-            config, parents, failures["main-deq-blocked"],
+            config, failures["main-deq-blocked"],
             f"deq({v2}) finished although enq({v1}) came first and was never dequeued",
         )
     inv_example = None
     if "slot-invariant" in failures:
         inv_example = _counterexample(
-            config, parents, failures["slot-invariant"],
+            config, failures["slot-invariant"],
             f"no slot holds {v1} below back without an earlier {v2}",
         )
     return DivergenceReport(
         name="vord",
         params=(("k", k), ("v1", v1), ("v2", v2), ("loop_bound", loop_bound), ("mutant", mutant)),
         passed=ce is None,
-        states=len(parents),
+        states=states,
         bound_caveat=bound_hit,
         counterexample=ce,
         invariant_ok=None if not check_invariant else "slot-invariant" not in failures,

@@ -312,20 +312,6 @@ def successors(config: Config, state: HWState, tid: int) -> list[Succ]:
     return out
 
 
-def hw_step(config: Config, state: HWState, label: str) -> Succ:
-    """Apply one labelled transition; labels come from successors."""
-    tid_s, _, _ = label.partition(":")
-    tid = int(tid_s)
-    for succ in successors(config, state, tid):
-        if succ.label == label:
-            return succ
-    raise ValueError(f"label {label!r} is not enabled")
-
-
-def enabled_threads(config: Config, state: HWState) -> list[int]:
-    return [tid for tid in range(len(config.threads)) if successors(config, state, tid)]
-
-
 def classify_endpoint(config: Config, state: HWState) -> str:
     """Why a maximal trace stopped: COMPLETE, OVERFLOW, BOUND_HIT or STUCK."""
     if state.all_done:
@@ -347,32 +333,3 @@ def classify_endpoint(config: Config, state: HWState) -> str:
     if bound:
         return "BOUND_HIT"
     return "STUCK"
-
-
-def purely_blocking_check(config: Config, state: HWState, tid: int) -> str:
-    """Run one thread in isolation with a fresh loop budget.
-
-    TERMINATES when every solo run finishes the operation.  PURE when some
-    run blocks but no blocked run has changed the shared state (back, items,
-    scratch).  VIOLATION when a blocked run left a visible change.
-    """
-    start = _with_frame(state, tid, replace(state.frames[tid], iters=0))
-    base = (start.back, start.items, start.scratch)
-    blocked_pure = False
-    seen: set[HWState] = set()
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        succs = successors(config, s, tid)
-        if s.frames[tid].done:
-            continue
-        if not succs:
-            if (s.back, s.items, s.scratch) != base:
-                return "VIOLATION"
-            blocked_pure = True
-            continue
-        stack.extend(succ.state for succ in succs)
-    return "PURE" if blocked_pure else "TERMINATES"

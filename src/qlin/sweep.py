@@ -1,28 +1,39 @@
-"""Exhaustive sweep of plain queue-machine configurations.
+"""Exhaustive exploration of queue-machine configurations.
 
-``qlin explore`` runs on this module.  The interpreter in hwmodel is
-the readable specification and builds a dataclass per transition, which
-caps exploration well below the sizes the acceptance scales need.  This
-module implements the same transition semantics on states packed into a
-single integer, in the manner of the state compression of Holzmann's
-SPIN model checker, and is cross-validated against the interpreter by
-the test suite (identical history sets, trace counts, endpoint
-classifications and purity verdicts on overlapping scales).
+``qlin explore`` and ``qlin divergence`` run on this module.  The
+interpreter in hwmodel is the readable specification and builds a
+dataclass per transition, which caps exploration well below the sizes
+the acceptance scales need.  This module implements the same transition
+semantics on states packed into a single integer, in the manner of the
+state compression of Holzmann's SPIN model checker, and is
+cross-validated against the interpreter by the test suite (identical
+history sets, trace counts, endpoint classifications, purity verdicts
+and divergence reports on overlapping scales).
 
-Scope: every configuration of fixed enqueue and plain dequeue threads,
-under every mutant, at any capacity and loop bound, with repeated
-enqueue values allowed; each packed field is sized from the
-configuration.  Choice threads and prophecy-instrumented dequeues are
-out of scope (SweepScopeError); only the divergence harnesses in
-explorer use them.  Thread identity is erased eagerly: operation
+Scope: every configuration, under every mutant, at any capacity and
+loop bound, with repeated enqueue values allowed; each packed field is
+sized from the configuration.  In a plain configuration (fixed enqueue
+and plain dequeue threads) thread identity is erased eagerly: operation
 identifiers are reconstructed from invocation order when a history is
-materialized, which is sound because no transition reads them.
+materialized, which is sound because no transition reads them.  Choice
+threads and prophecy-instrumented dequeues, which only the divergence
+harnesses in explorer use, add a per-frame uid (invocation rank) and
+menu entry, since the harnesses count states that tell uids apart;
+``sweep_config`` refuses them (SweepScopeError).
+
+Every walk runs over canonical states: the frames of threads with the
+same declared operation (other than the flag thread that gates choice
+menus) sorted, after Ip and Dill's symmetry reduction.  Permuting such
+threads maps runs to runs and keeps endpoint status, so schedule counts
+come out exact, and ``_Kernel.orbit_size`` gives the number of raw
+states each canonical state stands for.  ``first_schedule`` walks raw
+states breadth-first in hwmodel's order when a replayable schedule to
+some state is needed.
 
 The sweep produces
   - exact counts of maximal schedules by endpoint status, computed by
-    dynamic programming in one iterative post-order walk over states
-    with interchangeable-thread frames sorted (schedule counts are
-    invariant under permuting such threads, so the quotient is free);
+    dynamic programming in one iterative post-order walk over the
+    canonical states;
   - a purity verdict for every reachable (shared state, pending dequeue
     frame) pair, memoized on exactly that projection, in a pass over
     the states the count walk visited;
@@ -49,8 +60,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .history import Action, History, deq_inv, deq_res, enq_inv, enq_res
+from .history import NULL, Action, History, deq_inv, deq_res, enq_inv, enq_res
 from .hwmodel import (
+    ChoiceOp,
     Config,
     DeqOp,
     EnqOp,
@@ -84,6 +96,15 @@ class SweepViolation:
     schedule: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class SweepImpurity:
+    """A pending dequeue whose solo run blocks after changing shared
+    state, and a schedule that parks thread tid there."""
+
+    tid: int
+    schedule: tuple[str, ...]
+
+
 @dataclass
 class SweepReport:
     config: Config
@@ -96,7 +117,11 @@ class SweepReport:
     oracle_checked: int
     oracle_disagreements: int
     purity_outcomes: Counter
-    purity_violations: int
+    impure: tuple[SweepImpurity, ...]
+
+    @property
+    def purity_violations(self) -> int:
+        return len(self.impure)
 
     @property
     def total_traces(self) -> int:
@@ -131,35 +156,52 @@ class _Kernel:
 
     A state is one integer: back, then the slot array, then the
     dirty_spin scratch counter, then one frame per thread.  A frame
-    holds pc, slot, rng + 1, iters and result, in that order from the
-    low bits.  Every field is as wide as the largest value the
+    holds pc, slot, rng + 1, iters, result, uid and op, in that order
+    from the low bits.  Every field is as wide as the largest value the
     configuration lets it hold; slots and results store 1-based indices
-    into the distinct enqueue values, with 0 for NULL.
+    into the distinct enqueued values, with 0 for NULL.  uid is the
+    invocation rank and op is 0 while a choice thread is uncommitted,
+    else its 1-based menu entry; both are zero-width unless the
+    configuration has choice threads or prophecy dequeues, so plain
+    configurations keep thread identity out of the state.
     """
 
     def __init__(self, config: Config):
-        ops = []
-        for op in config.threads:
-            if isinstance(op, EnqOp):
-                ops.append(op)
-            elif isinstance(op, DeqOp) and not op.instrumented:
-                ops.append(op)
-            else:
-                raise SweepScopeError("kernel handles plain enq/deq threads only")
+        threads = config.threads
         self.config = config
-        self.n = len(ops)
+        self.n = len(threads)
         self.cap = config.capacity
         self.lb = config.loop_bound
         self.nonatomic = config.mutant == MUTANT_NONATOMIC_ENQ
         self.keep_on_swap = config.mutant == MUTANT_NO_SWAP_CLEAR
         self.dirty = config.mutant == MUTANT_DIRTY_SPIN
         self.scan_start = 1 if config.mutant == MUTANT_SKIP_SLOT_ZERO else 0
-        self.is_enq = [isinstance(op, EnqOp) for op in ops]
-        self.values = list(dict.fromkeys(op.value for op in ops if isinstance(op, EnqOp)))
+
+        def ops_of(op):
+            return [entry for entry, _ in op.menu] if isinstance(op, ChoiceOp) else [op]
+
+        self.values = list(dict.fromkeys(
+            op.value for t in threads for op in ops_of(t) if isinstance(op, EnqOp)
+        ))
         vidx = {v: i + 1 for i, v in enumerate(self.values)}
-        self.enq_vbits = [
-            vidx[op.value] if isinstance(op, EnqOp) else 0 for op in ops
+
+        def program(op):
+            # (enqueued value index or 0 for a dequeue, predicted value
+            # index or None for a plain dequeue, -1 when it never matches)
+            if isinstance(op, EnqOp):
+                return (vidx[op.value], None)
+            return (0, None if op.prophecy is None else vidx.get(op.prophecy, -1))
+
+        # fixed threads run one program; a choice thread's comes from its menu
+        self.progs = [None if isinstance(op, ChoiceOp) else program(op) for op in threads]
+        self.menus = [
+            tuple((program(op), gate is not None, f"choose[{op.label()}]")
+                  for op, gate in t.menu) if isinstance(t, ChoiceOp) else None
+            for t in threads
         ]
+        self.is_enq = [p is not None and p[0] > 0 for p in self.progs]
+        self.enq_vbits = [p[0] if p is not None else 0 for p in self.progs]
+        self.ranked = any(p is None or p[1] is not None for p in self.progs)
 
         # field widths: back and rng + 1 hold 0..cap, slot 0..cap-1,
         # iters 0..lb, slots and results 0..number of distinct values
@@ -167,11 +209,14 @@ class _Kernel:
         slot_w = max(self.cap - 1, 0).bit_length()
         it_w = self.lb.bit_length()
         value_w = len(self.values).bit_length()
+        uid_w = max(self.n - 1, 0).bit_length() if self.ranked else 0
+        op_w = max((len(m) for m in self.menus if m), default=0).bit_length()
         # the scratch counter bounds the dequeuers' NULL swaps, at most cap
         # per scan round, plus one fresh loop budget for a purity solo run
-        n_deq = self.n - sum(self.is_enq)
+        n_deq = sum(1 for t in threads if any(isinstance(op, DeqOp) for op in ops_of(t)))
         scratch_w = ((n_deq + 1) * self.lb * self.cap).bit_length() if self.dirty else 0
         self.back_mask = (1 << back_w) - 1
+        self.items_sh, self.item_w, self.item_mask = back_w, value_w, (1 << value_w) - 1
         self.scratch_sh = back_w + value_w * self.cap
         self.scratch_mask = (1 << scratch_w) - 1
         self.frames_sh = self.scratch_sh + scratch_w
@@ -179,27 +224,35 @@ class _Kernel:
         rng_sh = slot_sh + slot_w
         self.it_sh = rng_sh + back_w
         self.it_mask = (1 << it_w) - 1
-        res_sh = self.it_sh + it_w
-        self.f_bits = res_sh + value_w
+        self.res_sh = self.it_sh + it_w
+        self.uid_sh = self.res_sh + value_w
+        self.op_sh = self.uid_sh + uid_w
+        self.op_mask = (1 << op_w) - 1
+        self.f_bits = self.op_sh + op_w
         self.f_mask = (1 << self.f_bits) - 1
+        # the fields the transitions rewrite; uid and op stay put
+        self.low_mask = (1 << self.uid_sh) - 1
         self.shifts = tuple(self.frames_sh + self.f_bits * t for t in range(self.n))
         # what successors reads, unpacked in one step per call
         self.layout = (
-            self.shifts, self.f_mask, slot_sh, (1 << slot_w) - 1, rng_sh,
-            self.back_mask, self.it_sh, self.it_mask, res_sh,
-            back_w, value_w, (1 << value_w) - 1,
+            self.shifts, self.low_mask, slot_sh, (1 << slot_w) - 1, rng_sh,
+            self.back_mask, self.it_sh, self.it_mask, self.res_sh,
+            self.items_sh, self.item_w, self.item_mask,
+            self.cap, self.lb, self.scan_start, self.progs, self.ranked,
         )
 
-        # threads with identical programs are interchangeable
+        # threads with identical programs are interchangeable; the flag
+        # thread is not, since gates read its pc
         by_op: dict = {}
-        for tid, op in enumerate(ops):
-            key = ("e", op.value) if isinstance(op, EnqOp) else ("d",)
-            by_op.setdefault(key, []).append(tid)
+        for tid, op in enumerate(threads):
+            if tid != config.flag_tid:
+                by_op.setdefault(op, []).append(tid)
         self.sym_groups = tuple(
             tuple(tids) for tids in by_op.values() if len(tids) > 1
         )
-        # enqueuers listed by ascending value index, for value renaming;
-        # sound because no transition branches on a stored value
+        # enqueuers listed by ascending value index, for value renaming
+        # in history collection; sound while no transition compares a
+        # stored value with anything, so not with prophecy dequeues
         enq_tids = sorted(
             (t for t in range(self.n) if self.is_enq[t]),
             key=lambda t: self.enq_vbits[t],
@@ -234,10 +287,53 @@ class _Kernel:
                 state = (state & ~(f_mask << sh)) | (fbits << sh)
         return state
 
+    def orbit_size(self, state: int) -> int:
+        """Number of states that permuting interchangeable threads makes
+        of this one: per group, the multinomial of its equal frames."""
+        shifts, f_mask = self.shifts, self.f_mask
+        size = 1
+        for tids in self.sym_groups:
+            frames = sorted((state >> shifts[t]) & f_mask for t in tids)
+            run = 1
+            for i, f in enumerate(frames):
+                run = run + 1 if i and f == frames[i - 1] else 1
+                size = size * (i + 1) // run
+        return size
+
+    def _entry(self, state: int, tid: int) -> int:
+        # a choice thread's menu entry, 1-based; 0 while uncommitted
+        return (state >> (self.shifts[tid] + self.op_sh)) & self.op_mask
+
+    def op(self, state: int, tid: int):
+        """The operation thread tid runs, as hwmodel's frame.op: None
+        for an uncommitted choice thread."""
+        declared = self.config.threads[tid]
+        if not isinstance(declared, ChoiceOp):
+            return declared
+        entry = self._entry(state, tid)
+        return declared.menu[entry - 1][0] if entry else None
+
+    def done(self, state: int, tid: int) -> bool:
+        return (state >> self.shifts[tid]) & 0x7 == _DONE
+
+    def result(self, state: int, tid: int):
+        """The value a dequeue took, or None."""
+        res = (self.frame(state, tid) & self.low_mask) >> self.res_sh
+        return self.values[res - 1] if res else None
+
+    def items(self, state: int) -> tuple:
+        """The slots below back, as values with NULL for empty."""
+        out = []
+        for i in range(state & self.back_mask):
+            held = (state >> (self.items_sh + self.item_w * i)) & self.item_mask
+            out.append(self.values[held - 1] if held else NULL)
+        return tuple(out)
+
     # -- transitions -------------------------------------------------------
 
     def successors(self, state: int, gate_groups=()):
-        """List of (tid, instr, token, next_state).
+        """List of (tid, instr, token, next_state), in hwmodel's order:
+        by thread, then menu entry.
 
         instr is the instruction mnemonic used in schedule labels; token
         is None for internal steps, otherwise (kind, tid, value-index).
@@ -248,8 +344,8 @@ class _Kernel:
         group-internal identity is fixed by invocation order.
         """
         out = []
-        (shifts, f_mask, slot_sh, slot_mask, rng_sh, rng_mask, it_sh, it_mask,
-         res_sh, items_sh, item_w, item_mask) = self.layout
+        (shifts, low_mask, slot_sh, slot_mask, rng_sh, rng_mask, it_sh, it_mask,
+         res_sh, items_sh, item_w, item_mask, cap, lb, scan_start, progs, ranked) = self.layout
         back = state & self.back_mask
         gate: dict[int, int] = {}
         for tids in gate_groups:
@@ -258,16 +354,30 @@ class _Kernel:
                     gate.update((u, t) for u in tids)
                     break
         for tid, sh in enumerate(shifts):
-            f = (state >> sh) & f_mask
+            f = (state >> sh) & low_mask
             pc = f & 0x7
             if pc == _DONE:
                 continue
             if pc == _IDLE and gate.get(tid, tid) != tid:
                 continue
-            base = state & ~(f_mask << sh)
-            if self.is_enq[tid]:
+            base = state & ~(low_mask << sh)
+            prog = progs[tid]
+            if prog is None:
+                # choice thread: its menu entry, or one commit per open entry
+                menu = self.menus[tid]
+                entry = self._entry(state, tid)
+                if not entry:
+                    flag = self.config.flag_tid
+                    for entry, (_, gated, label) in enumerate(menu, 1):
+                        if not gated or self.done(state, flag):
+                            ns = state | (entry << (sh + self.op_sh))
+                            out.append((tid, label, None, ns))
+                    continue
+                prog = menu[entry - 1][0]
+            vbits, pidx = prog
+            if vbits:
                 if pc == _IDLE:
-                    if back >= self.cap:
+                    if back >= cap:
                         continue  # slot array exhausted
                     if self.nonatomic:
                         nf = _E1B | (back << slot_sh)
@@ -275,6 +385,8 @@ class _Kernel:
                     else:
                         nf = _E2 | (back << slot_sh)
                         ns = (base | (nf << sh)) + 1  # back += 1
+                    if ranked:
+                        ns |= self._rank(state) << (sh + self.uid_sh)
                     out.append((tid, "E1", (_T_EINV, tid, 0), ns))
                 elif pc == _E1B:
                     nf = _E2 | (f & (slot_mask << slot_sh))
@@ -283,7 +395,7 @@ class _Kernel:
                 elif pc == _E2:
                     slot = (f >> slot_sh) & slot_mask
                     ish = items_sh + item_w * slot
-                    ns = (base & ~(item_mask << ish)) | (self.enq_vbits[tid] << ish)
+                    ns = (base & ~(item_mask << ish)) | (vbits << ish)
                     ns |= _RET << sh
                     out.append((tid, "E2", None, ns))
                 else:  # _RET
@@ -293,17 +405,20 @@ class _Kernel:
             # dequeue thread
             if pc == _IDLE or pc == _D1:
                 iters = (f >> it_sh) & it_mask
-                if iters >= self.lb:
+                if iters >= lb:
                     continue  # loop budget exhausted
                 rng = back - 1
-                start = self.scan_start
-                if start <= rng:
-                    nf = _D2 | (start << slot_sh) | ((rng + 1) << rng_sh)
+                if scan_start <= rng:
+                    nf = _D2 | (scan_start << slot_sh) | ((rng + 1) << rng_sh)
                 else:
                     nf = _D1
                 nf |= (iters + 1) << it_sh
                 ns = base | (nf << sh)
-                token = (_T_DINV, tid, 0) if pc == _IDLE else None
+                token = None
+                if pc == _IDLE:
+                    token = (_T_DINV, tid, 0)
+                    if ranked:
+                        ns |= self._rank(state) << (sh + self.uid_sh)
                 out.append((tid, "D1", token, ns))
             elif pc == _D2:
                 slot = (f >> slot_sh) & slot_mask
@@ -311,6 +426,7 @@ class _Kernel:
                 ish = items_sh + item_w * slot
                 held = (state >> ish) & item_mask
                 if held == 0:
+                    # an empty slot: move on (a prophecy dequeue's skip branch)
                     nxt = slot + 1
                     if nxt > rng:
                         nf = _D1 | (f & (it_mask << it_sh))
@@ -321,11 +437,14 @@ class _Kernel:
                         if (state >> self.scratch_sh) & self.scratch_mask == self.scratch_mask:
                             raise AssertionError("scratch counter overflowed its field")
                         ns += 1 << self.scratch_sh
-                else:
+                    out.append((tid, "D2" if pidx is None else "D2B", None, ns))
+                elif pidx is None or held == pidx:
+                    # take the value (a prophecy dequeue's commit branch)
                     ns = base if self.keep_on_swap else base & ~(item_mask << ish)
                     nf = _RET | (held << res_sh)
                     ns |= nf << sh
-                out.append((tid, "D2", None, ns))
+                    out.append((tid, "D2" if pidx is None else "D2A", None, ns))
+                # a prophecy dequeue facing another value blocks here
             else:  # _RET
                 res = f >> res_sh
                 nf = _DONE | (res << res_sh)
@@ -333,17 +452,26 @@ class _Kernel:
                 out.append((tid, "ret", (_T_DRES, tid, res), ns))
         return out
 
+    def _rank(self, state: int) -> int:
+        # invocation rank of the next operation: the threads already invoked
+        return sum(1 for sh in self.shifts if (state >> sh) & 0x7 != _IDLE)
+
     def classify(self, state: int) -> str:
         all_done = True
         overflow = bound = False
         back = state & self.back_mask
-        for tid in range(self.n):
-            f = self.frame(state, tid)
+        for tid, sh in enumerate(self.shifts):
+            f = (state >> sh) & self.f_mask
             pc = f & 0x7
             if pc == _DONE:
                 continue
             all_done = False
-            if self.is_enq[tid]:
+            prog = self.progs[tid]
+            if prog is None and (entry := self._entry(state, tid)):
+                prog = self.menus[tid][entry - 1][0]
+            if prog is None:
+                continue  # an uncommitted choice thread
+            if prog[0]:
                 if pc == _IDLE and back >= self.cap:
                     overflow = True
             elif pc in (_IDLE, _D1) and ((f >> self.it_sh) & self.it_mask) >= self.lb:
@@ -359,8 +487,12 @@ class _Kernel:
     # -- purity -------------------------------------------------------------
 
     def purity(self, state: int, tid: int) -> str:
-        """Solo run of one pending dequeue with a fresh loop budget;
-        mirrors purely_blocking_check."""
+        """Solo run of one pending dequeue with a fresh loop budget.
+
+        TERMINATES when every solo run finishes the operation, PURE when
+        some run blocks but none blocks after changing the shared state
+        (back, slots, scratch), VIOLATION when one does.
+        """
         sh = self.shifts[tid]
         start = state & ~(self.it_mask << (sh + self.it_sh))  # iters := 0
         shared_mask = (1 << self.frames_sh) - 1
@@ -496,6 +628,39 @@ def canonicalize_tokens(kernel: _Kernel, tokens, *, value_sym: bool = True) -> t
         run.append(token)
     out.extend(sorted(run))
     return tuple(out)
+
+
+def first_schedule(kernel: _Kernel, stop):
+    """The first raw state, in breadth-first order, that satisfies stop,
+    with the schedule that reaches it: (schedule, state), or None when
+    no reachable state does.
+
+    Threads and branches are expanded in hwmodel's order and each state
+    keeps the step that first reached it, so this is the schedule a
+    breadth-first walk over hwmodel's states finds.  The walk stops at
+    that state, so it holds only the states discovered before it.
+    """
+    init = kernel.init_state()
+    parents: dict[int, tuple | None] = {init: None}
+    queue = deque([init])
+    found = init if stop(init) else None
+    while found is None and queue:
+        state = queue.popleft()
+        for tid, instr, _, ns in kernel.successors(state):
+            if ns not in parents:
+                parents[ns] = (state, f"{tid}:{instr}")
+                if stop(ns):
+                    found = ns
+                    break
+                queue.append(ns)
+    if found is None:
+        return None
+    labels: list[str] = []
+    state = found
+    while parents[state] is not None:
+        state, label = parents[state]
+        labels.append(label)
+    return tuple(reversed(labels)), found
 
 
 def count_schedules(kernel: _Kernel):
@@ -639,15 +804,22 @@ def sweep_config(config: Config, *, oracle: bool = False,
     Counts every maximal schedule, checks every distinct complete
     history with the aspect detectors (and optionally the brute-force
     oracle), and optionally purity-checks every reachable pending
-    dequeue.  Violations carry a replayable schedule.  With quotient
-    representative histories (at least one per isomorphism class) are
-    materialized and checked; they cover the rest (see module
-    docstring).  Without it every distinct history is checked, which is
-    the quotient's reference.
+    dequeue.  Violations and impure dequeues carry a replayable
+    schedule.  With quotient representative histories (at least one
+    per isomorphism class) are materialized and checked; they cover the
+    rest (see module docstring).  Without it every distinct history is
+    checked, which is the quotient's reference.
+
+    Choice threads and prophecy dequeues raise SweepScopeError: history
+    collection renames values, which is unsound once a transition
+    compares a slot against a prophecy value, and reads every value off
+    a fixed enqueuer.
     """
     from .checker import LINEARIZABLE, brute_force_linearizable, check_linearizable
 
     kernel = _Kernel(config)
+    if kernel.ranked:
+        raise SweepScopeError("sweep_config handles plain enq/deq threads only")
     counts, states = count_schedules(kernel)
     canonical_states = len(states)
     purity_outcomes: Counter = Counter()
@@ -655,6 +827,7 @@ def sweep_config(config: Config, *, oracle: bool = False,
     if check_purity:
         purity_outcomes, purity_bad = purity_scan(kernel, states)
     del states  # collection's peak memory comes on top otherwise
+    impure = tuple(_impurity(kernel, state, tid) for state, tid in purity_bad)
 
     complete, nodes = collect_histories(kernel, quotient=quotient)
 
@@ -684,5 +857,14 @@ def sweep_config(config: Config, *, oracle: bool = False,
         oracle_checked=oracle_checked,
         oracle_disagreements=oracle_disagreements,
         purity_outcomes=purity_outcomes,
-        purity_violations=len(purity_bad),
+        impure=impure,
     )
+
+
+def _impurity(kernel: _Kernel, state: int, tid: int) -> SweepImpurity:
+    """Evidence for an impure dequeue found in canonical state: the
+    first raw state of that orbit and the thread holding its frame."""
+    schedule, raw = first_schedule(kernel, lambda s: kernel.canon(s) == state)
+    frame = kernel.frame(state, tid)
+    group = next((g for g in kernel.sym_groups if tid in g), (tid,))
+    return SweepImpurity(next(t for t in group if kernel.frame(raw, t) == frame), schedule)

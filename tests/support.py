@@ -12,19 +12,20 @@ a seeded atomic-queue generator of long histories to compare them on.
 The fifo clause and VOrd are kept in their separate pair-scanning
 forms, the reference for the one scan the checker reads both through.
 
-The last section is the reference exploration of queue-machine
+The last sections are the reference exploration of queue-machine
 configurations on the readable model in ``qlin.hwmodel``: trace
-enumeration, exact schedule counts, per-configuration reports and the
-purity sweep.  The packed kernel in ``qlin.sweep`` is the product's
-engine; these walk the dataclass states instead and are what the
-kernel's trace counts, history sets, violations and purity verdicts
-are compared against.
+enumeration, exact schedule counts, per-configuration reports, the
+solo-run purity check and sweep, and the divergence harnesses as a
+breadth-first walk over every dataclass state.  The packed kernel in
+``qlin.sweep`` is the product's engine; these walk the dataclass states
+instead and are what the kernel's trace counts, history sets,
+violations, purity verdicts and harness reports are compared against.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 from qlin.checker import (
@@ -41,7 +42,15 @@ from qlin.checker import (
     enq_order,
     is_linearization_witness,
 )
-from qlin.explorer import ExecutionTrace, _expand
+from qlin.explorer import (
+    Counterexample,
+    DivergenceReport,
+    ExecutionTrace,
+    induce_history,
+    replay_schedule,
+    vord_config,
+    vrepet_config,
+)
 from qlin.history import (
     NULL,
     Action,
@@ -53,12 +62,15 @@ from qlin.history import (
     enq_res,
 )
 from qlin.hwmodel import (
+    MUTANT_NONE,
     Config,
     DeqOp,
     HWState,
+    Succ,
+    _with_frame,
     classify_endpoint,
     hw_init,
-    purely_blocking_check,
+    successors,
 )
 from qlin.queuespec import Behavior, is_legal
 
@@ -635,6 +647,27 @@ STATUS_BOUND_HIT = "BOUND_HIT"
 STATUS_STUCK = "STUCK"
 
 
+def _expand(config: Config, state: HWState) -> list:
+    out = []
+    for tid in range(len(config.threads)):
+        out.extend(successors(config, state, tid))
+    return out
+
+
+def hw_step(config: Config, state: HWState, label: str) -> Succ:
+    """Apply one labelled transition; labels come from successors."""
+    tid_s, _, _ = label.partition(":")
+    tid = int(tid_s)
+    for succ in successors(config, state, tid):
+        if succ.label == label:
+            return succ
+    raise ValueError(f"label {label!r} is not enabled")
+
+
+def enabled_threads(config: Config, state: HWState) -> list[int]:
+    return [tid for tid in range(len(config.threads)) if successors(config, state, tid)]
+
+
 def enumerate_traces(config: Config, *, start: ExecutionTrace | None = None, dedup: bool = False):
     """Depth-first stream of every maximal trace of the configuration.
 
@@ -811,6 +844,36 @@ def check_configuration(config: Config, *, oracle: bool = False) -> ConfigReport
 # ---- reference purity sweep ----
 
 
+def purely_blocking_check(config: Config, state: HWState, tid: int) -> str:
+    """Run one thread in isolation with a fresh loop budget.
+
+    TERMINATES when every solo run finishes the operation.  PURE when some
+    run blocks but no blocked run has changed the shared state (back, items,
+    scratch).  VIOLATION when a blocked run left a visible change.
+    """
+    start = _with_frame(state, tid, replace(state.frames[tid], iters=0))
+    base = (start.back, start.items, start.scratch)
+    blocked_pure = False
+    seen: set[HWState] = set()
+    stack = [start]
+    while stack:
+        s = stack.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        succs = successors(config, s, tid)
+        if s.frames[tid].done:
+            continue
+        if not succs:
+            if (s.back, s.items, s.scratch) != base:
+                return "VIOLATION"
+            blocked_pure = True
+            continue
+        stack.extend(succ.state for succ in succs)
+    return "PURE" if blocked_pure else "TERMINATES"
+
+
+
 @dataclass(frozen=True)
 class PurityReport:
     config: Config
@@ -871,4 +934,132 @@ def purity_sweep(config: Config) -> PurityReport:
         checks=checks,
         outcomes=outcomes,
         violations=tuple(violations),
+    )
+
+
+# ---- reference divergence harnesses ----
+
+
+def _sweep_states(config: Config, predicates) -> tuple[dict, bool, dict]:
+    """State-only breadth-first sweep.
+
+    predicates maps a name to a state predicate that must hold everywhere;
+    the first failing state per name is recorded.  State-only dedup is
+    sound because each predicate reads only the machine state.  Returns
+    (parents, any bound-hit endpoint, first failures).
+    """
+    init = hw_init(config)
+    parents: dict[HWState, tuple | None] = {init: None}
+    failures: dict[str, HWState] = {}
+    bound_hit = False
+    queue = deque([init])
+    while queue:
+        state = queue.popleft()
+        for name, pred in predicates.items():
+            if name not in failures and not pred(state):
+                failures[name] = state
+        succs = _expand(config, state)
+        if not succs and classify_endpoint(config, state) == "BOUND_HIT":
+            bound_hit = True
+        for succ in succs:
+            if succ.state not in parents:
+                parents[succ.state] = (state, succ.label)
+                queue.append(succ.state)
+    return parents, bound_hit, failures
+
+
+def _state_schedule(parents: dict, state: HWState) -> tuple[str, ...]:
+    labels: list[str] = []
+    while parents[state] is not None:
+        state, label = parents[state]
+        labels.append(label)
+    return tuple(reversed(labels))
+
+
+def _counterexample(config: Config, parents: dict, state: HWState, note: str) -> Counterexample:
+    schedule = _state_schedule(parents, state)
+    trace = replay_schedule(config, schedule)
+    return Counterexample(schedule, induce_history(trace), note)
+
+
+def reference_divergence_vrepet(v: int = 7, m: int = 2, k: int = 0, *,
+                                loop_bound: int = 3,
+                                mutant: str = MUTANT_NONE) -> DivergenceReport:
+    """divergence_check_vrepet over every dataclass state of hwmodel."""
+    config = vrepet_config(v, m, k, loop_bound=loop_bound, mutant=mutant)
+
+    def terminated(state: HWState) -> int:
+        return sum(
+            1
+            for f in state.frames
+            if f.done
+            and isinstance(f.op, DeqOp)
+            and f.op.prophecy == v
+            and f.result is not None
+            and f.result is not NULL
+        )
+
+    parents, bound_hit, failures = _sweep_states(
+        config, {"at-most-one": lambda s: terminated(s) <= 1}
+    )
+    ce = None
+    if "at-most-one" in failures:
+        ce = _counterexample(
+            config, parents, failures["at-most-one"],
+            f"two deq({v}) threads finished on one enq({v})",
+        )
+    return DivergenceReport(
+        name="vrepet",
+        params=(("v", v), ("m", m), ("k", k), ("loop_bound", loop_bound), ("mutant", mutant)),
+        passed=ce is None,
+        states=len(parents),
+        bound_caveat=bound_hit,
+        counterexample=ce,
+    )
+
+
+def reference_divergence_vord(k: int = 0, *, v1: int = 1, v2: int = 2,
+                              loop_bound: int = 3,
+                              mutant: str = MUTANT_NONE) -> DivergenceReport:
+    """divergence_check_vord over every dataclass state of hwmodel."""
+    config = vord_config(k, v1=v1, v2=v2, loop_bound=loop_bound, mutant=mutant)
+
+    predicates = {"main-deq-blocked": lambda s: not s.frames[0].done}
+    check_invariant = mutant == MUTANT_NONE
+
+    def slot_invariant(state: HWState) -> bool:
+        if not state.frames[1].done:
+            return True
+        for i, held in enumerate(state.items[: state.back]):
+            if held == v2:
+                return False
+            if held == v1:
+                return True
+        return False
+
+    if check_invariant:
+        predicates["slot-invariant"] = slot_invariant
+
+    parents, bound_hit, failures = _sweep_states(config, predicates)
+    ce = None
+    if "main-deq-blocked" in failures:
+        ce = _counterexample(
+            config, parents, failures["main-deq-blocked"],
+            f"deq({v2}) finished although enq({v1}) came first and was never dequeued",
+        )
+    inv_example = None
+    if "slot-invariant" in failures:
+        inv_example = _counterexample(
+            config, parents, failures["slot-invariant"],
+            f"no slot holds {v1} below back without an earlier {v2}",
+        )
+    return DivergenceReport(
+        name="vord",
+        params=(("k", k), ("v1", v1), ("v2", v2), ("loop_bound", loop_bound), ("mutant", mutant)),
+        passed=ce is None,
+        states=len(parents),
+        bound_caveat=bound_hit,
+        counterexample=ce,
+        invariant_ok=None if not check_invariant else "slot-invariant" not in failures,
+        invariant_example=inv_example,
     )

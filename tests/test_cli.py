@@ -8,9 +8,9 @@ import pytest
 from qlin.cli import generate_history, main
 from qlin.explorer import induce_history, replay_schedule
 from qlin.history import NULL, parse_history
-from qlin.hwmodel import Config, DeqOp, EnqOp, MUTANT_NO_SWAP_CLEAR
+from qlin.hwmodel import MUTANT_DIRTY_SPIN, MUTANT_NO_SWAP_CLEAR, Config, DeqOp, EnqOp
 
-from support import DEQ, ENQ, check_configuration, seq_history
+from support import DEQ, ENQ, check_configuration, purely_blocking_check, seq_history
 
 
 LIN = "inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq 1\n"
@@ -131,16 +131,16 @@ def test_oracle_violation(capsys, hist_file):
 
 
 def test_oracle_event_guard(capsys, hist_file):
-    code, _, err = run(capsys, ["oracle", hist_file(LIN), "--max-events", "3"])
+    code, _, err = run(capsys, ["oracle", hist_file(LIN), "--max-actions", "3"])
     assert code == 2
-    assert err == "error: history has 4 actions, above --max-events 3\n"
+    assert err == "error: history has 4 actions, above --max-actions 3\n"
 
 
 def test_oracle_decides_long_sequential_history(capsys, hist_file):
     # 1,200 events: the oracle's search goes one level per event
     seq = [(m, i) for i in range(600) for m in (ENQ, DEQ)]
     text = seq_history(seq).serialize()
-    code, out, err = run(capsys, ["oracle", hist_file(text), "--max-events", "100000"])
+    code, out, err = run(capsys, ["oracle", hist_file(text), "--max-actions", "100000"])
     assert (code, out, err) == (0, "linearizable\n", "")
 
 
@@ -257,13 +257,38 @@ def test_explore_dirty_spin_purity_fails(capsys):
     assert code == 0  # no linearizability violation without the purity check
     code, out, _ = run(capsys, argv + ["--purity"])
     assert code == 1
+    evidence = "- impure dequeue: thread 1 run alone blocks after changing shared state\n"
     assert out == (
         "explored 46 schedules, 2 representative histories (at least one per isomorphism class): "
         "7 purity violation(s)\n"
+        + evidence + "  schedule: 1:D1 1:D1 1:D1 0:E1\n"
+        + evidence + "  schedule: 1:D1 1:D1 0:E1 1:D1 1:D2\n"
+        + evidence + "  schedule: 1:D1 1:D1 0:E1 1:D1\n"
+        + evidence + "  schedule: 1:D1 0:E1 1:D1 1:D2 1:D1 1:D2\n"
+        + evidence + "  schedule: 1:D1 0:E1 1:D1 1:D2 1:D1\n"
+        + evidence + "  schedule: 0:E1 1:D1 1:D2 1:D1 1:D2 1:D1 1:D2\n"
+        + evidence + "  schedule: 0:E1 1:D1 1:D2 1:D1 1:D2 1:D1\n"
     )
     code, out, _ = run(capsys, argv + ["--purity", "--format", "lines"])
     assert code == 1
-    assert out.rstrip().endswith("purity-violations=7")
+    assert out.splitlines()[0].endswith("purity-violations=7")
+
+
+def test_explore_impure_dequeue_schedules_replay(capsys):
+    # every printed schedule parks the named thread where its solo run,
+    # on the readable model, blocks after changing shared state
+    code, out, _ = run(capsys, ["explore", "--enq", "1", "--deq", "1", "--mutant",
+                                "dirty_spin", "--purity", "--format", "lines"])
+    assert code == 1
+    config = Config((EnqOp(1), DeqOp()), capacity=1, loop_bound=3, mutant=MUTANT_DIRTY_SPIN)
+    lines = out.splitlines()[1:]
+    assert len(lines) == 14
+    for record, schedule in zip(lines[::2], lines[1::2]):
+        assert record.startswith("IMPURE tid=")
+        assert schedule.startswith("  schedule ")
+        trace = replay_schedule(config, schedule.split()[1:])
+        tid = int(record.split("=")[1])
+        assert purely_blocking_check(config, trace.final, tid) == "VIOLATION"
 
 
 def test_explore_needs_threads(capsys):

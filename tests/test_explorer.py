@@ -1,6 +1,6 @@
-"""Exploration on the readable model: schedule replay and the divergence
-harnesses, plus the reference trace enumeration, per-configuration
-reports and purity sweep that the packed kernel is compared against.
+"""Schedule replay and the divergence harnesses, plus the reference
+trace enumeration, per-configuration reports, purity sweep and harness
+walk on the readable model that the packed kernel is compared against.
 
 Expected counts in this file were frozen from reference runs of the
 exhaustive sweeps themselves; every schedule-shaped expectation is also
@@ -31,12 +31,16 @@ from qlin.hwmodel import (
     MUTANT_SKIP_SLOT_ZERO,
 )
 
+from qlin.sweep import _Kernel, count_schedules
+
 from support import (
     ConfigReport,
     check_configuration,
     count_traces,
     enumerate_traces,
     purity_sweep,
+    reference_divergence_vord,
+    reference_divergence_vrepet,
 )
 
 
@@ -361,6 +365,48 @@ def test_vord_skip_slot_zero_needs_contention():
         vord_config(k=1, mutant=MUTANT_SKIP_SLOT_ZERO), cx.schedule
     )
     assert induce_history(again).serialize() == cx.history.serialize()
+
+
+# ---------------------------------------------------------------------------
+# harnesses on the kernel against the reference walk over hwmodel states
+
+HARNESSES = [
+    pytest.param("vrepet", dict(m=2, k=0), id="vrepet-m2-k0"),
+    pytest.param("vrepet", dict(m=2, k=1), id="vrepet-m2-k1"),
+    pytest.param("vrepet", dict(m=3, k=0), id="vrepet-m3-k0"),
+    pytest.param("vord", dict(k=0), id="vord-k0"),
+    pytest.param("vord", dict(k=1), id="vord-k1"),
+    pytest.param("vrepet", dict(m=2, k=0, mutant=MUTANT_NO_SWAP_CLEAR), id="vrepet-no-swap-clear"),
+    pytest.param("vord", dict(k=1, mutant=MUTANT_SKIP_SLOT_ZERO), id="vord-skip-slot-zero"),
+]
+
+
+def report_lines(r):
+    lines = [r.summary(), repr((r.passed, r.states, r.bound_caveat, r.invariant_ok))]
+    for cx in (r.counterexample, r.invariant_example):
+        lines.extend(cx.to_lines() if cx is not None else ["none"])
+    return lines
+
+
+@pytest.mark.parametrize("kind, params", HARNESSES)
+def test_harness_matches_reference(kind, params):
+    if kind == "vrepet":
+        mine, ref = divergence_check_vrepet(**params), reference_divergence_vrepet(**params)
+    else:
+        mine, ref = divergence_check_vord(**params), reference_divergence_vord(**params)
+    assert report_lines(mine) == report_lines(ref)
+
+
+@pytest.mark.parametrize("kind, params", HARNESSES)
+def test_orbit_sum_equals_unreduced_state_count(kind, params):
+    config = (vrepet_config if kind == "vrepet" else vord_config)(**params)
+    kernel = _Kernel(config)
+    _, canonical = count_schedules(kernel)
+    orbit_sum = sum(kernel.orbit_size(s) for s in canonical)
+    kernel.sym_groups = ()  # explore every raw state, one orbit each
+    _, raw = count_schedules(kernel)
+    assert len(raw) == orbit_sum
+    assert all(kernel.orbit_size(s) == 1 for s in raw)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,12 @@ from qlin.hwmodel import (
     DeqOp,
     EnqOp,
     classify_endpoint,
-    enabled_threads,
     hw_init,
-    hw_step,
-    purely_blocking_check,
     successors,
 )
 from qlin.queuespec import obs_equiv
 
-from support import enumerate_traces
+from support import enabled_threads, enumerate_traces, hw_step, purely_blocking_check
 
 
 def run(config, labels):

@@ -12,8 +12,10 @@ import sys
 
 import pytest
 
-from qlin.explorer import induce_history, replay_schedule
+from qlin.explorer import induce_history, replay_schedule, vord_config, vrepet_config
+from qlin.history import NULL
 from qlin.hwmodel import (
+    GATE_FLAG_DONE,
     ChoiceOp,
     Config,
     DeqOp,
@@ -74,20 +76,25 @@ def exact_histories(config):
 
 
 # ---------------------------------------------------------------------------
-# scope guard: only the divergence harnesses' thread kinds are refused
+# scope guard: sweep_config refuses the divergence harnesses' thread kinds
 
 
 def test_scope_rejects_instrumented_dequeue():
     c = Config((EnqOp(1), DeqOp(prophecy=1)), capacity=1, loop_bound=3)
     with pytest.raises(SweepScopeError):
-        _Kernel(c)
+        sweep_config(c)
 
 
 def test_scope_rejects_choice_threads():
     menu = ((EnqOp(1), None),)
     c = Config((ChoiceOp(menu), DeqOp()), capacity=1, loop_bound=3)
     with pytest.raises(SweepScopeError):
-        _Kernel(c)
+        sweep_config(c)
+
+
+def test_scope_rejects_divergence_harness():
+    with pytest.raises(SweepScopeError):
+        sweep_config(vrepet_config())
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +105,46 @@ def test_scope_rejects_choice_threads():
 def test_trace_counts_match_reference(config):
     counts, _ = count_schedules(_Kernel(config))
     assert counts == count_traces(config)
+
+
+# configs with choice threads or prophecy dequeues, which only the
+# divergence harnesses run: their counts need the uid and op fields
+HARNESS_CONFIGS = [
+    pytest.param(vrepet_config(m=2, k=0), id="vrepet-m2-k0"),
+    pytest.param(vrepet_config(m=2, k=0, mutant=MUTANT_NO_SWAP_CLEAR), id="vrepet-no-swap-clear"),
+    pytest.param(vord_config(k=1), id="vord-k1"),
+    pytest.param(vord_config(k=1, mutant=MUTANT_SKIP_SLOT_ZERO), id="vord-skip-slot-zero"),
+    pytest.param(vord_config(k=1, mutant=MUTANT_DIRTY_SPIN), id="vord-dirty-spin"),
+    pytest.param(vord_config(k=1, mutant=MUTANT_NONATOMIC_ENQ), id="vord-nonatomic-enq"),
+    pytest.param(
+        Config((EnqOp(1), DeqOp(prophecy=NULL), DeqOp(prophecy=5)), capacity=1, loop_bound=2),
+        id="unmatched-prophecies",
+    ),
+    pytest.param(
+        Config((ChoiceOp(((EnqOp(3), GATE_FLAG_DONE), (DeqOp(), None))), DeqOp(prophecy=3),
+                ChoiceOp(((EnqOp(3), None),))), capacity=1, loop_bound=2, flag_tid=1),
+        id="gated-choice",
+    ),
+    pytest.param(
+        Config((DeqOp(prophecy=2), EnqOp(1), EnqOp(1), ChoiceOp(((EnqOp(2), GATE_FLAG_DONE),))),
+               capacity=3, loop_bound=2, flag_tid=1),
+        id="flag-thread-twin",
+    ),
+]
+
+
+@pytest.mark.parametrize("config", HARNESS_CONFIGS)
+def test_harness_trace_counts_match_reference(config):
+    counts, _ = count_schedules(_Kernel(config))
+    assert counts == count_traces(config)
+
+
+def test_null_prophecy_dequeue_hits_the_loop_bound():
+    # a NULL prediction never commits, so the lone dequeue spins, as in hwmodel
+    config = Config((DeqOp(prophecy=NULL),), capacity=1, loop_bound=3)
+    counts, states = count_schedules(_Kernel(config))
+    assert dict(counts) == dict(count_traces(config)) == {"BOUND_HIT": 1}
+    assert len(states) == 4
 
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)

@@ -4,8 +4,8 @@ Three layers:
 
 - histories and the sequential queue specification (`history`,
   `queuespec`): parse/serialize operation histories, enumerate
-  completions, decide legality of sequential behaviors, sequential
-  witnesses, canonical forms;
+  completions, decide legality of sequential behaviors, enumerate the
+  candidate matches of dequeues to enqueues;
 - the aspect checker (`checker`): four independent violation detectors
   that together decide linearizability of complete differentiated
   histories, a witness constructor, and a brute-force oracle;
@@ -16,7 +16,9 @@ Three layers:
   `explorer` replays schedules on the readable model and runs the
   divergence harnesses, whose states it reaches through `sweep`.
 
-`cli.main` wires these into the `qlin` command.
+`cli.main` wires these into the `qlin` command.  The checkers of the
+source paper's reformulation lemmas (sequential witnesses, canonical
+behaviors, coverings) are proof devices and live in `tests/lemmas.py`.
 """
 
 from .history import (
@@ -37,13 +39,7 @@ from .queuespec import (
     REJECT,
     Behavior,
     QueueState,
-    behavior_of,
-    canonicalize,
-    check_sequential_witness,
-    find_sequential_witness,
-    is_canonical,
     is_legal,
-    obs_equiv,
     replay,
 )
 from .checker import (
@@ -56,7 +52,6 @@ from .checker import (
     VOrd,
     VRepet,
     VWit,
-    alt_witness_check,
     brute_force_linearizable,
     check_linearizable,
     check_ordered,
@@ -65,7 +60,6 @@ from .checker import (
     construct_linearization,
     detect_all,
     detect_first,
-    enq_order,
 )
 from .hwmodel import (
     GATE_FLAG_DONE,

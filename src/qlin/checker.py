@@ -21,6 +21,11 @@ handled through their completions.
 ``brute_force_linearizable`` is the independent oracle: it searches for a
 precedence-respecting permutation of some completion that the queue LTS
 accepts, and shares nothing with the pattern scan above.
+
+The source paper's reformulations behind the four patterns (sequential
+witnesses, coverings, the set-pair NULL-dequeue condition, the
+transitive enqueue order) are proof devices, not decision steps; their
+checkers live with the tests, in ``tests/lemmas.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .history import ENQ, INV, NULL, RES, Event, History, Value
-from .queuespec import Behavior, SearchBoundExceeded, candidate_matches, is_legal
+from .queuespec import Behavior, Match, SearchBoundExceeded, candidate_matches, is_legal
 
 DEFAULT_MATCH_BOUND = 10_000
 
@@ -117,10 +122,6 @@ class Verdict:
 
 
 # ---- match mappings ----
-
-# A match maps each dequeue uid to the enqueue uid it takes its value from,
-# or to None for a NULL dequeue.
-Match = dict[int, int | None]
 
 
 def derive_match(c: History) -> Match | None:
@@ -218,39 +219,6 @@ def is_linearization_witness(c: History, match: Match) -> bool:
     return _first_vwit(c, {e: d for d, e in match.items() if e is not None}) is None
 
 
-def alt_witness_check(c: History, match: Match, d_bot: int) -> bool:
-    """Decide the set-pair reformulation of the NULL-dequeue condition.
-
-    Builds the candidate pair constructively: the enqueues that are neither
-    after d_bot nor bad, plus the dequeues consuming them and the NULL
-    dequeues preceding any of those.  Returns whether the pair meets the
-    three requirements (disjoint from After(d_bot), closed under precedence,
-    and squeezing Before(d_bot)'s enqueues into matched territory).
-    """
-    after = c.after_set(d_bot)
-    bad = compute_bad(c, match, d_bot)
-    enq_uids = {e.uid for e in c.events if e.is_enq}
-    e_hat = {e for e in enq_uids if e not in after and e not in bad}
-    d_prime = {d for d, t in match.items() if t is not None and t in e_hat}
-    d_hat = set(d_prime)
-    for d, t in match.items():
-        if t is None and any(c.precedes(d, a) for a in e_hat | d_prime):
-            d_hat.add(d)
-    union = d_hat | e_hat
-    if union & after:
-        return False
-    for a in union:
-        if not c.before_set(a) <= union:
-            return False
-    before_enqs = c.before_set(d_bot) & enq_uids
-    if not before_enqs <= e_hat:
-        return False
-    matched = {match[d] for d in d_hat if match[d] is not None}
-    if not e_hat <= matched:
-        return False
-    return True
-
-
 def _enq_pairs(c: History, match: Match) -> tuple[list[int], set[tuple[int, int]]]:
     """The enqueue uids and the direct ordering pairs the match induces.
 
@@ -281,31 +249,6 @@ def _enq_pairs(c: History, match: Match) -> tuple[list[int], set[tuple[int, int]
             elif any(e1 not in bad and e2 in bad for bad in null_bads):
                 pairs.add((e1, e2))
     return enqs, pairs
-
-
-def enq_order(c: History, match: Match) -> frozenset[tuple[int, int]]:
-    """The transitive enqueue-ordering relation induced by the match: the
-    closure of the ordering pairs of ``_enq_pairs``.  Raises EnqOrderCycle
-    if the closure is not a strict partial order.
-    """
-    enqs, pairs = _enq_pairs(c, match)
-    succ: dict[int, set[int]] = {e: set() for e in enqs}
-    for a, b in pairs:
-        succ[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in enqs:
-            extra = set()
-            for b in succ[a]:
-                extra |= succ[b] - succ[a]
-            if extra:
-                succ[a] |= extra
-                changed = True
-    for a in enqs:
-        if a in succ[a]:
-            raise EnqOrderCycle(f"enqueue {a} ordered before itself")
-    return frozenset((a, b) for a in enqs for b in succ[a])
 
 
 def _total_enq_order(c: History, match: Match) -> dict[int, int]:
@@ -511,11 +454,12 @@ def _first_vwit(c: History, consumer: dict[int, int]) -> VWit | None:
 
     A completed enqueue is alive over the prefix lengths from res(e)+1 up
     to, not including, inv(consumer)+1, and to the end when unconsumed;
-    these are the intervals of ``detect_pwit_covering``.  One sweep over
-    the prefixes keeps the alive enqueues in a min-heap on uid, dropping
-    dead ones lazily, and records the lowest alive uid at every prefix;
-    that uid is the evidence for the prefix, and a NULL dequeue fires when
-    every prefix of its window has one.
+    these are the intervals of ``detect_pwit_covering`` in
+    ``tests/lemmas.py``.  One sweep over the prefixes keeps the alive
+    enqueues in a min-heap on uid, dropping dead ones lazily, and records
+    the lowest alive uid at every prefix; that uid is the evidence for the
+    prefix, and a NULL dequeue fires when every prefix of its window has
+    one.
     """
     nulls = [d for d in c.events if d.is_deq and d.value is NULL]
     if not nulls:
@@ -551,89 +495,6 @@ def detect_first(c: History) -> Violation | None:
 
 def detect_all(c: History) -> list[Violation]:
     return [v for det in _DETECTORS for v in (det(c),) if v is not None]
-
-
-# ---- coverings ----
-
-
-def detect_pwit_covering(c: History, d_bot: int) -> tuple[int, ...] | None:
-    """A covering chain for a NULL dequeue, or None when none exists.
-
-    A covering is a sequence of enqueues whose alive intervals span the
-    dequeue's whole pending window and end in an enqueue that is never
-    dequeued, certifying that the queue was never drainable to empty while
-    the dequeue ran.  Events that start only after the dequeue returns
-    cannot affect emptiness during it and are ignored.
-    """
-    if not c.is_complete:
-        raise ValueError("history must be complete")
-    dev = c.event(d_bot)
-    if not dev.is_deq or dev.value is not NULL:
-        raise ValueError("d_bot must be a NULL dequeue")
-    scope = c.restrict(u for u in c.uids() if not c.precedes(d_bot, u))
-    lo = scope.inv_index(d_bot) + 1
-    hi = scope.res_index(d_bot)
-    # alive interval per completed enqueue: [first prefix with its response,
-    # first prefix with its matching dequeue's invocation)
-    intervals: list[tuple[int, float, int]] = []
-    inf = float("inf")
-    for e in scope.events:
-        if not e.is_enq:
-            continue
-        r = scope.res_index(e.uid)
-        if r is None:
-            continue
-        stop: float = inf
-        for d in scope.events:
-            if d.is_deq and d.value == e.value:
-                stop = min(stop, scope.inv_index(d.uid) + 1)
-        intervals.append((r + 1, stop, e.uid))
-    def alive_at(k: int) -> list[tuple[int, float, int]]:
-        return [iv for iv in intervals if iv[0] <= k < iv[1]]
-    for k in range(lo, hi + 1):
-        if not alive_at(k):
-            return None
-    # greedy chain: start at the window head, always extend with the
-    # longest-lasting enqueue alive at the previous link's last alive point
-    start, stop, uid = max(alive_at(lo), key=lambda iv: iv[1])
-    chain = [uid]
-    while stop is not inf:
-        k = int(stop) - 1
-        nxt = max(alive_at(k), key=lambda iv: iv[1])
-        if nxt[1] <= stop:
-            raise AssertionError("covering chain failed to make progress")
-        start, stop, uid = nxt
-        chain.append(uid)
-    return tuple(chain)
-
-
-def verify_covering(c: History, d_bot: int, chain: tuple[int, ...]) -> bool:
-    """Check the four covering requirements directly against the history."""
-    if not chain:
-        return False
-    scope = c.restrict(u for u in c.uids() if not c.precedes(d_bot, u))
-    deq_of: dict[int, int] = {}
-    for e in scope.events:
-        if e.is_enq:
-            for d in scope.events:
-                if d.is_deq and d.value == e.value:
-                    deq_of[e.uid] = d.uid
-    def alive_after(e: int, prefix_len: int) -> bool:
-        r = scope.res_index(e)
-        if r is None or r >= prefix_len:
-            return False
-        d = deq_of.get(e)
-        return d is None or scope.inv_index(d) >= prefix_len
-    if not alive_after(chain[0], scope.inv_index(d_bot)):
-        return False
-    res_bot = scope.res_index(d_bot)
-    for i in range(1, len(chain)):
-        if not scope.inv_index(chain[i]) < res_bot:
-            return False
-        prev_d = deq_of.get(chain[i - 1])
-        if prev_d is None or not scope.precedes(chain[i], prev_d):
-            return False
-    return chain[-1] not in deq_of
 
 
 # ---- top-level decision ----
@@ -758,25 +619,3 @@ def brute_force_linearizable(c: History, max_actions: int | None = None) -> bool
             f"history has {len(c.actions)} actions; oracle bound is {max_actions}"
         )
     return any(_legal_linearization_exists(comp) for comp in c.completions())
-
-
-def is_linearization_of(s: Behavior, c: History) -> bool:
-    """True when s is a precedence-respecting permutation of some completion
-    of c (uids and values both agree)."""
-    want = {e.uid: (e.method, e.value) for e in s.events}
-    for comp in c.completions():
-        have = {e.uid: (e.method, e.value) for e in comp.events}
-        if have != want:
-            continue
-        ok = True
-        for a in comp.events:
-            for b in comp.events:
-                if a.uid != b.uid and comp.precedes(a.uid, b.uid):
-                    if not s.index(a.uid) < s.index(b.uid):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False

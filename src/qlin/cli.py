@@ -38,10 +38,16 @@ def _fail(message: str) -> int:
 
 
 def _read_history(path: str) -> History:
-    if path == "-":
-        return parse_history(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_history(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        name = "<stdin>" if path == "-" else path
+        raise HistoryError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_history(text)
 
 
 def _behavior_text(witness) -> str:

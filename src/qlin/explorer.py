@@ -35,7 +35,8 @@ from .hwmodel import (
     hw_init,
     successors,
 )
-from .sweep import _Kernel, count_schedules, first_schedule
+from . import sweep
+from .sweep import _Kernel
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def _explore(config: Config, predicates) -> tuple[int, bool, dict]:
     canonical states only; the state count is the sum of their orbits.
     """
     kernel = _Kernel(config)
-    counts, canonical = count_schedules(kernel)
+    counts, canonical = sweep.count_schedules(kernel)
     states = 0
     failing: list[str] = []
     for state in canonical:
@@ -139,7 +140,7 @@ def _explore(config: Config, predicates) -> tuple[int, bool, dict]:
             if name not in failing and not holds(kernel, state):
                 failing.append(name)
     schedules = {
-        name: first_schedule(kernel, lambda s, holds=predicates[name]: not holds(kernel, s))[0]
+        name: sweep.first_schedule(kernel, lambda s, holds=predicates[name]: not holds(kernel, s))[0]
         for name in failing
     }
     return states, counts["BOUND_HIT"] > 0, schedules

@@ -5,20 +5,16 @@ events: enq(x), deq(x), deq(NULL).  The queue itself is a labelled transition
 system whose states are value sequences; a behavior is *legal* when the LTS
 can replay it from the empty queue.
 
-Legality of a behavior is equivalently captured by a *sequential witness*: a
-total mapping from dequeue events to the enqueue events they take their value
-from (bottom for NULL dequeues), subject to six clauses checked by
-``check_sequential_witness``.  Canonical behaviors interleave each enqueue
-immediately with its dequeue; ``canonicalize`` rewrites any behavior with a
-valid witness into an observation-equivalent canonical one.
+A *match* maps each dequeue to the enqueue it takes its value from
+(bottom for NULL dequeues); ``candidate_matches`` enumerates the
+value-respecting ones, which the checker tests one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .history import DEQ, ENQ, NULL, Event, History, HistoryError, Value, deq_inv, deq_res, enq_inv, enq_res
+from .history import NULL, Event, History, HistoryError, Value, deq_inv, deq_res, enq_inv, enq_res
 
 
 class _Reject:
@@ -111,15 +107,6 @@ class Behavior:
         return "Behavior[" + " ".join(parts) + "]"
 
 
-def behavior_of(c: History) -> Behavior:
-    """View a complete sequential history as a behavior."""
-    if not c.is_complete:
-        raise HistoryError("history has pending events")
-    if not c.is_sequential:
-        raise HistoryError("history is not sequential")
-    return Behavior(c.events)
-
-
 def lts_step(q: QueueState, event: Event) -> QueueState | _Reject:
     """One transition of the queue LTS; REJECT when the event is not enabled.
 
@@ -149,78 +136,14 @@ def is_legal(b: Behavior) -> bool:
     return replay(b) is not REJECT
 
 
-# ---- sequential witnesses ----
+# ---- matches ----
 
-# A witness maps each dequeue uid to the uid of the enqueue it consumes,
-# or to None for a NULL dequeue.
-Witness = dict[int, int | None]
-
-_CLAUSES = ("i", "ii", "iii", "iv", "v", "vi")
+# A match maps each dequeue uid to the uid of the enqueue it takes its
+# value from, or to None for a NULL dequeue.
+Match = dict[int, int | None]
 
 
-def check_sequential_witness(b: Behavior, mu: Witness) -> str | None:
-    """Check the six witness clauses; None when all hold, else the first
-    failed clause name among i..vi.
-
-    i   matched pairs agree on the value
-    ii  a dequeue maps to bottom exactly when it returns NULL
-    iii no two dequeues map to the same enqueue
-    iv  an enqueue occurs before the dequeue that consumes it
-    v   enqueues are consumed in order: anything enqueued before a consumed
-        enqueue has itself been consumed by an earlier dequeue
-    vi  a NULL dequeue sees as many enqueues before it as non-NULL dequeues
-    """
-    deqs = b.deq_events()
-    enqs = b.enq_events()
-    by_uid = {e.uid: e for e in b.events}
-    for d in deqs:
-        if d.uid not in mu:
-            raise ValueError(f"witness is not total: dequeue {d.uid} unmapped")
-    # i, ii, iv
-    for d in deqs:
-        target = mu[d.uid]
-        if target is None:
-            if d.value is not NULL:
-                return "ii"
-            continue
-        if d.value is NULL:
-            return "ii"
-        e = by_uid.get(target)
-        if e is None or not e.is_enq:
-            raise ValueError(f"witness maps dequeue {d.uid} to non-enqueue {target}")
-        if e.value != d.value:
-            return "i"
-        if not b.index(e.uid) < b.index(d.uid):
-            return "iv"
-    # iii
-    targets = [t for t in (mu[d.uid] for d in deqs) if t is not None]
-    if len(targets) != len(set(targets)):
-        return "iii"
-    inverse = {t: d.uid for d in deqs if (t := mu[d.uid]) is not None}
-    # v
-    for d in deqs:
-        target = mu[d.uid]
-        if target is None:
-            continue
-        tpos = b.index(target)
-        for e in enqs:
-            if b.index(e.uid) < tpos:
-                pre = inverse.get(e.uid)
-                if pre is None or not b.index(pre) < b.index(d.uid):
-                    return "v"
-    # vi
-    for d in deqs:
-        if mu[d.uid] is not None:
-            continue
-        dpos = b.index(d.uid)
-        n_enq = sum(1 for e in enqs if b.index(e.uid) < dpos)
-        n_deq = sum(1 for d2 in deqs if b.index(d2.uid) < dpos and mu[d2.uid] is not None)
-        if n_enq != n_deq:
-            return "vi"
-    return None
-
-
-def candidate_matches(events: Iterable[Event], bound: int = 10_000) -> Iterator[Witness]:
+def candidate_matches(events: Iterable[Event], bound: int = 10_000) -> Iterator[Match]:
     """Every value-respecting injective match of the dequeues among
     ``events`` to its enqueues, NULL dequeues to bottom.
 
@@ -230,7 +153,7 @@ def candidate_matches(events: Iterable[Event], bound: int = 10_000) -> Iterator[
     """
     events = tuple(events)
     deqs = [d for d in events if d.is_deq and d.value is not NULL]
-    acc: Witness = {d.uid: None for d in events if d.is_deq and d.value is NULL}
+    acc: Match = {d.uid: None for d in events if d.is_deq and d.value is NULL}
     by_value: dict[Value, list[int]] = {}
     for e in events:
         if e.is_enq:
@@ -263,82 +186,3 @@ def candidate_matches(events: Iterable[Event], bound: int = 10_000) -> Iterator[
             return
 
 
-def find_sequential_witness(b: Behavior, max_candidates: int = 10_000) -> Witness | None:
-    """Search for a valid sequential witness; None when none exists.
-
-    When every value is enqueued at most once the single value-respecting
-    candidate is forced.  With duplicate values all value-respecting
-    injections are tried, capped at ``max_candidates`` full mappings
-    (SearchBoundExceeded beyond that).
-    """
-    for mu in candidate_matches(b.events, max_candidates):
-        if check_sequential_witness(b, mu) is None:
-            return mu
-    return None
-
-
-# ---- canonical behaviors ----
-
-
-def is_canonical(b: Behavior) -> bool:
-    """Membership in: ((deq NULL)* enq(x) deq(x))* (deq NULL)* (enq(x))*."""
-    evs = b.events
-    n = len(evs)
-    i = 0
-    while True:
-        j = i
-        while j < n and evs[j].is_deq and evs[j].value is NULL:
-            j += 1
-        if (
-            j + 1 < n
-            and evs[j].is_enq
-            and evs[j + 1].is_deq
-            and evs[j + 1].value == evs[j].value
-        ):
-            i = j + 2
-            continue
-        break
-    while i < n and evs[i].is_deq and evs[i].value is NULL:
-        i += 1
-    while i < n and evs[i].is_enq:
-        i += 1
-    return i == n
-
-
-def obs_equiv(b1: Behavior, b2: Behavior) -> bool:
-    """Equal enqueue-value and dequeue-value projections."""
-    return b1.enq_values() == b2.enq_values() and b1.deq_values() == b2.deq_values()
-
-
-def canonicalize(b: Behavior, mu: Witness) -> Behavior:
-    """Rewrite a behavior with a valid witness into canonical form.
-
-    Walks the dequeues in order: a NULL dequeue is emitted where it stands,
-    a value dequeue is emitted immediately after its matched enqueue (which
-    the witness clauses force to be the earliest remaining enqueue).  The
-    result is canonical, observation-equivalent, legal, and keeps every
-    deq(NULL) at its original position.
-    """
-    failed = check_sequential_witness(b, mu)
-    if failed is not None:
-        raise ValueError(f"witness violates clause {failed}")
-    remaining = list(b.events)
-    out: list[Event] = []
-    while remaining:
-        d = next((e for e in remaining if e.is_deq), None)
-        if d is None:
-            out.extend(remaining)
-            break
-        if d.value is NULL:
-            out.append(d)
-            remaining.remove(d)
-            continue
-        target = mu[d.uid]
-        first_enq = next(e for e in remaining if e.is_enq)
-        if first_enq.uid != target:
-            raise AssertionError("witness does not map the first dequeue to the first enqueue")
-        out.append(first_enq)
-        out.append(d)
-        remaining.remove(first_enq)
-        remaining.remove(d)
-    return Behavior(out)

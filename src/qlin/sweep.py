@@ -43,8 +43,8 @@ The sweep produces
 One collection loop serves two modes.  The exact mode keeps emission
 order (every action closes its run) and returns every distinct history.
 The quotient mode sorts each maximal run of same-kind actions (adjacent
-invocations, adjacent responses) and, when enabled, renames enqueue
-values by invocation rank.  Permuting adjacent same-kind actions and
+invocations, adjacent responses) and renames enqueue values by
+invocation rank.  Permuting adjacent same-kind actions and
 renaming operations or values are isomorphisms of histories: they
 preserve methods, matching values and the precedes relation, hence
 every checker and oracle verdict.  The quotient therefore covers the
@@ -598,38 +598,6 @@ class _Kernel:
                 raise RuntimeError("token sequence is not realizable")
 
 
-def canonicalize_tokens(kernel: _Kernel, tokens, *, value_sym: bool = True) -> tuple:
-    """Representative of a token sequence under the quotient's moves:
-    group members renamed by invocation rank, dequeued value indices
-    remapped through the enqueuer renaming, then each maximal run of
-    same-kind tokens sorted.  Used by the quotient validation tests."""
-    groups = kernel.emit_groups(value_sym)
-    rename: dict[int, int] = {}
-    pools = {tids: list(tids) for tids in groups}
-    for token in tokens:
-        if _is_inv(token):
-            tid = token[1]
-            for tids, pool in pools.items():
-                if tid in tids:
-                    rename[tid] = pool.pop(0)
-                    break
-    # renaming an enqueuer renames the value it contributes
-    vmap = {0: 0}
-    for t in range(kernel.n):
-        if kernel.is_enq[t]:
-            vmap[kernel.enq_vbits[t]] = kernel.enq_vbits[rename.get(t, t)]
-    renamed = [(k, rename.get(t, t), vmap[v]) for k, t, v in tokens]
-    out: list = []
-    run: list = []
-    for token in renamed:
-        if run and _is_inv(run[0]) != _is_inv(token):
-            out.extend(sorted(run))
-            run = []
-        run.append(token)
-    out.extend(sorted(run))
-    return tuple(out)
-
-
 def first_schedule(kernel: _Kernel, stop):
     """The first raw state, in breadth-first order, that satisfies stop,
     with the schedule that reaches it: (schedule, state), or None when
@@ -725,21 +693,20 @@ def purity_scan(kernel: _Kernel, states):
     return outcomes, bad
 
 
-def collect_histories(kernel: _Kernel, *, quotient: bool, value_sym: bool = True):
+def collect_histories(kernel: _Kernel, *, quotient: bool):
     """All distinct complete token sequences.
 
     A node is (state, closed runs, open run), where a run is a maximal
     stretch of invocations or of responses: closed run chains are
     interned and open runs are kept in a table.  In quotient mode each
     run is sorted, so sequences that differ only in the order within
-    runs share a node;
-    with value_sym the enqueuers are additionally gated to invoke in
-    value order, which renames values by invocation rank.  In exact mode
+    runs share a node, and the enqueuers are gated to invoke in value
+    order, which renames values by invocation rank.  In exact mode
     every token closes its run, so a node keeps the emission order.
     Node keys are packed into single integers to keep the visited set
     compact.
     """
-    gate_groups = kernel.emit_groups(quotient and value_sym)
+    gate_groups = kernel.emit_groups(quotient)
 
     # closed run chains: id -> (parent id, run)
     seq_next: dict = {}

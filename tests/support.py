@@ -20,6 +20,13 @@ breadth-first walk over every dataclass state.  The packed kernel in
 ``qlin.sweep`` is the product's engine; these walk the dataclass states
 instead and are what the kernel's trace counts, history sets,
 violations, purity verdicts and harness reports are compared against.
+``canonicalize_tokens`` maps a token sequence to its representative
+under the history quotient, the reference the quotient collection is
+checked against.
+
+The checkers of the source paper's reformulation lemmas are not
+references for product code; they live in ``lemmas.py``, and
+``enq_order`` from there is what the reference total order ranks by.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from qlin.checker import (
     check_ordered,
     check_safe,
     compute_bad,
-    enq_order,
     is_linearization_witness,
 )
 from qlin.explorer import (
@@ -73,6 +79,9 @@ from qlin.hwmodel import (
     successors,
 )
 from qlin.queuespec import Behavior, is_legal
+from qlin.sweep import _is_inv, _Kernel
+
+from lemmas import enq_order
 
 ENQ, DEQ = "enq", "deq"
 
@@ -839,6 +848,43 @@ def check_configuration(config: Config, *, oracle: bool = False) -> ConfigReport
         oracle_checked=oracle_checked,
         oracle_disagreements=oracle_disagreements,
     )
+
+
+# ---- the quotient's representative token sequence ----
+
+
+def canonicalize_tokens(kernel: _Kernel, tokens) -> tuple:
+    """Representative of a token sequence under the quotient's moves:
+    group members renamed by invocation rank, dequeued value indices
+    remapped through the enqueuer renaming, then each maximal run of
+    same-kind tokens sorted.  The quotient tests check that the
+    quotient collection is exactly the image of the exact one under
+    this map."""
+    groups = kernel.emit_groups(True)
+    rename: dict[int, int] = {}
+    pools = {tids: list(tids) for tids in groups}
+    for token in tokens:
+        if _is_inv(token):
+            tid = token[1]
+            for tids, pool in pools.items():
+                if tid in tids:
+                    rename[tid] = pool.pop(0)
+                    break
+    # renaming an enqueuer renames the value it contributes
+    vmap = {0: 0}
+    for t in range(kernel.n):
+        if kernel.is_enq[t]:
+            vmap[kernel.enq_vbits[t]] = kernel.enq_vbits[rename.get(t, t)]
+    renamed = [(k, rename.get(t, t), vmap[v]) for k, t, v in tokens]
+    out: list = []
+    run: list = []
+    for token in renamed:
+        if run and _is_inv(run[0]) != _is_inv(token):
+            out.extend(sorted(run))
+            run = []
+        run.append(token)
+    out.extend(sorted(run))
+    return tuple(out)
 
 
 # ---- reference purity sweep ----

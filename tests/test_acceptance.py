@@ -17,18 +17,14 @@ from contextlib import contextmanager
 from qlin.checker import (
     EnqOrderCycle,
     LINEARIZABLE,
-    alt_witness_check,
     brute_force_linearizable,
     check_linearizable,
     check_ordered,
     check_safe,
     compute_bad,
     derive_match,
-    detect_pwit_covering,
     detect_vrepet,
     detect_vwit,
-    enq_order,
-    verify_covering,
 )
 from qlin.cli import generate_history
 from qlin.explorer import (
@@ -47,16 +43,20 @@ from qlin.hwmodel import (
     MUTANT_NONATOMIC_ENQ,
     MUTANT_SKIP_SLOT_ZERO,
 )
-from qlin.queuespec import (
-    behavior_of,
-    canonicalize,
-    find_sequential_witness,
-    is_canonical,
-    is_legal,
-    obs_equiv,
-)
+from qlin.queuespec import is_legal
 from qlin.sweep import sweep_config
 
+from lemmas import (
+    alt_witness_check,
+    behavior_of,
+    canonicalize,
+    detect_pwit_covering,
+    enq_order,
+    find_sequential_witness,
+    is_canonical,
+    obs_equiv,
+    verify_covering,
+)
 from support import (
     behavior_seqs,
     brute_covering_exists,

@@ -23,7 +23,6 @@ from qlin.checker import (
     VRepet,
     VWit,
     _total_enq_order,
-    alt_witness_check,
     brute_force_linearizable,
     candidate_matches,
     check_linearizable,
@@ -34,15 +33,11 @@ from qlin.checker import (
     derive_match,
     detect_all,
     detect_first,
-    detect_pwit_covering,
     detect_vfresh,
     detect_vord,
     detect_vrepet,
     detect_vwit,
-    enq_order,
-    is_linearization_of,
     is_linearization_witness,
-    verify_covering,
 )
 from qlin.history import (
     NULL,
@@ -55,6 +50,13 @@ from qlin.history import (
 )
 from qlin.queuespec import SearchBoundExceeded
 
+from lemmas import (
+    alt_witness_check,
+    detect_pwit_covering,
+    enq_order,
+    is_linearization_of,
+    verify_covering,
+)
 from support import (
     atomic_queue_history,
     brute_alt_witness,

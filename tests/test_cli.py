@@ -114,6 +114,27 @@ def test_check_missing_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+BAD_UTF8 = b"inv 0 enq 1\n\xff\n"
+
+
+@pytest.mark.parametrize("cmd", ["check", "oracle"])
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path, cmd):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(BAD_UTF8)
+    code, out, err = run(capsys, [cmd, str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte 12)\n"
+
+
+@pytest.mark.parametrize("cmd", ["check", "oracle"])
+def test_non_utf8_stdin_is_an_input_error(capsys, monkeypatch, cmd):
+    stdin = io.TextIOWrapper(io.BytesIO(BAD_UTF8), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, [cmd, "-"])
+    assert (code, out) == (2, "")
+    assert err == "error: <stdin>: not UTF-8 text (invalid start byte at byte 12)\n"
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -31,6 +31,7 @@ from qlin.hwmodel import (
     MUTANT_SKIP_SLOT_ZERO,
 )
 
+from qlin import sweep
 from qlin.sweep import _Kernel, count_schedules
 
 from support import (
@@ -407,6 +408,22 @@ def test_orbit_sum_equals_unreduced_state_count(kind, params):
     _, raw = count_schedules(kernel)
     assert len(raw) == orbit_sum
     assert all(kernel.orbit_size(s) == 1 for s in raw)
+
+
+def test_harness_counts_through_the_sweep_module(monkeypatch):
+    # the harnesses look the count walk up on qlin.sweep at call time, so
+    # a wrapper installed there, as the benchmark's per-layer trace does,
+    # sees every call
+    real = sweep.count_schedules
+    calls = []
+
+    def counting(kernel):
+        calls.append(kernel)
+        return real(kernel)
+
+    monkeypatch.setattr(sweep, "count_schedules", counting)
+    assert divergence_check_vrepet().passed
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

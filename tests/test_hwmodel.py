@@ -25,8 +25,7 @@ from qlin.hwmodel import (
     hw_init,
     successors,
 )
-from qlin.queuespec import obs_equiv
-
+from lemmas import obs_equiv
 from support import enabled_threads, enumerate_traces, hw_step, purely_blocking_check
 
 
@@ -348,8 +347,8 @@ def test_textbook_history_linearizes_in_enqueue_order():
     c = induce_history(replay_schedule(SCENARIO, TEXTBOOK))
     v = check_linearizable(c)
     assert v.status == LINEARIZABLE
+    from lemmas import behavior_of
     from support import seq_history
-    from qlin.queuespec import behavior_of
 
     target = behavior_of(
         seq_history([("enq", 1), ("enq", 2), ("deq", 1), ("deq", 2)])

@@ -14,17 +14,19 @@ from qlin.queuespec import (
     REJECT,
     Behavior,
     SearchBoundExceeded,
+    is_legal,
+    lts_step,
+    replay,
+)
+
+from lemmas import (
     behavior_of,
     canonicalize,
     check_sequential_witness,
     find_sequential_witness,
     is_canonical,
-    is_legal,
-    lts_step,
     obs_equiv,
-    replay,
 )
-
 from support import behavior_seqs, seq_history, simple_legal
 
 

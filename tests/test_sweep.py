@@ -28,7 +28,6 @@ from qlin.hwmodel import (
 from qlin.sweep import (
     SweepScopeError,
     _Kernel,
-    canonicalize_tokens,
     collect_histories,
     count_schedules,
     purity_scan,
@@ -37,6 +36,7 @@ from qlin.sweep import (
 
 from support import (
     canonical_form,
+    canonicalize_tokens,
     check_configuration,
     count_traces,
     enumerate_traces,
@@ -189,9 +189,6 @@ def test_quotient_is_canonical_image_of_exact(config):
     exact, _ = collect_histories(kernel, quotient=False)
     quot, _ = collect_histories(kernel, quotient=True)
     assert {canonicalize_tokens(kernel, t) for t in exact} == quot
-    # and without value renaming, against the value-keeping collection
-    quot_v, _ = collect_histories(kernel, quotient=True, value_sym=False)
-    assert {canonicalize_tokens(kernel, t, value_sym=False) for t in exact} == quot_v
 
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
@@ -236,15 +233,6 @@ def test_canonicalize_tokens_is_idempotent():
     for t in exact:
         c = canonicalize_tokens(kernel, t)
         assert canonicalize_tokens(kernel, c) == c
-
-
-def test_value_renaming_shrinks_classes():
-    kernel = _Kernel(plain_config(2, 1))
-    exact, _ = collect_histories(kernel, quotient=False)
-    keep_values = {canonicalize_tokens(kernel, t, value_sym=False) for t in exact}
-    rename = {canonicalize_tokens(kernel, t) for t in exact}
-    assert len(keep_values) == 20
-    assert len(rename) == 12
 
 
 # ---------------------------------------------------------------------------

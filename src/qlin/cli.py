@@ -202,16 +202,13 @@ def cmd_divergence(args) -> int:
         return _fail(str(exc))
     if args.format == "lines":
         print(report.summary())
-        if report.counterexample is not None:
-            for line in report.counterexample.to_lines():
-                print(f"  {line}")
     else:
         outcome = "pass" if report.passed else "FAIL"
         print(f"{report.name} {report.params}: {outcome} "
               f"({report.states} states explored)")
-        if report.counterexample is not None:
-            for line in report.counterexample.to_lines():
-                print(f"  {line}")
+    if report.counterexample is not None:
+        for line in report.counterexample.to_lines():
+            print(f"  {line}")
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 

@@ -115,12 +115,6 @@ class DivergenceReport:
         return " ".join(parts)
 
 
-def _other_values(*taken: int) -> tuple[int, int]:
-    # small fixed palette for the "any other value" choices
-    pool = [x for x in (8, 9, 7, 6) if x not in taken]
-    return pool[0], pool[1]
-
-
 def _explore(config: Config, predicates) -> tuple[int, bool, dict]:
     """Reachable states, whether a run stops at the loop bound, and a
     schedule to a failing state for each failing predicate.
@@ -151,37 +145,43 @@ def _counterexample(config: Config, schedule: tuple[str, ...], note: str) -> Cou
     return Counterexample(schedule, induce_history(trace), note)
 
 
-def vrepet_config(v: int = 7, m: int = 2, k: int = 0, *,
+# the harness values: the duplicated value of vrepet, and the older and
+# the newer value of vord; the choice menus use 8 and 9 for "any other"
+VREPET_V = 7
+VORD_V1, VORD_V2 = 1, 2
+
+
+def vrepet_config(m: int = 2, k: int = 0, *,
                   loop_bound: int = 3, mutant: str = MUTANT_NONE) -> Config:
-    """One enq(v), m prophecy-instrumented deq(v), k choice threads whose
-    menus enqueue or dequeue values other than v."""
+    """One enq(7), m prophecy-instrumented deq(7), and k choice threads
+    whose menus enqueue or dequeue 8 or 9, values other than 7."""
     if m < 2:
         raise ValueError("m must be at least 2")
     if k < 0:
         raise ValueError("k must be non-negative")
-    a, b = _other_values(v)
     menu = (
-        (EnqOp(a), None),
-        (EnqOp(b), None),
-        (DeqOp(prophecy=a), None),
-        (DeqOp(prophecy=b), None),
+        (EnqOp(8), None),
+        (EnqOp(9), None),
+        (DeqOp(prophecy=8), None),
+        (DeqOp(prophecy=9), None),
     )
-    threads = (EnqOp(v),) + (DeqOp(prophecy=v),) * m + (ChoiceOp(menu),) * k
+    threads = (EnqOp(VREPET_V),) + (DeqOp(prophecy=VREPET_V),) * m + (ChoiceOp(menu),) * k
     return Config(threads=threads, capacity=1 + k, loop_bound=loop_bound, mutant=mutant)
 
 
-def divergence_check_vrepet(v: int = 7, m: int = 2, k: int = 0, *,
+def divergence_check_vrepet(m: int = 2, k: int = 0, *,
                             loop_bound: int = 3,
                             mutant: str = MUTANT_NONE) -> DivergenceReport:
     """Explore the duplicate-return program and require that at most one
-    of the deq(v) threads ever finishes with a value.
+    of the deq(7) threads ever finishes with a value.
 
-    The single enq(v) can feed one dequeue; a second finisher means the
+    The single enq(7) can feed one dequeue; a second finisher means the
     same element came out twice.  Checked at every reachable state; a
     finished thread stays finished, so this subsumes the per-endpoint
     phrasing.
     """
-    config = vrepet_config(v, m, k, loop_bound=loop_bound, mutant=mutant)
+    v = VREPET_V
+    config = vrepet_config(m, k, loop_bound=loop_bound, mutant=mutant)
     watched = DeqOp(prophecy=v)
 
     def at_most_one(kernel: _Kernel, state: int) -> bool:
@@ -209,28 +209,26 @@ def divergence_check_vrepet(v: int = 7, m: int = 2, k: int = 0, *,
     )
 
 
-def vord_config(k: int = 0, *, v1: int = 1, v2: int = 2,
+def vord_config(k: int = 0, *,
                 loop_bound: int = 3, mutant: str = MUTANT_NONE) -> Config:
-    """deq(v2) against enq(v1) plus k choice threads.
+    """deq(2) against enq(1) plus k choice threads.
 
-    The choice menu may enqueue v2 only after the enq(v1) thread is done,
-    may enqueue anything else freely, and may dequeue anything except v1.
-    Keeping v1 out of the dequeue menu is what forces v1 to stay in the
-    queue ahead of any v2.
+    The choice menu may enqueue 2 only after the enq(1) thread is done,
+    may enqueue 1, 8 or 9 freely, and may dequeue 2, 8 or 9 but not 1.
+    Keeping 1 out of the dequeue menu is what forces 1 to stay in the
+    queue ahead of any 2.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if v1 == v2:
-        raise ValueError("v1 and v2 must differ")
-    a, b = _other_values(v1, v2)
+    v1, v2 = VORD_V1, VORD_V2
     menu = (
         (EnqOp(v2), GATE_FLAG_DONE),
         (EnqOp(v1), None),
-        (EnqOp(a), None),
-        (EnqOp(b), None),
+        (EnqOp(8), None),
+        (EnqOp(9), None),
         (DeqOp(prophecy=v2), None),
-        (DeqOp(prophecy=a), None),
-        (DeqOp(prophecy=b), None),
+        (DeqOp(prophecy=8), None),
+        (DeqOp(prophecy=9), None),
     )
     threads = (DeqOp(prophecy=v2), EnqOp(v1)) + (ChoiceOp(menu),) * k
     return Config(
@@ -239,19 +237,20 @@ def vord_config(k: int = 0, *, v1: int = 1, v2: int = 2,
     )
 
 
-def divergence_check_vord(k: int = 0, *, v1: int = 1, v2: int = 2,
+def divergence_check_vord(k: int = 0, *,
                           loop_bound: int = 3,
                           mutant: str = MUTANT_NONE) -> DivergenceReport:
-    """Explore the ordering program and require that the deq(v2) thread
+    """Explore the ordering program and require that the deq(2) thread
     never finishes.
 
-    Every enqueue of v2 is forced to start after enq(v1) completed, and
-    nothing may dequeue v1, so a finishing deq(v2) would have overtaken an
+    Every enqueue of 2 is forced to start after enq(1) completed, and
+    nothing may dequeue 1, so a finishing deq(2) would have overtaken an
     older element.  Under the unmutated queue this also checks the slot
-    invariant: once the enq(v1) thread is done, some slot below back holds
-    v1 with no v2 in any earlier slot.
+    invariant: once the enq(1) thread is done, some slot below back holds
+    1 with no 2 in any earlier slot.
     """
-    config = vord_config(k, v1=v1, v2=v2, loop_bound=loop_bound, mutant=mutant)
+    v1, v2 = VORD_V1, VORD_V2
+    config = vord_config(k, loop_bound=loop_bound, mutant=mutant)
 
     predicates = {"main-deq-blocked": lambda kernel, state: not kernel.done(state, 0)}
     check_invariant = mutant == MUTANT_NONE

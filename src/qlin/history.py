@@ -15,6 +15,13 @@ The text format, one action per line:
     res <uid> deq <int|null>
 
 ``#`` starts a comment, blank lines are ignored.
+
+Each well-formedness rule is stated once: ``Action`` checks one action
+alone (kind, method, a non-negative uid, the payload), ``History`` how
+the actions fit together (one invocation and at most one response per
+uid, in that order, on one method), and ``parse_history`` only what
+needs the text, reporting the other two layers' errors at the line of
+the action they reject.
 """
 
 from __future__ import annotations
@@ -63,7 +70,12 @@ DEQ = "deq"
 
 
 class HistoryError(ValueError):
-    """Raised for malformed histories (construction or parsing)."""
+    """Raised for malformed histories (construction or parsing);
+    ``position`` is the index of the action History rejected, if any."""
+
+    def __init__(self, reason: str, position: int | None = None):
+        super().__init__(reason)
+        self.position = position
 
 
 class HistoryParseError(HistoryError):
@@ -95,11 +107,13 @@ class Action:
             raise HistoryError(f"uid must be a non-negative int, got {self.uid!r}")
         if self.kind == INV and self.method == ENQ:
             if not isinstance(self.payload, int) or self.payload < 0:
-                raise HistoryError("enq invocation needs a non-negative int payload")
+                raise HistoryError("enq invocation needs a non-negative int payload, "
+                                   f"got {self.payload!r}")
         elif self.kind == RES and self.method == DEQ:
             ok = self.payload is NULL or (isinstance(self.payload, int) and self.payload >= 0)
             if not ok:
-                raise HistoryError("deq response needs an int or NULL payload")
+                raise HistoryError("deq response needs a non-negative int or NULL payload, "
+                                   f"got {self.payload!r}")
         elif self.payload is not None:
             raise HistoryError(f"{self.kind} {self.method} carries no payload")
 
@@ -164,28 +178,28 @@ class History:
         acts = tuple(actions)
         inv_pos: dict[int, int] = {}
         res_pos: dict[int, int] = {}
-        method: dict[int, str] = {}
         for pos, a in enumerate(acts):
             if a.kind == INV:
                 if a.uid in inv_pos:
-                    raise HistoryError(f"uid {a.uid} invoked twice")
+                    raise HistoryError(f"uid {a.uid} invoked twice", pos)
                 inv_pos[a.uid] = pos
-                method[a.uid] = a.method
             else:
                 if a.uid not in inv_pos:
-                    raise HistoryError(f"uid {a.uid} responds before invocation")
+                    raise HistoryError(f"uid {a.uid} responds before invocation", pos)
                 if a.uid in res_pos:
-                    raise HistoryError(f"uid {a.uid} responds twice")
-                if method[a.uid] != a.method:
-                    raise HistoryError(f"uid {a.uid} method mismatch")
+                    raise HistoryError(f"uid {a.uid} responds twice", pos)
+                invoked = acts[inv_pos[a.uid]].method
+                if invoked != a.method:
+                    raise HistoryError(f"uid {a.uid} method mismatch: invoked as "
+                                       f"{invoked}, responds as {a.method}", pos)
                 res_pos[a.uid] = pos
         object.__setattr__(self, "actions", acts)
         object.__setattr__(self, "_inv_pos", inv_pos)
         object.__setattr__(self, "_res_pos", res_pos)
         events = []
         uid_event: dict[int, Event] = {}
-        for uid in sorted(inv_pos, key=inv_pos.get):
-            inv = acts[inv_pos[uid]]
+        for uid, pos in inv_pos.items():  # filled in invocation order
+            inv = acts[pos]
             pending = uid not in res_pos
             if inv.method == ENQ:
                 value: Value | None = inv.payload
@@ -344,12 +358,15 @@ class History:
 def parse_history(text: str) -> History:
     """Parse the line format into a History.
 
-    Raises HistoryParseError carrying the 1-based line number and a reason
-    for the first offending line.
+    Raises HistoryParseError carrying the 1-based line number and a
+    reason.  The parser rejects what only the text shows (a wrong token
+    count, an unknown kind or method, a uid or value that is not an
+    integer, ``null`` as an enqueue value) at the first such line.  A
+    negative uid or value is Action's error and an action out of place
+    is History's, each reported at the line of the action it rejects.
     """
     actions: list[Action] = []
-    invoked: dict[int, str] = {}
-    responded: set[int] = set()
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -366,8 +383,6 @@ def parse_history(text: str) -> History:
             uid = int(uid_tok)
         except ValueError:
             raise HistoryParseError(lineno, f"uid {uid_tok!r} is not an integer") from None
-        if uid < 0:
-            raise HistoryParseError(lineno, f"uid {uid} is negative")
         payload: Value | None = None
         has_payload = kind == INV and method == ENQ or kind == RES and method == DEQ
         if has_payload:
@@ -383,27 +398,17 @@ def parse_history(text: str) -> History:
                     payload = int(val_tok)
                 except ValueError:
                     raise HistoryParseError(lineno, f"value {val_tok!r} is not an integer or null") from None
-                if payload < 0:
-                    raise HistoryParseError(lineno, f"value {payload} is negative")
         elif len(tokens) != 3:
             raise HistoryParseError(lineno, f"{kind} {method} takes no value")
-        if kind == INV:
-            if uid in invoked:
-                raise HistoryParseError(lineno, f"uid {uid} invoked twice")
-            invoked[uid] = method
-        else:
-            if uid not in invoked:
-                raise HistoryParseError(lineno, f"uid {uid} responds before invocation")
-            if uid in responded:
-                raise HistoryParseError(lineno, f"uid {uid} responds twice")
-            if invoked[uid] != method:
-                raise HistoryParseError(lineno, f"uid {uid} invoked as {invoked[uid]}, responds as {method}")
-            responded.add(uid)
         try:
             actions.append(Action(kind, uid, method, payload))
         except HistoryError as exc:
             raise HistoryParseError(lineno, str(exc)) from None
-    return History(actions)
+        linenos.append(lineno)
+    try:
+        return History(actions)
+    except HistoryError as exc:
+        raise HistoryParseError(linenos[exc.position], str(exc)) from None
 
 
 def serialize_history(c: History) -> str:

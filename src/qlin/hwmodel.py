@@ -279,33 +279,22 @@ def successors(config: Config, state: HWState, tid: int) -> list[Succ]:
         out.append(Succ(f"{tid}:D1", _with_frame(state, tid, nf), action))
     elif f.pc == PC_D2:
         held = state.items[f.slot]
-        if f.op.instrumented:
-            v = f.op.prophecy
-            if held == v and v is not NULL:
-                # commit branch: the predicted value is here
-                if config.mutant == MUTANT_NO_SWAP_CLEAR:
-                    items = state.items
-                else:
-                    items = state.items[: f.slot] + (NULL,) + state.items[f.slot + 1 :]
-                nf = replace(f, pc=PC_RET, slot=0, rng=-1, iters=0, result=v)
-                out.append(Succ(f"{tid}:D2A", _with_frame(state, tid, nf, items=items)))
-            if held is NULL:
-                # skip branch: write the NULL back and move on
-                scratch = state.scratch + (1 if config.mutant == MUTANT_DIRTY_SPIN else 0)
-                ns = _with_frame(state, tid, _advance_scan(f), scratch=scratch)
-                out.append(Succ(f"{tid}:D2B", ns))
-            # a slot holding a different value blocks the thread here
-        elif held is NULL:
+        plain = not f.op.instrumented
+        if held is NULL:
+            # an empty slot: move on (a prophecy dequeue's skip branch)
             scratch = state.scratch + (1 if config.mutant == MUTANT_DIRTY_SPIN else 0)
             ns = _with_frame(state, tid, _advance_scan(f), scratch=scratch)
-            out.append(Succ(f"{tid}:D2", ns))
-        else:
+            out.append(Succ(f"{tid}:D2" if plain else f"{tid}:D2B", ns))
+        elif plain or held == f.op.prophecy:
+            # take the value (a prophecy dequeue's commit branch)
             if config.mutant == MUTANT_NO_SWAP_CLEAR:
                 items = state.items
             else:
                 items = state.items[: f.slot] + (NULL,) + state.items[f.slot + 1 :]
             nf = replace(f, pc=PC_RET, slot=0, rng=-1, iters=0, result=held)
-            out.append(Succ(f"{tid}:D2", _with_frame(state, tid, nf, items=items)))
+            label = f"{tid}:D2" if plain else f"{tid}:D2A"
+            out.append(Succ(label, _with_frame(state, tid, nf, items=items)))
+        # a prophecy dequeue facing another value blocks here
     elif f.pc == PC_RET:
         ns = _with_frame(state, tid, replace(f, pc=PC_DONE))
         out.append(Succ(f"{tid}:ret", ns, deq_res(f.uid, f.result)))

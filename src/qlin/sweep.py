@@ -534,16 +534,18 @@ class _Kernel:
                 actions.append(deq_res(uid_of[tid], self.values[val - 1]))
         return History(tuple(actions))
 
-    def find_schedule(self, tokens) -> tuple[str, ...]:
+    def find_schedule(self, tokens) -> tuple[tuple[str, ...], tuple]:
         """One schedule whose emission matches the token sequence up to
-        permutations within maximal same-kind runs.
+        permutations within maximal same-kind runs: (schedule, the
+        tokens it emits, in emission order).
 
         Depth-first over raw successors, consuming tokens out of the
         current run's multiset; memoized on (state, run index, remaining
         run) so failures are not re-explored.  The literal emission
         order is tried first (each run a singleton), so sequences that
         were emitted verbatim replay verbatim; run-permuted sequences
-        from the quotient fall back to multiset matching.
+        from the quotient fall back to multiset matching, which may emit
+        a run in another order.
         """
         try:
             return self._find_schedule([(t,) for t in tokens])
@@ -557,10 +559,10 @@ class _Kernel:
                 runs.append((token,))
         return self._find_schedule(runs)
 
-    def _find_schedule(self, runs: list) -> tuple[str, ...]:
+    def _find_schedule(self, runs: list) -> tuple[tuple[str, ...], tuple]:
         dead: set = set()
         path: list = []  # (key, untried successors) per node on the path
-        labels: list[str] = []  # the step taken out of each node on the path
+        steps: list = []  # (label, token) taken out of each node on the path
         node = (self.init_state(), 0, ())
         while True:
             state, idx, remaining = node
@@ -572,7 +574,8 @@ class _Kernel:
                 if succs:
                     path.append((key, iter(succs)))
                 elif not remaining and idx >= len(runs) and self.classify(state) == "COMPLETE":
-                    return tuple(labels)
+                    return (tuple(label for label, _ in steps),
+                            tuple(token for _, token in steps if token is not None))
                 else:
                     dead.add(key)
             # descend along the next untried successor of the deepest node
@@ -589,7 +592,7 @@ class _Kernel:
                         node = (ns, idx, tuple(rest))
                     else:
                         continue
-                    labels[len(path) - 1:] = [f"{tid}:{instr}"]
+                    steps[len(path) - 1:] = [(f"{tid}:{instr}", token)]
                     break
                 else:
                     dead.add(key)
@@ -809,9 +812,13 @@ def sweep_config(config: Config, *, oracle: bool = False,
             if brute_force_linearizable(c) != (verdict.status == LINEARIZABLE):
                 oracle_disagreements += 1
         if verdict.status != LINEARIZABLE:
-            violations.append(
-                SweepViolation(c, verdict, kernel.find_schedule(tokens))
-            )
+            schedule, emitted = kernel.find_schedule(tokens)
+            if emitted != tokens:
+                # no schedule emits this run order (repeated values);
+                # report the isomorphic history the schedule replays to
+                c = kernel.tokens_to_history(emitted)
+                verdict = check_linearizable(c, build_witness=False)
+            violations.append(SweepViolation(c, verdict, schedule))
 
     return SweepReport(
         config=config,

@@ -49,6 +49,9 @@ from qlin.checker import (
     is_linearization_witness,
 )
 from qlin.explorer import (
+    VORD_V1,
+    VORD_V2,
+    VREPET_V,
     Counterexample,
     DivergenceReport,
     ExecutionTrace,
@@ -71,6 +74,7 @@ from qlin.hwmodel import (
     MUTANT_NONE,
     Config,
     DeqOp,
+    EnqOp,
     HWState,
     Succ,
     _with_frame,
@@ -656,6 +660,14 @@ STATUS_BOUND_HIT = "BOUND_HIT"
 STATUS_STUCK = "STUCK"
 
 
+def plain_config(n_enq, n_deq, *, mutant="none", loop_bound=3, capacity=None):
+    """Enqueuers of 1..n_enq and n_deq plain dequeuers, one slot per
+    enqueuer unless capacity says otherwise."""
+    threads = tuple(EnqOp(i + 1) for i in range(n_enq)) + tuple(DeqOp() for _ in range(n_deq))
+    cap = capacity if capacity is not None else max(1, n_enq)
+    return Config(threads, capacity=cap, loop_bound=loop_bound, mutant=mutant)
+
+
 def _expand(config: Config, state: HWState) -> list:
     out = []
     for tid in range(len(config.threads)):
@@ -1028,11 +1040,12 @@ def _counterexample(config: Config, parents: dict, state: HWState, note: str) ->
     return Counterexample(schedule, induce_history(trace), note)
 
 
-def reference_divergence_vrepet(v: int = 7, m: int = 2, k: int = 0, *,
+def reference_divergence_vrepet(m: int = 2, k: int = 0, *,
                                 loop_bound: int = 3,
                                 mutant: str = MUTANT_NONE) -> DivergenceReport:
     """divergence_check_vrepet over every dataclass state of hwmodel."""
-    config = vrepet_config(v, m, k, loop_bound=loop_bound, mutant=mutant)
+    v = VREPET_V
+    config = vrepet_config(m, k, loop_bound=loop_bound, mutant=mutant)
 
     def terminated(state: HWState) -> int:
         return sum(
@@ -1064,11 +1077,12 @@ def reference_divergence_vrepet(v: int = 7, m: int = 2, k: int = 0, *,
     )
 
 
-def reference_divergence_vord(k: int = 0, *, v1: int = 1, v2: int = 2,
+def reference_divergence_vord(k: int = 0, *,
                               loop_bound: int = 3,
                               mutant: str = MUTANT_NONE) -> DivergenceReport:
     """divergence_check_vord over every dataclass state of hwmodel."""
-    config = vord_config(k, v1=v1, v2=v2, loop_bound=loop_bound, mutant=mutant)
+    v1, v2 = VORD_V1, VORD_V2
+    config = vord_config(k, loop_bound=loop_bound, mutant=mutant)
 
     predicates = {"main-deq-blocked": lambda s: not s.frames[0].done}
     check_invariant = mutant == MUTANT_NONE

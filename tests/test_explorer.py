@@ -39,16 +39,11 @@ from support import (
     check_configuration,
     count_traces,
     enumerate_traces,
+    plain_config,
     purity_sweep,
     reference_divergence_vord,
     reference_divergence_vrepet,
 )
-
-
-def plain_config(n_enq, n_deq, *, mutant="none", loop_bound=3, capacity=None):
-    threads = tuple(EnqOp(i + 1) for i in range(n_enq)) + tuple(DeqOp() for _ in range(n_deq))
-    cap = capacity if capacity is not None else max(1, n_enq)
-    return Config(threads, capacity=cap, loop_bound=loop_bound, mutant=mutant)
 
 
 ONE_ONE = plain_config(1, 1)
@@ -59,7 +54,7 @@ ONE_ONE = plain_config(1, 1)
 
 
 def test_vrepet_config_shape():
-    c = vrepet_config(v=7, m=2, k=1)
+    c = vrepet_config(m=2, k=1)
     assert isinstance(c.threads[0], EnqOp) and c.threads[0].value == 7
     assert all(isinstance(t, DeqOp) and t.prophecy == 7 for t in c.threads[1:3])
     assert isinstance(c.threads[3], ChoiceOp)
@@ -92,11 +87,6 @@ def test_vord_config_shape():
     assert [op.value for op in gated] == [2]
     # nothing in the menu may dequeue the older value
     assert all(op.prophecy != 1 for op, _ in menu if isinstance(op, DeqOp))
-
-
-def test_vord_config_rejects_equal_values():
-    with pytest.raises(ValueError):
-        vord_config(v1=3, v2=3)
 
 
 def test_vord_config_rejects_negative_k():

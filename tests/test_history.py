@@ -320,6 +320,26 @@ def test_parse_error_carries_line_number():
     assert "responds twice" in exc.value.reason
 
 
+@pytest.mark.parametrize(
+    "text, lineno, reason",
+    [
+        pytest.param("inv 0 enq 1\n\n# again\ninv 0 deq\n", 4, "uid 0 invoked twice",
+                     id="invoked-twice"),
+        pytest.param("inv 0 enq 1\nres 0 enq\nres 1 deq 5\n", 3,
+                     "uid 1 responds before invocation", id="responds-before-invocation"),
+        pytest.param("inv 0 deq\nres 0 deq null\nres 0 deq 1\n", 3, "uid 0 responds twice",
+                     id="responds-twice"),
+        pytest.param("inv 0 enq 1\ninv 1 deq\nres 1 enq\n", 3,
+                     "uid 1 method mismatch: invoked as deq, responds as enq",
+                     id="method-mismatch"),
+    ],
+)
+def test_structural_parse_errors_carry_their_line(text, lineno, reason):
+    with pytest.raises(HistoryParseError) as exc:
+        parse_history(text)
+    assert (exc.value.lineno, exc.value.reason) == (lineno, reason)
+
+
 def test_parse_method_mismatch_across_lines():
     with pytest.raises(HistoryParseError, match="invoked as enq"):
         parse_history("inv 0 enq 1\nres 0 deq 1\n")

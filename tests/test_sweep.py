@@ -41,14 +41,9 @@ from support import (
     count_traces,
     enumerate_traces,
     isomorphic,
+    plain_config,
     purity_sweep,
 )
-
-
-def plain_config(n_enq, n_deq, *, mutant="none", loop_bound=3, capacity=None):
-    threads = tuple(EnqOp(i + 1) for i in range(n_enq)) + tuple(DeqOp() for _ in range(n_deq))
-    cap = capacity if capacity is not None else max(1, n_enq)
-    return Config(threads, capacity=cap, loop_bound=loop_bound, mutant=mutant)
 
 
 # configs small enough for the reference interpreter: one per mutant,
@@ -369,7 +364,8 @@ def test_find_schedule_replays_every_exact_history():
         kernel = _Kernel(config)
         tokens, _ = collect_histories(kernel, quotient=False)
         for t in sorted(tokens):
-            labels = kernel.find_schedule(t)
+            labels, emitted = kernel.find_schedule(t)
+            assert emitted == t
             again = replay_schedule(config, labels)
             assert again.status == "COMPLETE"
             assert induce_history(again).serialize() == kernel.tokens_to_history(t).serialize()
@@ -388,7 +384,8 @@ def test_find_schedule_run_multiset_fallback():
     assert variant not in tokens
     with pytest.raises(RuntimeError):
         kernel._find_schedule([(t,) for t in variant])
-    labels = kernel.find_schedule(variant)
+    labels, emitted = kernel.find_schedule(variant)
+    assert emitted == orig
     assert labels == (
         "0:E1", "0:E2", "1:E1", "0:ret", "1:E2", "1:ret", "2:D1", "2:D2", "2:ret",
     )
@@ -398,6 +395,20 @@ def test_find_schedule_run_multiset_fallback():
     # class, which is the emission we started from
     assert induce_history(again).serialize() == wanted
     assert isomorphic(induce_history(again), kernel.tokens_to_history(variant))
+
+
+def test_repeated_value_violations_replay_to_their_history():
+    # with two enqueuers of 1 the sorted runs of a representative can be
+    # an order no schedule emits; the reported history is then the one
+    # the schedule emits, so the printed schedule replays to it
+    config = Config((EnqOp(1), EnqOp(1), EnqOp(2), DeqOp()), capacity=3,
+                    loop_bound=2, mutant=MUTANT_SKIP_SLOT_ZERO)
+    r = sweep_config(config, quotient=True)
+    assert (r.distinct_complete, len(r.violations)) == (133, 31)
+    for v in r.violations:
+        again = replay_schedule(config, v.schedule)
+        assert again.status == "COMPLETE"
+        assert induce_history(again).serialize() == v.history.serialize()
 
 
 def test_find_schedule_rejects_unrealizable_tokens():

@@ -18,6 +18,11 @@ VOrd and VWit read through the match, which gives every enqueue a consumer
 from the match instead of from its value.  Incomplete histories are
 handled through their completions.
 
+Each aspect is checked once per witness.  ``construct_linearization``
+trusts the checks its caller has just made and guards only its output:
+what it returns is a legal, precedence-respecting linearization, and a
+match that is not a witness ends in ``ValueError``.
+
 ``brute_force_linearizable`` is the independent oracle: it searches for a
 precedence-respecting permutation of some completion that the queue LTS
 accepts, and shares nothing with the pattern scan above.
@@ -45,7 +50,7 @@ VIOLATION = "VIOLATION"
 INDETERMINATE = "INDETERMINATE"
 
 
-class EnqOrderCycle(RuntimeError):
+class EnqOrderCycle(ValueError):
     """The derived enqueue order contains a cycle; the supplied match is not
     a linearization witness (or there is an internal inconsistency)."""
 
@@ -133,32 +138,12 @@ def derive_match(c: History) -> Match | None:
     return next(candidate_matches(c.events), None)
 
 
-def check_safe(c: History, match: Match) -> str | None:
-    """The three safety clauses; None when all hold, else the first failed
-    one of: value-agreement, null-iff-bottom, injective."""
-    by_uid = {e.uid: e for e in c.events}
-    for d in c.events:
-        if not d.is_deq:
-            continue
-        target = match[d.uid]
-        if target is not None and by_uid[target].value != d.value:
-            return "value-agreement"
-    for d in c.events:
-        if not d.is_deq:
-            continue
-        if (match[d.uid] is None) != (d.value is NULL):
-            return "null-iff-bottom"
-    targets = [t for t in match.values() if t is not None]
-    if len(targets) != len(set(targets)):
-        return "injective"
-    return None
-
-
 def check_ordered(c: History, match: Match) -> str | None:
     """The two ordering clauses; None when both hold.
 
-    Assumes the match already passed check_safe.  no-future-take: a
-    dequeue must not strictly precede the enqueue it takes its value from.
+    The match is a candidate match (value-respecting, null-iff-bottom and
+    injective by construction).  no-future-take: a dequeue must not
+    strictly precede the enqueue it takes its value from.
     fifo: when an enqueue precedes the enqueue consumed by d2, that earlier
     enqueue is itself consumed, by a dequeue that d2 does not strictly
     precede.  The fifo clause is VOrd read through the match: the scan of
@@ -206,15 +191,16 @@ def compute_bad(c: History, match: Match, d_bot: int) -> frozenset[int]:
 def is_linearization_witness(c: History, match: Match) -> bool:
     """True when no NULL dequeue has a bad enqueue among its predecessors.
 
-    Assumes the match already passed check_safe and check_ordered.  The
-    condition is VWit read through the match: each enqueue is alive until
-    its consumer is invoked, and forever when the match leaves it
-    unconsumed.  Relabelling every enqueue with its uid as value and every
-    dequeue with the uid it is matched to gives a differentiated history
-    with the same precedes whose value-derived match is this one.  There
-    the clauses already checked rule out VFresh, VRepet and VOrd, so the
-    relabelled history is linearizable exactly when it has no VWit, and
-    exactly when this match, its only one, meets the bad-set condition.
+    The match is a candidate match (value-respecting, null-iff-bottom and
+    injective by construction) that passed check_ordered.  The condition
+    is VWit read through the match: each enqueue is alive until its
+    consumer is invoked, and forever when the match leaves it unconsumed.
+    Relabelling every enqueue with its uid as value and every dequeue with
+    the uid it is matched to gives a differentiated history with the same
+    precedes whose value-derived match is this one.  There the clauses
+    already checked rule out VFresh, VRepet and VOrd, so the relabelled
+    history is linearizable exactly when it has no VWit, and exactly when
+    this match, its only one, meets the bad-set condition.
     """
     return _first_vwit(c, {e: d for d, e in match.items() if e is not None}) is None
 
@@ -285,8 +271,18 @@ def _total_enq_order(c: History, match: Match) -> dict[int, int]:
 
 
 def construct_linearization(c: History, match: Match) -> Behavior:
-    """Build a legal linearization of a complete history from a match that
-    passed the safety, ordering and NULL-dequeue checks.
+    """Build a legal linearization of a complete history from a witness
+    match: a candidate match that passed check_ordered and
+    is_linearization_witness.
+
+    The caller makes those checks; they are not repeated here.  Only the
+    output is checked: the peel picks only precedence-maximal events and
+    the result must be legal, so anything returned is a legal,
+    precedence-respecting linearization of c.  A match that is not a
+    witness raises ValueError (the peel finds no maximal event to pick,
+    the enqueue order has a cycle, or the result is not legal), or
+    harmlessly yields a linearization of c.  An incomplete c raises
+    ValueError too.
 
     The enqueue order is extended once to a total order; events are then
     peeled off the end.  At each stage a precedence-maximal event is chosen
@@ -319,12 +315,6 @@ def construct_linearization(c: History, match: Match) -> Behavior:
     """
     if not c.is_complete:
         raise ValueError("history must be complete")
-    if (clause := check_safe(c, match)) is not None:
-        raise ValueError(f"match is not safe: {clause}")
-    if (clause := check_ordered(c, match)) is not None:
-        raise ValueError(f"match is not ordered: {clause}")
-    if not is_linearization_witness(c, match):
-        raise ValueError("match fails the NULL-dequeue condition")
     events = c.events  # in invocation order
     by_uid = {e.uid: e for e in events}
     inv_at = [pos for pos, a in enumerate(c.actions) if a.kind == INV]
@@ -367,12 +357,12 @@ def construct_linearization(c: History, match: Match) -> Behavior:
             consumed.remove(by_rank[top_consumed])
             unconsumed += 1
         else:
-            raise AssertionError("no maximal event; match was not a witness")
+            raise ValueError("no maximal event; match is not a witness")
         out_rev.append(by_uid[chosen])
         removed.add(chosen)
     witness = Behavior(reversed(out_rev))
     if not is_legal(witness):
-        raise AssertionError("constructed linearization is not legal")
+        raise ValueError("constructed linearization is not legal; match is not a witness")
     return witness
 
 
@@ -500,14 +490,16 @@ def detect_all(c: History) -> list[Violation]:
 # ---- top-level decision ----
 
 
-def _check_complete(c: History, match_bound: int, build_witness: bool) -> Verdict:
+def _check_complete(c: History, build_witness: bool) -> Verdict:
     differentiated = c.is_differentiated
     if differentiated and (violation := detect_first(c)) is not None:
         return Verdict(VIOLATION, violation=violation)
     try:
         # a differentiated history has one candidate, which the detectors
-        # have just cleared
-        for match in candidate_matches(c.events, match_bound):
+        # have just cleared; any other candidate is cleared by the two
+        # match checks.  Either clearance is the witness's only
+        # precondition: construct_linearization does not check it again.
+        for match in candidate_matches(c.events, DEFAULT_MATCH_BOUND):
             if differentiated or (
                 check_ordered(c, match) is None and is_linearization_witness(c, match)
             ):
@@ -521,12 +513,7 @@ def _check_complete(c: History, match_bound: int, build_witness: bool) -> Verdic
     return Verdict(VIOLATION, reason="no candidate match satisfies the conditions")
 
 
-def check_linearizable(
-    c: History,
-    *,
-    match_bound: int = DEFAULT_MATCH_BOUND,
-    build_witness: bool = True,
-) -> Verdict:
+def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
     """Decide linearizability of a history.
 
     Complete histories are decided directly; incomplete ones are
@@ -534,14 +521,14 @@ def check_linearizable(
     linearization (unless build_witness is off) or violation evidence from
     the drop-all-pending completion.  INDETERMINATE is only possible for
     histories with duplicate enqueue values whose candidate-match search
-    exceeds match_bound.
+    exceeds DEFAULT_MATCH_BOUND.
     """
     if c.is_complete:
-        return _check_complete(c, match_bound, build_witness)
+        return _check_complete(c, build_witness)
     first_violation: Verdict | None = None
     saw_indeterminate = False
     for comp in c.completions():
-        v = _check_complete(comp, match_bound, build_witness)
+        v = _check_complete(comp, build_witness)
         if v.status == LINEARIZABLE:
             return v
         if v.status == INDETERMINATE:

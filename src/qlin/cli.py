@@ -126,7 +126,12 @@ def _build_config(args):
     if args.enq < 0 or args.deq < 0:
         raise ValueError("need --enq >= 0 and --deq >= 0")
     if args.values is not None:
-        values = [int(tok) for tok in args.values.split(",") if tok.strip()]
+        values = []
+        for tok in filter(str.strip, args.values.split(",")):
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError(f"--values entry {tok.strip()!r} is not an integer") from None
         if len(values) != args.enq:
             raise ValueError(f"--values needs exactly {args.enq} entries")
     else:

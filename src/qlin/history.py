@@ -227,9 +227,6 @@ class History:
         except KeyError:
             raise HistoryError(f"uid {uid} not invoked in this history") from None
 
-    def uids(self) -> tuple[int, ...]:
-        return tuple(e.uid for e in self._events)
-
     def inv_index(self, uid: int) -> int:
         self.event(uid)
         return self._inv_pos[uid]
@@ -248,12 +245,6 @@ class History:
         vals = [e.value for e in self._events if e.is_enq]
         return len(vals) == len(set(vals))
 
-    def enq_events(self) -> tuple[Event, ...]:
-        return tuple(e for e in self._events if e.is_enq)
-
-    def deq_events(self) -> tuple[Event, ...]:
-        return tuple(e for e in self._events if e.is_deq)
-
     def enq_values(self) -> tuple[int, ...]:
         return tuple(e.value for e in self._events if e.is_enq)
 
@@ -269,18 +260,6 @@ class History:
         self.event(a)
         self.event(b)
         return False
-
-    def before_set(self, a: int) -> frozenset[int]:
-        """Uids of events that precede a."""
-        ia = self.inv_index(a)
-        return frozenset(u for u, r in self._res_pos.items() if r < ia)
-
-    def after_set(self, a: int) -> frozenset[int]:
-        """Uids of events that a precedes."""
-        ra = self.res_index(a)
-        if ra is None:
-            return frozenset()
-        return frozenset(u for u, i in self._inv_pos.items() if i > ra)
 
     # ---- sub-histories and completions ----
 
@@ -316,26 +295,6 @@ class History:
             dropped = {e.uid for e, a in zip(pending, choice) if a is None}
             kept = [a for a in self.actions if a.uid not in dropped]
             yield History(kept + [a for a in choice if a is not None])
-
-    # ---- sequential form ----
-
-    @property
-    def is_sequential(self) -> bool:
-        """Every invocation is immediately followed by its response; at most
-        the final action may be a lone invocation."""
-        acts = self.actions
-        i = 0
-        n = len(acts)
-        while i < n:
-            if acts[i].kind != INV:
-                return False
-            if i + 1 == n:
-                return True
-            nxt = acts[i + 1]
-            if nxt.kind != RES or nxt.uid != acts[i].uid:
-                return False
-            i += 2
-        return True
 
     # ---- plumbing ----
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .history import NULL, Event, History, HistoryError, Value, deq_inv, deq_res, enq_inv, enq_res
+from .history import NULL, Event, HistoryError, Value
 
 
 class _Reject:
@@ -45,48 +45,26 @@ class SearchBoundExceeded(RuntimeError):
 class Behavior:
     """A finite sequence of completed events with pairwise-distinct uids."""
 
-    __slots__ = ("events", "_index")
+    __slots__ = ("events",)
 
     def __init__(self, events: Iterable[Event] = ()):
         evs = tuple(events)
-        index: dict[int, int] = {}
-        for pos, e in enumerate(evs):
+        seen: set[int] = set()
+        for e in evs:
             if e.pending:
                 raise HistoryError(f"uid {e.uid} is pending; behaviors are complete")
-            if e.uid in index:
+            if e.uid in seen:
                 raise HistoryError(f"duplicate uid {e.uid} in behavior")
             if e.is_enq and not isinstance(e.value, int):
                 raise HistoryError(f"enqueue {e.uid} must carry an int")
-            index[e.uid] = pos
+            seen.add(e.uid)
         object.__setattr__(self, "events", evs)
-        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Behavior is immutable")
 
-    def index(self, uid: int) -> int:
-        return self._index[uid]
-
-    def enq_events(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.is_enq)
-
-    def deq_events(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.is_deq)
-
     def enq_values(self) -> tuple[Value, ...]:
         return tuple(e.value for e in self.events if e.is_enq)
-
-    def deq_values(self) -> tuple[Value, ...]:
-        return tuple(e.value for e in self.events if e.is_deq)
-
-    def to_history(self) -> History:
-        acts = []
-        for e in self.events:
-            if e.is_enq:
-                acts += [enq_inv(e.uid, e.value), enq_res(e.uid)]
-            else:
-                acts += [deq_inv(e.uid), deq_res(e.uid, e.value)]
-        return History(acts)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -18,13 +18,86 @@ definition it replaces:
   the form VWit is derived from;
 - linearizations: a behavior is a linearization of a history when it
   permutes some completion and respects precedence.
+
+The views of histories and behaviors that only these checkers and the
+tests read (uids, per-method events, precedence sets, positions, the
+sequential form) come first, as plain functions.
 """
 
 from __future__ import annotations
 
 from qlin.checker import EnqOrderCycle, _enq_pairs, compute_bad
-from qlin.history import NULL, Event, History, HistoryError
+from qlin.history import INV, NULL, RES, Event, History, HistoryError, deq_inv, deq_res, enq_inv, enq_res
 from qlin.queuespec import Behavior, Match, candidate_matches
+
+
+# ---- views of histories and behaviors ----
+
+
+def uids(c: History) -> tuple[int, ...]:
+    """Uids in invocation order."""
+    return tuple(e.uid for e in c.events)
+
+
+def enq_events(h: History | Behavior) -> tuple[Event, ...]:
+    return tuple(e for e in h.events if e.is_enq)
+
+
+def deq_events(h: History | Behavior) -> tuple[Event, ...]:
+    return tuple(e for e in h.events if e.is_deq)
+
+
+def deq_values(h: History | Behavior) -> tuple:
+    return tuple(e.value for e in h.events if e.is_deq)
+
+
+def before_set(c: History, a: int) -> frozenset[int]:
+    """Uids of events that precede a."""
+    ia = c.inv_index(a)
+    return frozenset(e.uid for e in c.events
+                     if (r := c.res_index(e.uid)) is not None and r < ia)
+
+
+def after_set(c: History, a: int) -> frozenset[int]:
+    """Uids of events that a precedes."""
+    ra = c.res_index(a)
+    if ra is None:
+        return frozenset()
+    return frozenset(e.uid for e in c.events if c.inv_index(e.uid) > ra)
+
+
+def is_sequential(c: History) -> bool:
+    """Every invocation is immediately followed by its response; at most
+    the final action may be a lone invocation."""
+    acts = c.actions
+    i = 0
+    n = len(acts)
+    while i < n:
+        if acts[i].kind != INV:
+            return False
+        if i + 1 == n:
+            return True
+        nxt = acts[i + 1]
+        if nxt.kind != RES or nxt.uid != acts[i].uid:
+            return False
+        i += 2
+    return True
+
+
+def positions(b: Behavior) -> dict[int, int]:
+    """uid -> position in b."""
+    return {e.uid: pos for pos, e in enumerate(b.events)}
+
+
+def to_history(b: Behavior) -> History:
+    """The sequential history that performs b's events in order."""
+    acts = []
+    for e in b.events:
+        if e.is_enq:
+            acts += [enq_inv(e.uid, e.value), enq_res(e.uid)]
+        else:
+            acts += [deq_inv(e.uid), deq_res(e.uid, e.value)]
+    return History(acts)
 
 
 # ---- sequential witnesses ----
@@ -34,7 +107,7 @@ def behavior_of(c: History) -> Behavior:
     """View a complete sequential history as a behavior."""
     if not c.is_complete:
         raise HistoryError("history has pending events")
-    if not c.is_sequential:
+    if not is_sequential(c):
         raise HistoryError("history is not sequential")
     return Behavior(c.events)
 
@@ -51,8 +124,9 @@ def check_sequential_witness(b: Behavior, mu: Match) -> str | None:
         enqueue has itself been consumed by an earlier dequeue
     vi  a NULL dequeue sees as many enqueues before it as non-NULL dequeues
     """
-    deqs = b.deq_events()
-    enqs = b.enq_events()
+    deqs = deq_events(b)
+    enqs = enq_events(b)
+    pos = positions(b)
     by_uid = {e.uid: e for e in b.events}
     for d in deqs:
         if d.uid not in mu:
@@ -71,7 +145,7 @@ def check_sequential_witness(b: Behavior, mu: Match) -> str | None:
             raise ValueError(f"witness maps dequeue {d.uid} to non-enqueue {target}")
         if e.value != d.value:
             return "i"
-        if not b.index(e.uid) < b.index(d.uid):
+        if not pos[e.uid] < pos[d.uid]:
             return "iv"
     # iii
     targets = [t for t in (mu[d.uid] for d in deqs) if t is not None]
@@ -83,19 +157,19 @@ def check_sequential_witness(b: Behavior, mu: Match) -> str | None:
         target = mu[d.uid]
         if target is None:
             continue
-        tpos = b.index(target)
+        tpos = pos[target]
         for e in enqs:
-            if b.index(e.uid) < tpos:
+            if pos[e.uid] < tpos:
                 pre = inverse.get(e.uid)
-                if pre is None or not b.index(pre) < b.index(d.uid):
+                if pre is None or not pos[pre] < pos[d.uid]:
                     return "v"
     # vi
     for d in deqs:
         if mu[d.uid] is not None:
             continue
-        dpos = b.index(d.uid)
-        n_enq = sum(1 for e in enqs if b.index(e.uid) < dpos)
-        n_deq = sum(1 for d2 in deqs if b.index(d2.uid) < dpos and mu[d2.uid] is not None)
+        dpos = pos[d.uid]
+        n_enq = sum(1 for e in enqs if pos[e.uid] < dpos)
+        n_deq = sum(1 for d2 in deqs if pos[d2.uid] < dpos and mu[d2.uid] is not None)
         if n_enq != n_deq:
             return "vi"
     return None
@@ -145,7 +219,7 @@ def is_canonical(b: Behavior) -> bool:
 
 def obs_equiv(b1: Behavior, b2: Behavior) -> bool:
     """Equal enqueue-value and dequeue-value projections."""
-    return b1.enq_values() == b2.enq_values() and b1.deq_values() == b2.deq_values()
+    return b1.enq_values() == b2.enq_values() and deq_values(b1) == deq_values(b2)
 
 
 def canonicalize(b: Behavior, mu: Match) -> Behavior:
@@ -194,7 +268,7 @@ def alt_witness_check(c: History, match: Match, d_bot: int) -> bool:
     three requirements (disjoint from After(d_bot), closed under precedence,
     and squeezing Before(d_bot)'s enqueues into matched territory).
     """
-    after = c.after_set(d_bot)
+    after = after_set(c, d_bot)
     bad = compute_bad(c, match, d_bot)
     enq_uids = {e.uid for e in c.events if e.is_enq}
     e_hat = {e for e in enq_uids if e not in after and e not in bad}
@@ -207,9 +281,9 @@ def alt_witness_check(c: History, match: Match, d_bot: int) -> bool:
     if union & after:
         return False
     for a in union:
-        if not c.before_set(a) <= union:
+        if not before_set(c, a) <= union:
             return False
-    before_enqs = c.before_set(d_bot) & enq_uids
+    before_enqs = before_set(c, d_bot) & enq_uids
     if not before_enqs <= e_hat:
         return False
     matched = {match[d] for d in d_hat if match[d] is not None}
@@ -263,7 +337,7 @@ def detect_pwit_covering(c: History, d_bot: int) -> tuple[int, ...] | None:
     dev = c.event(d_bot)
     if not dev.is_deq or dev.value is not NULL:
         raise ValueError("d_bot must be a NULL dequeue")
-    scope = c.restrict(u for u in c.uids() if not c.precedes(d_bot, u))
+    scope = c.restrict(u for u in uids(c) if not c.precedes(d_bot, u))
     lo = scope.inv_index(d_bot) + 1
     hi = scope.res_index(d_bot)
     # alive interval per completed enqueue: [first prefix with its response,
@@ -304,7 +378,7 @@ def verify_covering(c: History, d_bot: int, chain: tuple[int, ...]) -> bool:
     """Check the four covering requirements directly against the history."""
     if not chain:
         return False
-    scope = c.restrict(u for u in c.uids() if not c.precedes(d_bot, u))
+    scope = c.restrict(u for u in uids(c) if not c.precedes(d_bot, u))
     deq_of: dict[int, int] = {}
     for e in scope.events:
         if e.is_enq:
@@ -336,6 +410,7 @@ def is_linearization_of(s: Behavior, c: History) -> bool:
     """True when s is a precedence-respecting permutation of some completion
     of c (uids and values both agree)."""
     want = {e.uid: (e.method, e.value) for e in s.events}
+    pos = positions(s)
     for comp in c.completions():
         have = {e.uid: (e.method, e.value) for e in comp.events}
         if have != want:
@@ -344,7 +419,7 @@ def is_linearization_of(s: Behavior, c: History) -> bool:
         for a in comp.events:
             for b in comp.events:
                 if a.uid != b.uid and comp.precedes(a.uid, b.uid):
-                    if not s.index(a.uid) < s.index(b.uid):
+                    if not pos[a.uid] < pos[b.uid]:
                         ok = False
                         break
             if not ok:

@@ -10,7 +10,9 @@ The checker's witness construction and VWit detector are kept here in
 their rescanning form, the reference for the product's sweeps, next to
 a seeded atomic-queue generator of long histories to compare them on.
 The fifo clause and VOrd are kept in their separate pair-scanning
-forms, the reference for the one scan the checker reads both through.
+forms, the reference for the one scan the checker reads both through,
+next to ``check_safe``, the safety clauses that candidate matches meet
+by construction.
 
 The last sections are the reference exploration of queue-machine
 configurations on the readable model in ``qlin.hwmodel``: trace
@@ -44,7 +46,6 @@ from qlin.checker import (
     brute_force_linearizable,
     check_linearizable,
     check_ordered,
-    check_safe,
     compute_bad,
     is_linearization_witness,
 )
@@ -85,7 +86,7 @@ from qlin.hwmodel import (
 from qlin.queuespec import Behavior, is_legal
 from qlin.sweep import _is_inv, _Kernel
 
-from lemmas import enq_order
+from lemmas import after_set, enq_order, uids
 
 ENQ, DEQ = "enq", "deq"
 
@@ -299,14 +300,14 @@ def brute_alt_witness(c: History, events_in_order) -> bool:
     """The alternative witness condition, checked literally: the given
     order is legal and every prefix of it is closed downward under the
     precedes relation of c."""
-    uids = [e.uid for e in events_in_order]
-    if sorted(uids) != sorted(c.uids()):
+    order = [e.uid for e in events_in_order]
+    if sorted(order) != sorted(uids(c)):
         return False
     if not simple_legal([(e.method, e.value) for e in events_in_order]):
         return False
     placed: set[int] = set()
     for e in events_in_order:
-        for other in c.uids():
+        for other in uids(c):
             if c.precedes(other, e.uid) and other not in placed:
                 return False
         placed.add(e.uid)
@@ -315,16 +316,16 @@ def brute_alt_witness(c: History, events_in_order) -> bool:
 
 def brute_respects_order(c: History, events_in_order) -> bool:
     """Permutation legality plus pairwise real-time order preservation."""
-    uids = [e.uid for e in events_in_order]
-    if sorted(uids) != sorted(c.uids()):
+    order = [e.uid for e in events_in_order]
+    if sorted(order) != sorted(uids(c)):
         return False
     if not simple_legal([(e.method, e.value) for e in events_in_order]):
         return False
-    pos = {uid: i for i, uid in enumerate(uids)}
+    pos = {uid: i for i, uid in enumerate(order)}
     return all(
         pos[a] < pos[b]
-        for a in c.uids()
-        for b in c.uids()
+        for a in uids(c)
+        for b in uids(c)
         if c.precedes(a, b)
     )
 
@@ -335,7 +336,7 @@ def brute_covering_exists(c: History, d_bot: int) -> bool:
     before the dequeue returns and ordered before the previous link's
     dequeue, tail never dequeued.  Events after the dequeue are out of
     scope."""
-    scope = c.restrict(u for u in c.uids() if not c.precedes(d_bot, u))
+    scope = c.restrict(u for u in uids(c) if not c.precedes(d_bot, u))
     enqs = [e.uid for e in scope.events if e.is_enq]
     deq_of = {}
     for e in scope.events:
@@ -376,7 +377,7 @@ def brute_covering_exists(c: History, d_bot: int) -> bool:
 def pwit_prime(c: History, d_bot: int) -> bool:
     """Alternative phrasing of the NULL-return justification: some prefix
     inside the dequeue's pending window has no alive completed enqueue."""
-    scope = c.restrict(u for u in c.uids() if not c.precedes(d_bot, u))
+    scope = c.restrict(u for u in uids(c) if not c.precedes(d_bot, u))
     lo = scope.inv_index(d_bot) + 1
     hi = scope.res_index(d_bot)
     for k in range(lo, hi + 1):
@@ -469,7 +470,7 @@ def reference_construct_linearization(c: History, match: Match) -> Behavior:
         deq_picks: list[int] = []
         enq_picks: list[int] = []
         for uid in remaining:
-            if sub.after_set(uid):
+            if after_set(sub, uid):
                 continue
             ev = by_uid[uid]
             if ev.is_enq:
@@ -534,12 +535,35 @@ def reference_detect_vwit(c: History) -> VWit | None:
     return None
 
 
-# ---- the ordering clauses, the pair-scanning way ------------------------------
+# ---- the match clauses, the pair-scanning way --------------------------------
 #
+# ``check_safe`` states the three safety clauses that every candidate
+# match meets by construction, so the product never checks them.
 # ``check_ordered`` and ``detect_vord`` as two separate scans, the fifo
 # clause over the match and VOrd over the dequeued values.  The product
 # runs one VOrd scan for both, reading the consumer of each enqueue from
 # the match or from the values.
+
+
+def check_safe(c: History, match: Match) -> str | None:
+    """The three safety clauses; None when all hold, else the first failed
+    one of: value-agreement, null-iff-bottom, injective."""
+    by_uid = {e.uid: e for e in c.events}
+    for d in c.events:
+        if not d.is_deq:
+            continue
+        target = match[d.uid]
+        if target is not None and by_uid[target].value != d.value:
+            return "value-agreement"
+    for d in c.events:
+        if not d.is_deq:
+            continue
+        if (match[d.uid] is None) != (d.value is NULL):
+            return "null-iff-bottom"
+    targets = [t for t in match.values() if t is not None]
+    if len(targets) != len(set(targets)):
+        return "injective"
+    return None
 
 
 def reference_check_ordered(c: History, match: Match) -> str | None:

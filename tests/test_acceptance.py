@@ -20,7 +20,6 @@ from qlin.checker import (
     brute_force_linearizable,
     check_linearizable,
     check_ordered,
-    check_safe,
     compute_bad,
     derive_match,
     detect_vrepet,
@@ -48,6 +47,7 @@ from qlin.sweep import sweep_config
 
 from lemmas import (
     alt_witness_check,
+    before_set,
     behavior_of,
     canonicalize,
     detect_pwit_covering,
@@ -61,6 +61,7 @@ from support import (
     behavior_seqs,
     brute_covering_exists,
     canonical_histories,
+    check_safe,
     enumerate_traces,
     purely_blocking_check,
     purity_sweep,
@@ -163,7 +164,7 @@ def test_criterion_03_reformulation_lemmas_hold_across_the_instance_set():
             if m is not None and check_safe(c, m) is None and check_ordered(c, m) is None:
                 matched += 1
                 for d in nulls:
-                    direct = not (compute_bad(c, m, d) & c.before_set(d))
+                    direct = not (compute_bad(c, m, d) & before_set(c, d))
                     if alt_witness_check(c, m, d) != direct:
                         alt_bad += 1
                 try:

@@ -8,10 +8,12 @@ enqueues and 3 dequeues.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlin import checker
 from qlin.checker import (
     INDETERMINATE,
     LINEARIZABLE,
@@ -27,7 +29,6 @@ from qlin.checker import (
     candidate_matches,
     check_linearizable,
     check_ordered,
-    check_safe,
     compute_bad,
     construct_linearization,
     derive_match,
@@ -48,13 +49,15 @@ from qlin.history import (
     enq_res,
     parse_history,
 )
-from qlin.queuespec import SearchBoundExceeded
+from qlin.queuespec import SearchBoundExceeded, is_legal
 
 from lemmas import (
     alt_witness_check,
+    before_set,
     detect_pwit_covering,
     enq_order,
     is_linearization_of,
+    uids,
     verify_covering,
 )
 from support import (
@@ -63,6 +66,7 @@ from support import (
     brute_covering_exists,
     brute_respects_order,
     canonical_histories,
+    check_safe,
     isomorphic,
     pwit_prime,
     reference_check_ordered,
@@ -283,7 +287,7 @@ def test_witness_formulations_agree_exhaustively():
             if target is not None:
                 continue
             seen_null += 1
-            direct = not (compute_bad(c, match, d) & c.before_set(d))
+            direct = not (compute_bad(c, match, d) & before_set(c, d))
             assert alt_witness_check(c, match, d) == direct, c.serialize()
     assert seen_null > 300
 
@@ -394,9 +398,9 @@ def test_total_enq_order_cycle_detected():
 
 def test_construct_linearization_validates_match():
     c = h("inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq null")
-    with pytest.raises(ValueError, match="NULL-dequeue"):
+    with pytest.raises(ValueError, match="no maximal event"):
         construct_linearization(c, {1: None})
-    with pytest.raises(ValueError, match="not safe"):
+    with pytest.raises(ValueError, match="no maximal event"):
         construct_linearization(
             h("inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq 1"), {1: None}
         )
@@ -411,6 +415,25 @@ def test_construct_linearization_small_example():
     assert [(e.method, e.value) for e in w] == [
         ("enq", 1), ("deq", 1), ("deq", NULL),
     ]
+
+
+@pytest.mark.parametrize("text", [
+    # differentiated: the detectors clear the one candidate
+    "inv 0 enq 1\ninv 1 deq\nres 0 enq\nres 1 deq 1\ninv 2 deq\nres 2 deq null",
+    # duplicate values: the first candidate passes the match checks
+    "inv 0 enq 5\nres 0 enq\ninv 1 enq 5\nres 1 enq\n"
+    "inv 2 deq\nres 2 deq 5\ninv 3 deq\nres 3 deq 5\ninv 4 deq\nres 4 deq null",
+], ids=["differentiated", "duplicate-values"])
+def test_each_aspect_is_checked_once_per_witness(monkeypatch, text):
+    calls = Counter()
+    for name in ("_first_vord", "_first_vwit"):
+        def counting(*args, _name=name, _scan=getattr(checker, name)):
+            calls[_name] += 1
+            return _scan(*args)
+        monkeypatch.setattr(checker, name, counting)
+    v = check_linearizable(h(text))
+    assert v.status == LINEARIZABLE and v.witness is not None
+    assert calls == {"_first_vord": 1, "_first_vwit": 1}
 
 
 # ---- the sweeps against the rescanning reference ----
@@ -457,6 +480,41 @@ def test_sweeps_match_reference_on_canonical_histories(ne, nd):
                 assert_witness_matches_reference(dup, match)
 
 
+def test_construct_linearization_guards_its_output():
+    """Every total match of every canonical history up to 4 events,
+    unmerged and with value 2 merged into 1: a witness match gives the
+    reference's witness, and any other match either raises ValueError or
+    gives a legal linearization of the history."""
+    outcomes = Counter()
+    for ne, nd in itertools.product(range(5), repeat=2):
+        if not 0 < ne + nd <= 4:
+            continue
+        for base in canonical_histories(ne, nd):
+            for mapping in ({}, {2: 1}):
+                c = with_values_merged(base, mapping)
+                deqs = [d.uid for d in c.events if d.is_deq]
+                targets = [e.uid for e in c.events if e.is_enq] + [None]
+                for choice in itertools.product(targets, repeat=len(deqs)):
+                    match = dict(zip(deqs, choice))
+                    try:
+                        want = reference_construct_linearization(c, match)
+                    except ValueError:
+                        want = None
+                    try:
+                        got = construct_linearization(c, match)
+                    except ValueError:
+                        assert want is None, (c.serialize(), match)
+                        outcomes["rejected"] += 1
+                        continue
+                    if want is not None:
+                        assert got == want, (c.serialize(), match)
+                        outcomes["witness"] += 1
+                    else:
+                        assert is_legal(got) and is_linearization_of(got, c), (c.serialize(), match)
+                        outcomes["harmless"] += 1
+    assert outcomes["witness"] and outcomes["rejected"] and outcomes["harmless"]
+
+
 MERGINGS = ({}, {2: 1}, {2: 1, 3: 1}, {3: 2})
 
 
@@ -484,7 +542,7 @@ def test_match_checks_read_the_detectors_exhaustively():
                     assert clause == reference_check_ordered(c, match)
                     if clause is None:
                         bad_free = all(
-                            not (compute_bad(c, match, d) & c.before_set(d))
+                            not (compute_bad(c, match, d) & before_set(c, d))
                             for d, t in match.items() if t is None
                         )
                         assert is_linearization_witness(c, match) == bad_free
@@ -615,9 +673,9 @@ def test_incomplete_violation_reports_drop_all_evidence():
 def test_incomplete_agreement_with_oracle_small():
     # every way of truncating responses from 2+1 canonical instances
     for c in canonical_histories(2, 1):
-        uids = c.uids()
-        for r in range(len(uids) + 1):
-            for drop in itertools.combinations(uids, r):
+        us = uids(c)
+        for r in range(len(us) + 1):
+            for drop in itertools.combinations(us, r):
                 acts = [
                     a for a in c.actions
                     if not (a.kind == "res" and a.uid in drop)
@@ -676,16 +734,17 @@ def test_duplicates_violation_without_pattern_evidence():
     assert not brute_force_linearizable(c)
 
 
-def test_duplicates_indeterminate_on_tiny_bound():
+def test_duplicates_indeterminate_on_tiny_bound(monkeypatch):
     c = h(
         "inv 0 deq\nres 0 deq 5\n"
         "inv 1 enq 5\nres 1 enq\ninv 2 enq 5\nres 2 enq"
     )
-    v = check_linearizable(c, match_bound=1)
-    assert v.status == INDETERMINATE
-    assert "candidate matches" in v.reason
     # with the default bound the same history is decided
     assert check_linearizable(c).status == VIOLATION
+    monkeypatch.setattr(checker, "DEFAULT_MATCH_BOUND", 1)
+    v = check_linearizable(c)
+    assert v.status == INDETERMINATE
+    assert "candidate matches" in v.reason
 
 
 def test_duplicates_agree_with_oracle_exhaustively():
@@ -756,9 +815,9 @@ def test_verdict_is_isomorphism_invariant(data):
     vmap = {v: 10 * p + o for v, (p, o) in zip(values, zip(vperm, voffsets))}
     if len(set(vmap.values())) != len(vmap):
         vmap = {v: 100 + i for i, v in enumerate(values)}
-    uids = list(c.uids())
-    uperm = data.draw(st.permutations(uids))
-    umap = dict(zip(uids, uperm))
+    us = list(uids(c))
+    uperm = data.draw(st.permutations(us))
+    umap = dict(zip(us, uperm))
     mapped = apply_bijection(c, vmap, umap)
     assert isomorphic(c, mapped)
     v1 = check_linearizable(c, build_witness=False)

@@ -272,6 +272,12 @@ def test_explore_values_arity_error(capsys):
     assert err == "error: --values needs exactly 2 entries\n"
 
 
+def test_explore_values_entry_not_an_integer(capsys):
+    code, _, err = run(capsys, ["explore", "--enq", "2", "--deq", "1", "--values", "1,x"])
+    assert code == 2
+    assert err == "error: --values entry 'x' is not an integer\n"
+
+
 def test_explore_dirty_spin_purity_fails(capsys):
     argv = ["explore", "--enq", "1", "--deq", "1", "--mutant", "dirty_spin"]
     code, out, _ = run(capsys, argv)

@@ -19,6 +19,7 @@ from qlin.history import (
     serialize_history,
 )
 
+from lemmas import after_set, before_set, deq_events, enq_events, is_sequential, uids
 from support import raw_histories
 
 
@@ -115,7 +116,7 @@ def test_unknown_uid_lookups_raise():
 def test_events_are_in_invocation_order():
     c = History([deq_inv(5), enq_inv(2, 9), deq_res(5, NULL), enq_res(2)])
     assert [e.uid for e in c.events] == [5, 2]
-    assert c.uids() == (5, 2)
+    assert uids(c) == (5, 2)
     assert c.event(5).is_deq and c.event(5).value is NULL
     assert c.event(2).is_enq and c.event(2).value == 9
 
@@ -136,8 +137,8 @@ def test_differentiated_flag():
 
 def test_enq_deq_event_partition():
     c = History([enq_inv(0, 1), deq_inv(1), enq_res(0), deq_res(1, 1)])
-    assert [e.uid for e in c.enq_events()] == [0]
-    assert [e.uid for e in c.deq_events()] == [1]
+    assert [e.uid for e in enq_events(c)] == [0]
+    assert [e.uid for e in deq_events(c)] == [1]
     assert c.enq_values() == (1,)
 
 
@@ -157,15 +158,15 @@ def test_precedes_on_disjoint_intervals():
     c = seq_pair()
     assert c.precedes(0, 1)
     assert not c.precedes(1, 0)
-    assert c.before_set(1) == {0}
-    assert c.after_set(0) == {1}
+    assert before_set(c, 1) == {0}
+    assert after_set(c, 0) == {1}
 
 
 def test_overlapping_events_unordered():
     c = overlap_pair()
     assert not c.precedes(0, 1)
     assert not c.precedes(1, 0)
-    assert c.before_set(0) == c.before_set(1) == frozenset()
+    assert before_set(c, 0) == before_set(c, 1) == frozenset()
 
 
 def test_precedes_rejects_unknown_uids():
@@ -178,12 +179,12 @@ def test_precedes_rejects_unknown_uids():
 def test_pending_event_precedes_nothing():
     c = History([enq_inv(0, 1), deq_inv(1), deq_res(1, NULL)])
     assert not c.precedes(0, 1)
-    assert c.after_set(0) == frozenset()
+    assert after_set(c, 0) == frozenset()
 
 
 def test_precedes_is_irreflexive_and_transitive():
     for c in raw_histories(2, 1):
-        us = c.uids()
+        us = uids(c)
         for a in us:
             assert not c.precedes(a, a)
             for b in us:
@@ -195,7 +196,7 @@ def test_precedes_is_irreflexive_and_transitive():
 def test_interval_order_no_crossing():
     # precedence from interval containment: a<b and c<d implies a<d or c<b
     for c in raw_histories(2, 1):
-        us = c.uids()
+        us = uids(c)
         for a in us:
             for b in us:
                 if not c.precedes(a, b):
@@ -220,7 +221,7 @@ def test_remove_pending():
     c = History([enq_inv(0, 1), enq_res(0), deq_inv(1)])
     r = c.remove_pending()
     assert r.is_complete
-    assert r.uids() == (0,)
+    assert uids(r) == (0,)
 
 
 def test_completions_first_is_drop_all():
@@ -235,7 +236,7 @@ def test_completions_first_is_drop_all():
 def test_completions_value_candidates_default():
     c = History([enq_inv(0, 3), enq_res(0), deq_inv(1)])
     results = {
-        h.event(1).value for h in c.completions() if 1 in h.uids()
+        h.event(1).value for h in c.completions() if 1 in uids(h)
     }
     assert results == {3, NULL}
 
@@ -255,12 +256,12 @@ def test_completion_count_formula():
 
 
 def test_is_sequential():
-    assert History(()).is_sequential
-    assert seq_pair().is_sequential
-    assert not overlap_pair().is_sequential
+    assert is_sequential(History(()))
+    assert is_sequential(seq_pair())
+    assert not is_sequential(overlap_pair())
     # trailing lone invocation is allowed
-    assert History([enq_inv(0, 1), enq_res(0), deq_inv(1)]).is_sequential
-    assert not History([deq_inv(1), enq_inv(0, 1), enq_res(0)]).is_sequential
+    assert is_sequential(History([enq_inv(0, 1), enq_res(0), deq_inv(1)]))
+    assert not is_sequential(History([deq_inv(1), enq_inv(0, 1), enq_res(0)]))
 
 
 # ---- text format ----
@@ -386,23 +387,23 @@ def test_completions_are_complete_and_prefix_preserving(c):
     for comp in c.completions():
         assert comp.is_complete
         # completing never reorders what already happened
-        kept = [a for a in c.actions if a.uid in set(comp.uids())]
+        kept = [a for a in c.actions if a.uid in set(uids(comp))]
         assert list(comp.actions[: len(kept)]) == kept
         # completed events keep their original invocation positions relative
         # to each other, so precedence between old events is unchanged
-        for a in comp.uids():
-            for b in comp.uids():
+        for a in uids(comp):
+            for b in uids(comp):
                 if c.res_index(a) is not None and c.precedes(a, b):
                     assert comp.precedes(a, b)
 
 
 @given(histories())
 def test_restrict_preserves_precedence(c):
-    us = c.uids()
+    us = uids(c)
     if len(us) < 2:
         return
     keep = us[: len(us) // 2 + 1]
     r = c.restrict(keep)
-    for a in r.uids():
-        for b in r.uids():
+    for a in uids(r):
+        for b in uids(r):
             assert r.precedes(a, b) == c.precedes(a, b)

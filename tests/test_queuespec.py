@@ -23,9 +23,11 @@ from lemmas import (
     behavior_of,
     canonicalize,
     check_sequential_witness,
+    deq_values,
     find_sequential_witness,
     is_canonical,
     obs_equiv,
+    to_history,
 )
 from support import behavior_seqs, seq_history, simple_legal
 
@@ -60,9 +62,9 @@ def test_behavior_rejects_null_enqueue():
 
 def test_behavior_round_trips_through_history():
     b = beh(E(1), D(1), D(NULL))
-    assert behavior_of(b.to_history()) == b
+    assert behavior_of(to_history(b)) == b
     assert b.enq_values() == (1,)
-    assert b.deq_values() == (1, NULL)
+    assert deq_values(b) == (1, NULL)
     assert repr(b) == "Behavior[enq^0(1) deq^1(1) deq^2(NULL)]"
 
 

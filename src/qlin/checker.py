@@ -15,8 +15,17 @@ four patterns occurs; in that case a witness linearization is built from
 the value-derived match between dequeues and enqueues.  A history with
 duplicate enqueue arguments has many candidate matches; each is tested by
 VOrd and VWit read through the match, which gives every enqueue a consumer
-from the match instead of from its value.  Incomplete histories are
-handled through their completions.
+from the match instead of from its value.
+
+An incomplete history is linearizable when some completion is, and only
+the completions that no other completion dominates are checked.  Five
+rules, proved in ``check_linearizable``, leave the others out: a pending
+dequeue never returns NULL; no value is returned more often than it is
+enqueued; the pending dequeues kept are the earliest-invoked ones; their
+values are never inverted against the real-time order of their
+enqueues; and a pending enqueue is completed exactly when some dequeue
+returns its value.  ``History.completions``, which keeps every
+completion, serves the oracle alone.
 
 Each aspect is checked once per witness.  ``construct_linearization``
 trusts the checks its caller has just made and guards only its output:
@@ -39,11 +48,13 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
-from .history import ENQ, INV, NULL, RES, Event, History, Value
+from .history import ENQ, INV, NULL, RES, Event, History, Value, deq_res, enq_res
 from .queuespec import Behavior, Match, SearchBoundExceeded, candidate_matches, is_legal
 
 DEFAULT_MATCH_BOUND = 10_000
+DEFAULT_COMPLETION_BOUND = 10_000
 
 LINEARIZABLE = "LINEARIZABLE"
 VIOLATION = "VIOLATION"
@@ -210,8 +221,8 @@ def _enq_pairs(c: History, match: Match) -> tuple[list[int], set[tuple[int, int]
 
     Two enqueues are ordered when one precedes the other; overlapping
     enqueues are ordered by their dequeues (consumed before unconsumed;
-    earlier dequeue first) or by a NULL dequeue that separates them into
-    drainable and undrainable.
+    earlier dequeue first, or a dequeue before the other enqueue) or by a
+    NULL dequeue that separates them into drainable and undrainable.
     """
     enqs = [e.uid for e in c.events if e.is_enq]
     inverse = {e: d for d, e in match.items() if e is not None}
@@ -230,7 +241,7 @@ def _enq_pairs(c: History, match: Match) -> tuple[list[int], set[tuple[int, int]
         if d1 is not None and d2 is None:
             pairs.add((e1, e2))
         elif d1 is not None and d2 is not None:
-            if c.precedes(d1, d2):
+            if c.precedes(d1, d2) or c.precedes(d1, e2):
                 pairs.add((e1, e2))
             elif any(e1 not in bad and e2 in bad for bad in null_bads):
                 pairs.add((e1, e2))
@@ -513,21 +524,121 @@ def _check_complete(c: History, build_witness: bool) -> Verdict:
     return Verdict(VIOLATION, reason="no candidate match satisfies the conditions")
 
 
+def _undominated_completions(c: History) -> Iterator[History]:
+    """The completions of an incomplete history that the five rules of
+    check_linearizable keep, the drop-all-pending completion first.
+
+    After that one, the completions come by the number k of pending
+    dequeues kept, k = 0, 1, ...; for each k, the values of the kept
+    dequeues run in lexicographic order over the sorted enqueue values.
+    Both rule 2 and rule 4 hold for a prefix of an assignment whenever
+    they hold for the whole, so a depth-first walk that extends only
+    admissible prefixes reaches every admissible assignment, and the
+    enumeration stops at the first k that admits none.
+    """
+    pending = [e for e in c.events if e.pending]
+    pending_uids = {e.uid for e in pending}
+    yield History(a for a in c.actions if a.uid not in pending_uids)
+    deqs = [e.uid for e in pending if e.is_deq]
+    completed_deqs = Counter(e.value for e in c.events if e.is_deq and not e.pending)
+    budget = Counter(e.value for e in c.events if e.is_enq)
+    budget.subtract(completed_deqs)
+    values = sorted(v for v, n in budget.items() if n > 0)
+    # rule 4: every enqueue of v precedes every enqueue of u exactly when
+    # last_res[v] < first_inv[u]; a pending enqueue responds after all
+    first_inv: dict[Value, int] = {}
+    last_res: dict[Value, int] = {}
+    for e in c.events:
+        if e.is_enq:
+            first_inv.setdefault(e.value, c.inv_index(e.uid))
+            res = c.res_index(e.uid)
+            res = len(c.actions) if res is None else res
+            last_res[e.value] = max(res, last_res.get(e.value, res))
+
+    def completion(assigned: list[Value]) -> History:
+        returned = set(completed_deqs).union(assigned)
+        keep = {e.uid for e in pending if e.is_enq and e.value in returned}
+        result = dict(zip(deqs, assigned))
+        keep.update(result)
+        actions = [a for a in c.actions if a.uid not in pending_uids or a.uid in keep]
+        actions += [enq_res(e.uid) if e.is_enq else deq_res(e.uid, result[e.uid])
+                    for e in pending if e.uid in keep]
+        return History(actions)
+
+    if any(e.is_enq and e.value in completed_deqs for e in pending):
+        yield completion([])  # k = 0 differs from drop-all by rule 5
+    for k in range(1, len(deqs) + 1):
+        found = False
+        chosen: list[Value] = []
+        bars = [-1]  # bars[i]: the latest first_inv among chosen[:i]
+        stack = [iter(values)]
+        while stack:
+            for v in stack[-1]:
+                if budget[v] > 0 and last_res[v] > bars[-1]:
+                    break
+            else:
+                stack.pop()
+                if chosen:
+                    budget[chosen.pop()] += 1
+                    bars.pop()
+                continue
+            if len(chosen) + 1 == k:
+                found = True
+                yield completion(chosen + [v])
+                continue
+            chosen.append(v)
+            budget[v] -= 1
+            bars.append(max(bars[-1], first_inv[v]))
+            stack.append(iter(values))
+        if not found:
+            return
+
+
 def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
     """Decide linearizability of a history.
 
     Complete histories are decided directly; incomplete ones are
     linearizable when some completion is.  The verdict carries a witness
     linearization (unless build_witness is off) or violation evidence from
-    the drop-all-pending completion.  INDETERMINATE is only possible for
-    histories with duplicate enqueue values whose candidate-match search
-    exceeds DEFAULT_MATCH_BOUND.
+    the drop-all-pending completion.
+
+    Only the completions that no other completion dominates are checked;
+    C dominates C' when C is linearizable whenever C' is.  Every appended
+    response follows every invocation, so a completed pending event
+    precedes nothing.  Five rules leave the dominated completions out:
+
+    1. A pending dequeue never returns NULL: removing a deq(NULL) from a
+       legal sequence leaves it legal, so dropping the dequeue dominates.
+    2. A value is returned at most as often as it is enqueued, counting
+       completed dequeues, pending enqueues and the pending dequeues
+       assigned so far: a completion past that count is never legal.
+    3. The pending dequeues kept are the k earliest-invoked ones, for
+       k = 0..P: an earlier invocation has a subset of the predecessors,
+       so it can take the place and value of a later one in a
+       linearization.
+    4. Kept dequeues d_1..d_k, in invocation order, with values v_1..v_k
+       are skipped when, for some i < j, every enqueue of v_j precedes
+       every enqueue of v_i: swapping the values of two kept dequeues a
+       linearization orders against their invocations (rule 3's swap)
+       puts them in invocation order, where FIFO puts enq(v_i) first.
+    5. A pending enqueue is completed exactly when some dequeue returns
+       its value: an enqueue of a value nothing returns is never
+       consumed, so removing it keeps a linearization legal, and a
+       completed enqueue can always go last, so keeping it dominates.
+
+    INDETERMINATE means the candidate-match search of a history with
+    duplicate enqueue values exceeded DEFAULT_MATCH_BOUND, or that more
+    than DEFAULT_COMPLETION_BOUND completions were left to check and
+    none checked so far was linearizable.
     """
     if c.is_complete:
         return _check_complete(c, build_witness)
     first_violation: Verdict | None = None
     saw_indeterminate = False
-    for comp in c.completions():
+    for n, comp in enumerate(_undominated_completions(c)):
+        if n == DEFAULT_COMPLETION_BOUND:
+            return Verdict(INDETERMINATE, reason=f"more than {n} completions to check "
+                           "(DEFAULT_COMPLETION_BOUND), none linearizable so far")
         v = _check_complete(comp, build_witness)
         if v.status == LINEARIZABLE:
             return v

@@ -12,7 +12,10 @@ a seeded atomic-queue generator of long histories to compare them on.
 The fifo clause and VOrd are kept in their separate pair-scanning
 forms, the reference for the one scan the checker reads both through,
 next to ``check_safe``, the safety clauses that candidate matches meet
-by construction.
+by construction.  ``reference_check_linearizable`` decides a history
+with pending operations through every one of its completions, the
+reference for the checker's dominance pruning, which ``pinned_history``
+stresses.
 
 The last sections are the reference exploration of queue-machine
 configurations on the readable model in ``qlin.hwmodel``: trace
@@ -38,11 +41,13 @@ from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 from qlin.checker import (
+    INDETERMINATE,
     LINEARIZABLE,
     Match,
     Verdict,
     VOrd,
     VWit,
+    _check_complete,
     brute_force_linearizable,
     check_linearizable,
     check_ordered,
@@ -70,6 +75,7 @@ from qlin.history import (
     deq_res,
     enq_inv,
     enq_res,
+    parse_history,
 )
 from qlin.hwmodel import (
     MUTANT_NONE,
@@ -608,6 +614,44 @@ def reference_detect_vord(c: History) -> VOrd | None:
             if c.precedes(d2, d1):
                 return VOrd(e1.uid, e2.uid, d2, d1)
     return None
+
+
+# ``check_linearizable`` without dominance pruning: every completion
+# ``History.completions`` yields is checked, in its order, with no
+# completion bound.  The product's verdict summaries must equal these.
+
+
+def reference_check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
+    """Linearizability of c through every one of its completions; the
+    verdict of the first linearizable completion, or the first violation
+    (that of the drop-all-pending completion)."""
+    if c.is_complete:
+        return _check_complete(c, build_witness)
+    first_violation: Verdict | None = None
+    saw_indeterminate = False
+    for comp in c.completions():
+        v = _check_complete(comp, build_witness)
+        if v.status == LINEARIZABLE:
+            return v
+        if v.status == INDETERMINATE:
+            saw_indeterminate = True
+        elif first_violation is None:
+            first_violation = v
+    if saw_indeterminate or first_violation is None:
+        return Verdict(INDETERMINATE, reason="no completion decided linearizable")
+    return first_violation
+
+
+def pinned_history(p: int) -> History:
+    """8 completed enqueues of 1..8, then p pending dequeues overlapping
+    one NULL dequeue.  Linearizable exactly when p >= 8: the NULL needs
+    every value gone, and only the pending dequeues can take them."""
+    lines = []
+    for u in range(8):
+        lines += [f"inv {u} enq {u + 1}", f"res {u} enq"]
+    lines += [f"inv {8 + j} deq" for j in range(p)]
+    lines += [f"inv {8 + p} deq", f"res {8 + p} deq null"]
+    return parse_history("\n".join(lines))
 
 
 # ---- seeded atomic-queue histories -------------------------------------------

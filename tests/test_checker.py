@@ -7,6 +7,7 @@ enqueues and 3 dequeues.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlin import checker
+from qlin.cli import generate_history
 from qlin.checker import (
     INDETERMINATE,
     LINEARIZABLE,
@@ -25,6 +27,7 @@ from qlin.checker import (
     VRepet,
     VWit,
     _total_enq_order,
+    _undominated_completions,
     brute_force_linearizable,
     candidate_matches,
     check_linearizable,
@@ -42,6 +45,7 @@ from qlin.checker import (
 )
 from qlin.history import (
     NULL,
+    Action,
     History,
     deq_inv,
     deq_res,
@@ -68,7 +72,9 @@ from support import (
     canonical_histories,
     check_safe,
     isomorphic,
+    pinned_history,
     pwit_prime,
+    reference_check_linearizable,
     reference_check_ordered,
     reference_construct_linearization,
     reference_detect_vord,
@@ -586,6 +592,27 @@ def test_sweeps_match_reference_on_generated_histories():
     assert fired >= 50
 
 
+def test_witness_does_not_depend_on_uid_order():
+    """The canonical 2+2 and 3+2 instances, unmerged and with value 2
+    merged into 1, with their enqueue uids reversed against invocation
+    order: an enqueue whose dequeue precedes another enqueue is ranked
+    before it whatever their uids, so every linearizable verdict carries
+    a witness, and the verdicts are those of the instances themselves."""
+    witnessed = 0
+    for ne, nd in ((2, 2), (3, 2)):
+        for base in canonical_histories(ne, nd):
+            for mapping in ({}, {2: 1}):
+                c = with_values_merged(base, mapping)
+                flipped = History(Action(a.kind, ne - 1 - a.uid if a.uid < ne else a.uid,
+                                         a.method, a.payload) for a in c.actions)
+                v = check_linearizable(flipped)
+                assert v.status == check_linearizable(c).status
+                if v.status == LINEARIZABLE:
+                    assert is_linearization_of(v.witness, flipped), flipped.serialize()
+                    witnessed += 1
+    assert witnessed
+
+
 def test_long_differentiated_history_gets_a_witness():
     # the checker decides every complete history through the
     # candidate-match search, here 1,100 dequeues deep
@@ -670,20 +697,116 @@ def test_incomplete_violation_reports_drop_all_evidence():
     assert v.violation == VWit(d=1, alive=(0,))
 
 
+def truncations(c):
+    """Every history made from c by dropping a nonempty set of responses."""
+    us = uids(c)
+    for r in range(1, len(us) + 1):
+        for drop in itertools.combinations(us, r):
+            yield History(a for a in c.actions if not (a.kind == "res" and a.uid in drop))
+
+
 def test_incomplete_agreement_with_oracle_small():
-    # every way of truncating responses from 2+1 canonical instances
-    for c in canonical_histories(2, 1):
-        us = uids(c)
-        for r in range(len(us) + 1):
-            for drop in itertools.combinations(us, r):
-                acts = [
-                    a for a in c.actions
-                    if not (a.kind == "res" and a.uid in drop)
-                ]
-                sub = History(acts)
-                v = check_linearizable(sub)
-                assert v.status != INDETERMINATE
-                assert (v.status == LINEARIZABLE) == brute_force_linearizable(sub)
+    """Every distinct truncation of the canonical 2+1, 2+2, 3+1 and 1+3
+    instances, unmerged and with value 2 merged into 1: the verdict agrees
+    with the oracle, and its summary, evidence included, with the check of
+    every completion."""
+    seen = set()
+    for ne, nd in ((2, 1), (2, 2), (3, 1), (1, 3)):
+        for base in canonical_histories(ne, nd):
+            for mapping in ({}, {2: 1}):
+                for sub in truncations(with_values_merged(base, mapping)):
+                    if sub in seen:
+                        continue
+                    seen.add(sub)
+                    v = check_linearizable(sub)
+                    assert v.status != INDETERMINATE
+                    assert (v.status == LINEARIZABLE) == brute_force_linearizable(sub), sub.serialize()
+                    assert v.summary() == reference_check_linearizable(sub).summary(), sub.serialize()
+    assert len(seen) == 5201
+
+
+# enq(1) twice; deq -> 1; a pending deq; then deq -> null.  The NULL
+# needs both 1s gone, so the pending dequeue must return the second 1
+SECOND_ONE = (
+    "inv 0 enq 1\nres 0 enq\ninv 1 enq 1\nres 1 enq\n"
+    "inv 2 deq\nres 2 deq 1\ninv 3 deq\ninv 4 deq\nres 4 deq null"
+)
+
+
+def test_pending_dequeue_may_return_a_value_a_completed_dequeue_returned():
+    c = h(SECOND_ONE)
+    assert brute_force_linearizable(c)
+    assert reference_check_linearizable(c).status == LINEARIZABLE
+    assert check_linearizable(c).status == LINEARIZABLE
+
+
+def test_pending_dequeues_may_take_values_against_enqueue_invocation_order():
+    # enq(1) is invoked first but enq(2) completes first; the NULLs force
+    # the first pending dequeue to take 2 and the second to take 1.  Rule 4
+    # skips only what real-time precedence between enqueues forbids
+    c = h(
+        "inv 0 enq 1\ninv 1 enq 2\nres 1 enq\ninv 2 deq\n"
+        "inv 3 deq\nres 3 deq null\ninv 4 deq\nres 0 enq\ninv 5 deq\nres 5 deq null"
+    )
+    assert brute_force_linearizable(c)
+    assert check_linearizable(c).status == LINEARIZABLE
+
+
+@pytest.mark.parametrize("p", [5, 6, 7])
+def test_pinned_family_without_enough_dequeues_is_a_vwit(p):
+    c = pinned_history(p)
+    v = check_linearizable(c)
+    assert v.status == VIOLATION and v.violation.kind == "vwit"
+    assert v.violation == detect_first(c.remove_pending())
+
+
+def test_pinned_family_with_eight_dequeues_is_linearizable():
+    c = pinned_history(8)
+    v = check_linearizable(c)
+    assert v.status == LINEARIZABLE
+    # every value enqueued in turn, taken in turn, then the NULL
+    assert [(e.uid, e.value) for e in v.witness.events] == (
+        [(u, u + 1) for u in range(8)] + [(8 + u, u + 1) for u in range(8)] + [(16, NULL)])
+
+
+@pytest.mark.parametrize("p", range(9))
+def test_pinned_family_completion_count(p):
+    # the enqueues of 1..8 run one after another, so the kept dequeues
+    # take increasing values: one completion per subset of at most p values
+    count = sum(1 for _ in _undominated_completions(pinned_history(p)))
+    assert count == sum(math.comb(8, k) for k in range(p + 1))
+
+
+def test_completion_bound(monkeypatch):
+    c = pinned_history(3)  # 93 completions, none linearizable
+    monkeypatch.setattr(checker, "DEFAULT_COMPLETION_BOUND", 93)
+    assert check_linearizable(c).status == VIOLATION
+    monkeypatch.setattr(checker, "DEFAULT_COMPLETION_BOUND", 92)
+    v = check_linearizable(c)
+    assert v.status == INDETERMINATE
+    assert v.reason == ("more than 92 completions to check (DEFAULT_COMPLETION_BOUND), "
+                        "none linearizable so far")
+    # the second completion is the first linearizable one
+    assert check_linearizable(h(SECOND_ONE)).status == LINEARIZABLE
+    monkeypatch.setattr(checker, "DEFAULT_COMPLETION_BOUND", 1)
+    assert check_linearizable(h(SECOND_ONE)).status == INDETERMINATE
+
+
+def test_seeded_truncations_agree_with_oracle():
+    """200 generated 3+3 histories, each with a seeded set of responses
+    dropped, enqueue responses among them, so pending enqueues are
+    covered too."""
+    pending_enqs = 0
+    for seed in range(200):
+        c = generate_history(seed, 3, 3)
+        rng = random.Random(seed)
+        drop = {u for u in uids(c) if rng.random() < 0.4}
+        sub = History(a for a in c.actions if not (a.kind == "res" and a.uid in drop))
+        pending_enqs += sum(e.is_enq and e.pending for e in sub.events)
+        v = check_linearizable(sub)
+        assert v.status != INDETERMINATE
+        assert (v.status == LINEARIZABLE) == brute_force_linearizable(sub), (seed, sub.serialize())
+    assert pending_enqs
 
 
 # ---- duplicate enqueue values ----

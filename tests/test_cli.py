@@ -10,7 +10,14 @@ from qlin.explorer import induce_history, replay_schedule
 from qlin.history import NULL, parse_history
 from qlin.hwmodel import MUTANT_DIRTY_SPIN, MUTANT_NO_SWAP_CLEAR, Config, DeqOp, EnqOp
 
-from support import DEQ, ENQ, check_configuration, purely_blocking_check, seq_history
+from support import (
+    DEQ,
+    ENQ,
+    check_configuration,
+    pinned_history,
+    purely_blocking_check,
+    seq_history,
+)
 
 
 LIN = "inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq 1\n"
@@ -106,6 +113,25 @@ def test_check_decides_long_duplicate_value_history(capsys, hist_file):
     seq = [(m, i % 3 + 1) for i in range(1100) for m in (ENQ, DEQ)]
     code, out, err = run(capsys, ["check", hist_file(seq_history(seq).serialize())])
     assert (code, out, err) == (0, "linearizable\n", "")
+
+
+def test_check_pinned_pending_family_is_a_vwit(capsys, monkeypatch):
+    # 8 completed enqueues, 7 pending dequeues and one NULL dequeue: the
+    # dequeues cannot drain all 8 values, so the NULL is impossible
+    monkeypatch.setattr("sys.stdin", io.StringIO(pinned_history(7).serialize()))
+    code, out, err = run(capsys, ["check", "-", "--format", "lines"])
+    assert (code, err) == (1, "")
+    assert out.startswith("VIOLATION vwit ")
+
+
+def test_check_witness_when_uids_are_not_in_invocation_order(capsys, monkeypatch):
+    # deq 3 returns 3 before enq(2) is invoked, so enq(3) goes first
+    # although its uid is higher
+    text = generate_history(922, 3, 3).serialize()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, ["check", "-", "--witness", "--format", "lines"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "LINEARIZABLE"
 
 
 def test_check_missing_file(capsys, tmp_path):

@@ -55,7 +55,6 @@ from .checker import (
     brute_force_linearizable,
     check_linearizable,
     check_ordered,
-    compute_bad,
     construct_linearization,
     detect_all,
     detect_first,

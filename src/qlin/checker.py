@@ -32,22 +32,33 @@ trusts the checks its caller has just made and guards only its output:
 what it returns is a legal, precedence-respecting linearization, and a
 match that is not a witness ends in ``ValueError``.
 
+No step of the witness path looks at pairs of enqueues.  Every ordering
+it needs compares one action position with another, so it reads as a
+dominance query over sorted positions (Emmi and Enea, POPL 2018): the
+VOrd scan is a bisection and a suffix minimum, the bounds of all bad
+sets come from one sort and one sweep, and the enqueue order that ranks
+the witness is Kahn's algorithm with monotone pointers standing in for
+the pairs.  Each of the three takes O(E log E) time for E enqueues.
+
 ``brute_force_linearizable`` is the independent oracle: it searches for a
 precedence-respecting permutation of some completion that the queue LTS
 accepts, and shares nothing with the pattern scan above.
 
 The source paper's reformulations behind the four patterns (sequential
-witnesses, coverings, the set-pair NULL-dequeue condition, the
-transitive enqueue order) are proof devices, not decision steps; their
-checkers live with the tests, in ``tests/lemmas.py``.
+witnesses, coverings, the set-pair NULL-dequeue condition with its bad
+sets, the transitive enqueue order and its direct pairs) are proof
+devices, not decision steps; their checkers live with the tests, in
+``tests/lemmas.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .history import ENQ, INV, NULL, RES, Event, History, Value, deq_res, enq_res
@@ -168,35 +179,48 @@ def check_ordered(c: History, match: Match) -> str | None:
     return None
 
 
-def compute_bad(c: History, match: Match, d_bot: int) -> frozenset[int]:
-    """The bad set of a NULL dequeue, built in cumulative stages.
+def _drain_keys(c: History, consumer: dict[int, int]) -> dict[int, int]:
+    """Consumed enqueue uid -> its drain key, max(inv(e), inv(d_e)), d_e
+    being its consumer: e is forced behind every event that responds
+    before its drain key, directly or through d_e."""
+    return {e.uid: max(c.inv_index(e.uid), c.inv_index(consumer[e.uid]))
+            for e in c.events if e.is_enq and e.uid in consumer}
 
-    Stage 0 holds every enqueue that cannot be drained before d_bot returns:
-    it starts after d_bot, or its dequeue is missing or starts after d_bot.
-    Each later stage adds enqueues forced behind a bad one, directly or
-    through the dequeue that consumes them.  The fixpoint is reached within
-    one stage per enqueue.
+
+def _bad_bounds(c: History, drain: dict[int, int], nulls: list[int]) -> dict[int, int]:
+    """NULL dequeue uid -> the bound of its bad set in the complete
+    history c, whose consumed enqueues have the drain keys ``drain``.
+
+    The bad set of d_bot is the least set of enqueues that holds every
+    enqueue that cannot be drained before d_bot returns (it starts after
+    d_bot, or its dequeue is missing or starts after d_bot) and every
+    enqueue forced behind a bad one, directly or through the dequeue that
+    consumes it.  It holds every unconsumed enqueue, and a consumed one
+    joins exactly when the least response among res(d_bot) and the set so
+    far comes before its drain key.  Its bound is that least response at
+    the fixpoint, so the consumed members are those whose drain key
+    exceeds the bound.
+
+    Taken by drain key, highest first, the consumed members are a prefix,
+    and one sweep finds it.  A NULL dequeue that starts from a lower
+    response takes a longer prefix and passes the same joins first, so
+    the NULL dequeues, taken by falling starting response, share one
+    pointer into one sort.
     """
-    inverse = {e: d for d, e in match.items() if e is not None}
-    enqs = [e.uid for e in c.events if e.is_enq]
-    level: set[int] = set()
-    for e in enqs:
-        d = inverse.get(e)
-        if c.precedes(d_bot, e) or d is None or c.precedes(d_bot, d):
-            level.add(e)
-    while True:
-        new = set(level)
-        for e in enqs:
-            if e in level:
-                continue
-            d = inverse.get(e)
-            for ei in level:
-                if c.precedes(ei, e) or (d is not None and c.precedes(ei, d)):
-                    new.add(e)
-                    break
-        if new == level:
-            return frozenset(level)
-        level = new
+    floor = min((c.res_index(e.uid) for e in c.events if e.is_enq and e.uid not in drain),
+                default=math.inf)
+    by_key = sorted(((k, c.res_index(e)) for e, k in drain.items()), reverse=True)
+    bounds: dict[int, int] = {}
+    joined = 0
+    least = math.inf  # the least response among by_key[:joined]
+    for start, d in sorted(((min(c.res_index(d), floor), d) for d in nulls), reverse=True):
+        bound = min(start, least)
+        while joined < len(by_key) and by_key[joined][0] > bound:
+            least = min(least, by_key[joined][1])
+            bound = min(bound, least)
+            joined += 1
+        bounds[d] = bound
+    return bounds
 
 
 def is_linearization_witness(c: History, match: Match) -> bool:
@@ -216,69 +240,104 @@ def is_linearization_witness(c: History, match: Match) -> bool:
     return _first_vwit(c, {e: d for d, e in match.items() if e is not None}) is None
 
 
-def _enq_pairs(c: History, match: Match) -> tuple[list[int], set[tuple[int, int]]]:
-    """The enqueue uids and the direct ordering pairs the match induces.
-
-    Two enqueues are ordered when one precedes the other; overlapping
-    enqueues are ordered by their dequeues (consumed before unconsumed;
-    earlier dequeue first, or a dequeue before the other enqueue) or by a
-    NULL dequeue that separates them into drainable and undrainable.
-    """
-    enqs = [e.uid for e in c.events if e.is_enq]
-    inverse = {e: d for d, e in match.items() if e is not None}
-    null_bads = [
-        compute_bad(c, match, d) for d, t in match.items() if t is None
-    ]
-    pairs: set[tuple[int, int]] = set()
-    for e1, e2 in itertools.permutations(enqs, 2):
-        if c.precedes(e1, e2):
-            pairs.add((e1, e2))
-            continue
-        if c.precedes(e2, e1):
-            continue
-        d1 = inverse.get(e1)
-        d2 = inverse.get(e2)
-        if d1 is not None and d2 is None:
-            pairs.add((e1, e2))
-        elif d1 is not None and d2 is not None:
-            if c.precedes(d1, d2) or c.precedes(d1, e2):
-                pairs.add((e1, e2))
-            elif any(e1 not in bad and e2 in bad for bad in null_bads):
-                pairs.add((e1, e2))
-    return enqs, pairs
-
-
 def _total_enq_order(c: History, match: Match) -> dict[int, int]:
     """Extend the enqueue order to a total order, lowest uid first among
     unconstrained enqueues.  Returns uid -> rank.
 
-    Kahn's algorithm over the direct ordering pairs, with the available
-    enqueues in a min-heap on uid.  Since every enqueue ranked so far had
-    all its predecessors ranked before it, an enqueue has an unranked
-    predecessor under the pairs exactly when it has one under their
-    closure, so the ranks are those of the closure.  Raises EnqOrderCycle
-    when the pairs contain a cycle.
+    c is complete and the match is a candidate match that passed
+    check_ordered; construct_linearization gives it only witness matches.
+    On such a match the direct ordering pairs that ``enq_order`` in
+    ``tests/lemmas.py`` closes put b after exactly these enqueues a:
+
+    * every a with res(a) < inv(b);
+    * if b is unconsumed, every consumed a with inv(a) < res(b);
+    * if b is consumed, every consumed a with res(d_a) < max(inv(d_b),
+      inv(b)), d_a being a's consumer;
+    * every a outside a NULL bad set that holds b.
+
+    The pairs ask in the last three that neither of a and b precede the
+    other.  That never matters: an a that precedes b is in the first set
+    anyway, and an a that b precedes is in none of the last three, since
+    fifo keeps d_a from preceding d_b, no-future-take keeps d_a from
+    preceding b, and a bad set that holds b holds what b precedes.
+
+    Kahn's algorithm ranks the enqueues, the available ones in a min-heap
+    on uid.  Since every enqueue ranked so far had all its predecessors
+    ranked before it, an enqueue has an unranked predecessor under the
+    pairs exactly when it has one under their closure, so the ranks are
+    those of the closure.  Each of b's predecessor sets is ranked once a
+    least value over the unranked enqueues exceeds a threshold of b: the
+    least response (over inv(b)), the least consumed invocation (over
+    res(b)), the least consumer response (over max(inv(d_b), inv(b))) and
+    the least drain key of ``_bad_bounds`` (over the highest bound of a
+    bad set holding b, since the consumed members of a bad set are those
+    whose drain key exceeds its bound).  The least values only rise, so
+    each is a pointer into one sort, and so is the release of the
+    enqueues waiting on it.  Raises EnqOrderCycle when some enqueue is
+    never released, as on a match that is not ordered.
     """
-    enqs, pairs = _enq_pairs(c, match)
-    succ: dict[int, list[int]] = {e: [] for e in enqs}
-    indegree = dict.fromkeys(enqs, 0)
-    for a, b in pairs:
-        succ[a].append(b)
-        indegree[b] += 1
-    avail = [e for e in enqs if not indegree[e]]
-    heapq.heapify(avail)
+    enqs = [e.uid for e in c.events if e.is_enq]
+    consumer = {e: d for d, e in match.items() if e is not None}
+    drain = _drain_keys(c, consumer)
+    consumed = list(drain)
+    nulls = [d for d, t in match.items() if t is None]
+    bounds = sorted(_bad_bounds(c, drain, nulls).values())
+    inv = {e: c.inv_index(e) for e in enqs}
+    res = {e: c.res_index(e) for e in enqs}
+
+    def held(b: int) -> int:
+        """The highest bound of a bad set holding b, or -1."""
+        i = bisect_left(bounds, drain[b]) if b in drain else len(bounds)
+        return bounds[i - 1] if i else -1
+
+    gates = [
+        _Gate(res, enqs, inv),
+        _Gate(inv, consumed, {b: res[b] for b in enqs if b not in drain}),
+        _Gate({a: c.res_index(consumer[a]) for a in consumed}, consumed, drain),
+        _Gate(drain, consumed, {b: held(b) for b in enqs}),
+    ]
+    waits = dict.fromkeys(enqs, 3)  # every enqueue waits on three gates
+    avail: list[int] = []
     rank: dict[int, int] = {}
-    while avail:
+    while True:
+        for gate in gates:
+            for b in gate.release(rank):
+                waits[b] -= 1
+                if not waits[b]:
+                    heapq.heappush(avail, b)
+        if not avail:
+            break
         pick = heapq.heappop(avail)
         rank[pick] = len(rank)
-        for b in succ[pick]:
-            indegree[b] -= 1
-            if not indegree[b]:
-                heapq.heappush(avail, b)
     if len(rank) < len(enqs):
         stuck = min(e for e in enqs if e not in rank)
         raise EnqOrderCycle(f"enqueue {stuck} lies on or behind an ordering cycle")
     return rank
+
+
+class _Gate:
+    """Enqueues waiting for the least ``value`` over the unranked enqueues
+    of ``over`` to exceed their ``threshold``; that least value only rises
+    as enqueues are ranked."""
+
+    def __init__(self, value: dict[int, int], over: list[int], threshold: dict[int, int]):
+        self.value = value
+        self.order = sorted(over, key=value.get)
+        self.threshold = threshold
+        self.waiting = sorted(threshold, key=threshold.get)
+        self.least_at = self.released = 0
+
+    def release(self, rank: dict[int, int]) -> list[int]:
+        """The waiting enqueues released since the last call."""
+        while self.least_at < len(self.order) and self.order[self.least_at] in rank:
+            self.least_at += 1
+        least = (self.value[self.order[self.least_at]] if self.least_at < len(self.order)
+                 else math.inf)
+        start = self.released
+        while (self.released < len(self.waiting)
+               and self.threshold[self.waiting[self.released]] < least):
+            self.released += 1
+        return self.waiting[start:self.released]
 
 
 def construct_linearization(c: History, match: Match) -> Behavior:
@@ -424,18 +483,30 @@ def detect_vord(c: History) -> VOrd | None:
 
 def _first_vord(c: History, consumer: dict[int, int]) -> VOrd | None:
     """The first VOrd when each enqueue uid is consumed by the dequeue uid
-    ``consumer`` maps it to, and unconsumed when it maps to none."""
+    ``consumer`` maps it to, and unconsumed when it maps to none.
+
+    The evidence is the first e1, then the first e2, in invocation order,
+    such that e1 precedes e2, e2 is consumed, and e1 is unconsumed or d2
+    precedes d1.  The e2 that e1 precedes are the enqueues invoked after
+    res(e1), a suffix of the invocation order that a bisection finds.  The
+    other two conditions together read res(d2) < inv(d1), where a missing
+    d2 or d1 counts as the end of the history: an unconsumed e2 then never
+    qualifies, and any consumed e2 does for an unconsumed e1.  So e1 has
+    an e2 exactly when the suffix minimum of res(d2) is below inv(d1), and
+    only the e1 that has one is scanned for its first e2.
+    """
+    end = len(c.actions)
     enqs = [e.uid for e in c.events if e.is_enq]
+    invs = [c.inv_index(e) for e in enqs]
+    key = [c.res_index(consumer[e]) if e in consumer else end for e in enqs]
+    suffix_min = list(accumulate(reversed(key), min, initial=end))[::-1]
     for e1 in enqs:
-        for e2 in enqs:
-            d2 = consumer.get(e2)
-            if d2 is None or e1 == e2 or not c.precedes(e1, e2):
-                continue
-            d1 = consumer.get(e1)
-            if d1 is None:
-                return VOrd(e1, e2, d2)
-            if c.precedes(d2, d1):
-                return VOrd(e1, e2, d2, d1)
+        d1 = consumer.get(e1)
+        bar = end if d1 is None else c.inv_index(d1)
+        start = bisect_right(invs, c.res_index(e1))
+        if suffix_min[start] < bar:
+            j = next(j for j in range(start, len(enqs)) if key[j] < bar)
+            return VOrd(e1, enqs[j], consumer[enqs[j]], d1)
     return None
 
 

@@ -1,8 +1,10 @@
 """Schedule replay and the divergence harnesses.
 
 ``replay_schedule`` re-runs a schedule through hwmodel and
-``induce_history`` reads off its history; every schedule that sweep
-reports is checked this way.  ``divergence_check_vrepet`` and
+``induce_history`` reads off its history; the divergence harnesses
+build their counterexamples this way, and the tests and the benchmark
+replay the schedules that sweep reports to check them.
+``divergence_check_vrepet`` and
 ``divergence_check_vord`` build the two theorem-shaped programs around
 the prophecy-instrumented dequeue and assert their termination
 properties at every reachable state.  They reach those states only

@@ -228,12 +228,16 @@ class History:
             raise HistoryError(f"uid {uid} not invoked in this history") from None
 
     def inv_index(self, uid: int) -> int:
-        self.event(uid)
-        return self._inv_pos[uid]
+        pos = self._inv_pos.get(uid)
+        if pos is None:
+            self.event(uid)  # raises: uid is not in this history
+        return pos
 
     def res_index(self, uid: int) -> int | None:
-        self.event(uid)
-        return self._res_pos.get(uid)
+        pos = self._res_pos.get(uid)
+        if pos is None:
+            self.event(uid)  # raises when uid is not in this history
+        return pos
 
     @property
     def is_complete(self) -> bool:

@@ -12,8 +12,10 @@ definition it replaces:
 - canonical behaviors: a behavior with a witness can be rewritten into
   one that interleaves each enqueue with its dequeue, observably the
   same;
-- the set-pair form of the NULL-dequeue condition;
-- the transitive enqueue order a match induces;
+- the set-pair form of the NULL-dequeue condition, over the bad sets
+  of ``compute_bad``;
+- the transitive enqueue order a match induces, the closure of the
+  direct pairs of ``_enq_pairs``;
 - coverings: chains of alive enqueues spanning a NULL dequeue's window,
   the form VWit is derived from;
 - linearizations: a behavior is a linearization of a history when it
@@ -26,7 +28,10 @@ sequential form) come first, as plain functions.
 
 from __future__ import annotations
 
-from qlin.checker import EnqOrderCycle, _enq_pairs, compute_bad
+import itertools
+import math
+
+from qlin.checker import EnqOrderCycle, _bad_bounds, _drain_keys
 from qlin.history import INV, NULL, RES, Event, History, HistoryError, deq_inv, deq_res, enq_inv, enq_res
 from qlin.queuespec import Behavior, Match, candidate_matches
 
@@ -259,6 +264,22 @@ def canonicalize(b: Behavior, mu: Match) -> Behavior:
 # ---- the set-pair NULL-dequeue condition ----
 
 
+def compute_bad(c: History, match: Match, d_bot: int) -> frozenset[int]:
+    """The bad set of a NULL dequeue in a complete history: the least set
+    of enqueues that holds every enqueue that cannot be drained before
+    d_bot returns (it starts after d_bot, or its dequeue is missing or
+    starts after d_bot) and every enqueue forced behind a bad one,
+    directly or through the dequeue that consumes it.
+
+    These are the unconsumed enqueues and the consumed ones whose drain
+    key exceeds the bound the checker's sweep finds for d_bot.
+    """
+    drain = _drain_keys(c, {e: d for d, e in match.items() if e is not None})
+    bound = _bad_bounds(c, drain, [d_bot])[d_bot]
+    return frozenset(e.uid for e in c.events
+                     if e.is_enq and drain.get(e.uid, math.inf) > bound)
+
+
 def alt_witness_check(c: History, match: Match, d_bot: int) -> bool:
     """Decide the set-pair reformulation of the NULL-dequeue condition.
 
@@ -293,6 +314,38 @@ def alt_witness_check(c: History, match: Match, d_bot: int) -> bool:
 
 
 # ---- the transitive enqueue order ----
+
+
+def _enq_pairs(c: History, match: Match) -> tuple[list[int], set[tuple[int, int]]]:
+    """The enqueue uids and the direct ordering pairs the match induces.
+
+    Two enqueues are ordered when one precedes the other; overlapping
+    enqueues are ordered by their dequeues (consumed before unconsumed;
+    earlier dequeue first, or a dequeue before the other enqueue) or by a
+    NULL dequeue that separates them into drainable and undrainable.
+    """
+    enqs = [e.uid for e in c.events if e.is_enq]
+    inverse = {e: d for d, e in match.items() if e is not None}
+    null_bads = [
+        compute_bad(c, match, d) for d, t in match.items() if t is None
+    ]
+    pairs: set[tuple[int, int]] = set()
+    for e1, e2 in itertools.permutations(enqs, 2):
+        if c.precedes(e1, e2):
+            pairs.add((e1, e2))
+            continue
+        if c.precedes(e2, e1):
+            continue
+        d1 = inverse.get(e1)
+        d2 = inverse.get(e2)
+        if d1 is not None and d2 is None:
+            pairs.add((e1, e2))
+        elif d1 is not None and d2 is not None:
+            if c.precedes(d1, d2) or c.precedes(d1, e2):
+                pairs.add((e1, e2))
+            elif any(e1 not in bad and e2 in bad for bad in null_bads):
+                pairs.add((e1, e2))
+    return enqs, pairs
 
 
 def enq_order(c: History, match: Match) -> frozenset[tuple[int, int]]:

@@ -6,9 +6,10 @@ two implementations that can actually disagree: a dead-simple list
 queue for legality, brute-force searches for witnesses and coverings,
 and exhaustive enumerators for small history and behavior spaces.
 
-The checker's witness construction and VWit detector are kept here in
-their rescanning form, the reference for the product's sweeps, next to
-a seeded atomic-queue generator of long histories to compare them on.
+The checker's witness construction, VWit detector and bad sets are
+kept here in their rescanning and stage-by-stage forms, the reference
+for the product's sweeps, next to a seeded atomic-queue generator of
+long histories to compare them on.
 The fifo clause and VOrd are kept in their separate pair-scanning
 forms, the reference for the one scan the checker reads both through,
 next to ``check_safe``, the safety clauses that candidate matches meet
@@ -51,7 +52,6 @@ from qlin.checker import (
     brute_force_linearizable,
     check_linearizable,
     check_ordered,
-    compute_bad,
     is_linearization_witness,
 )
 from qlin.explorer import (
@@ -92,7 +92,7 @@ from qlin.hwmodel import (
 from qlin.queuespec import Behavior, is_legal
 from qlin.sweep import _is_inv, _Kernel
 
-from lemmas import after_set, enq_order, uids
+from lemmas import after_set, compute_bad, enq_order, uids
 
 ENQ, DEQ = "enq", "deq"
 
@@ -408,11 +408,43 @@ def pwit_prime(c: History, d_bot: int) -> bool:
 
 # ---- witness construction and VWit, the rescanning way ------------------------
 #
-# The checker's peel loop, closure-based total order and VWit detector in
-# their direct form: every peel step restricts the history and recomputes
+# The checker's bad sets, peel loop, closure-based total order and VWit
+# detector in their direct form: a bad set grows stage by stage to its
+# fixpoint, every peel step restricts the history and recomputes
 # maximality and bad sets, and VWit rescans every prefix of a NULL
 # dequeue's window.  The product's sweeps must agree with these on every
-# witness and every piece of evidence.
+# bad set, witness and piece of evidence.
+
+
+def reference_compute_bad(c: History, match: Match, d_bot: int) -> frozenset[int]:
+    """The bad set of a NULL dequeue, built in cumulative stages.
+
+    Stage 0 holds every enqueue that cannot be drained before d_bot returns:
+    it starts after d_bot, or its dequeue is missing or starts after d_bot.
+    Each later stage adds enqueues forced behind a bad one, directly or
+    through the dequeue that consumes them.  The fixpoint is reached within
+    one stage per enqueue.
+    """
+    inverse = {e: d for d, e in match.items() if e is not None}
+    enqs = [e.uid for e in c.events if e.is_enq]
+    level: set[int] = set()
+    for e in enqs:
+        d = inverse.get(e)
+        if c.precedes(d_bot, e) or d is None or c.precedes(d_bot, d):
+            level.add(e)
+    while True:
+        new = set(level)
+        for e in enqs:
+            if e in level:
+                continue
+            d = inverse.get(e)
+            for ei in level:
+                if c.precedes(ei, e) or (d is not None and c.precedes(ei, d)):
+                    new.add(e)
+                    break
+        if new == level:
+            return frozenset(level)
+        level = new
 
 
 def reference_total_enq_order(c: History, match: Match) -> dict[int, int]:
@@ -656,7 +688,8 @@ def pinned_history(p: int) -> History:
 
 # ---- seeded atomic-queue histories -------------------------------------------
 
-def atomic_queue_history(rng, n_actions: int, *, null_window: bool = False) -> History:
+def atomic_queue_history(rng, n_actions: int, *, null_window: bool = False,
+                         enq_share: float = 0.6) -> History:
     """A complete linearizable history of at least n_actions actions by
     four callers on an atomic FIFO queue.
 
@@ -667,7 +700,9 @@ def atomic_queue_history(rng, n_actions: int, *, null_window: bool = False) -> H
     made); the other callers enqueue whenever fewer than six values are
     queued, and once the call budget is spent they drain the queue, after
     which the long dequeue takes effect on the empty queue, returning
-    NULL, and responds last.
+    NULL, and responds last.  Without it, each call is an enqueue with
+    probability enq_share; at 0.5 the queue is often empty, so NULL
+    dequeues are many.
     """
     budget = n_actions // 2
     actions: list[Action] = []
@@ -695,7 +730,7 @@ def atomic_queue_history(rng, n_actions: int, *, null_window: bool = False) -> H
             elif null_window:
                 p_enq = 1.0 if len(queue) < 6 else 0.5
             else:
-                p_enq = 0.6
+                p_enq = enq_share
             if rng.random() < p_enq:
                 value += 1
                 op = [uid, ENQ, value, False]

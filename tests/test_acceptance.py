@@ -20,7 +20,6 @@ from qlin.checker import (
     brute_force_linearizable,
     check_linearizable,
     check_ordered,
-    compute_bad,
     derive_match,
     detect_vrepet,
     detect_vwit,
@@ -50,6 +49,7 @@ from lemmas import (
     before_set,
     behavior_of,
     canonicalize,
+    compute_bad,
     detect_pwit_covering,
     enq_order,
     find_sequential_witness,

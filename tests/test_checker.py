@@ -32,7 +32,6 @@ from qlin.checker import (
     candidate_matches,
     check_linearizable,
     check_ordered,
-    compute_bad,
     construct_linearization,
     derive_match,
     detect_all,
@@ -58,6 +57,7 @@ from qlin.queuespec import SearchBoundExceeded, is_legal
 from lemmas import (
     alt_witness_check,
     before_set,
+    compute_bad,
     detect_pwit_covering,
     enq_order,
     is_linearization_of,
@@ -76,6 +76,7 @@ from support import (
     pwit_prime,
     reference_check_linearizable,
     reference_check_ordered,
+    reference_compute_bad,
     reference_construct_linearization,
     reference_detect_vord,
     reference_detect_vwit,
@@ -462,28 +463,32 @@ def assert_witness_matches_reference(c, match):
     assert got == [e.uid for e in reference_construct_linearization(c, match)]
 
 
+MERGINGS = ({}, {2: 1}, {2: 1, 3: 1}, {3: 2})
+
+
 @pytest.mark.parametrize(
     "ne,nd", [(ne, nd) for ne in range(4) for nd in range(4) if 0 < ne + nd <= 5]
 )
 def test_sweeps_match_reference_on_canonical_histories(ne, nd):
-    for c in canonical_histories(ne, nd):
-        assert detect_vwit(c) == reference_detect_vwit(c)
-        if detect_first(c) is None:
-            assert_witness_matches_reference(c, derive_match(c))
-        # duplicate values: every candidate match, cyclic ones included
-        dup = with_values_merged(c, {2: 1})
-        assert detect_vwit(dup) == reference_detect_vwit(dup)
-        for match in candidate_matches(dup.events):
-            try:
-                want = reference_total_enq_order(dup, match)
-            except EnqOrderCycle:
-                with pytest.raises(EnqOrderCycle):
-                    _total_enq_order(dup, match)
-                continue
-            assert _total_enq_order(dup, match) == want
-            if (check_safe(dup, match) is None and check_ordered(dup, match) is None
-                    and is_linearization_witness(dup, match)):
-                assert_witness_matches_reference(dup, match)
+    """Every canonical history up to 5 events, unmerged and under three
+    value mergings: VWit evidence, and every NULL dequeue's bad set under
+    every candidate match, equal their references.  Ranks are compared
+    on the candidate matches that pass the safety and ordering clauses,
+    the only ones _total_enq_order is given, and witnesses on those that
+    also pass the NULL-dequeue condition."""
+    for base in canonical_histories(ne, nd):
+        for mapping in MERGINGS:
+            c = with_values_merged(base, mapping)
+            assert detect_vwit(c) == reference_detect_vwit(c)
+            for match in candidate_matches(c.events):
+                for d, t in match.items():
+                    if t is None:
+                        assert compute_bad(c, match, d) == reference_compute_bad(c, match, d)
+                if check_safe(c, match) is not None or check_ordered(c, match) is not None:
+                    continue
+                assert _total_enq_order(c, match) == reference_total_enq_order(c, match)
+                if is_linearization_witness(c, match):
+                    assert_witness_matches_reference(c, match)
 
 
 def test_construct_linearization_guards_its_output():
@@ -521,9 +526,6 @@ def test_construct_linearization_guards_its_output():
     assert outcomes["witness"] and outcomes["rejected"] and outcomes["harmless"]
 
 
-MERGINGS = ({}, {2: 1}, {2: 1, 3: 1}, {3: 2})
-
-
 def test_match_checks_read_the_detectors_exhaustively():
     """The fifo clause and the NULL-dequeue condition are VOrd and VWit
     read through the match: on every canonical history up to 5 events,
@@ -558,17 +560,18 @@ def test_match_checks_read_the_detectors_exhaustively():
     assert histories == 99_964
 
 
-def generated_histories(count, seed):
+def generated_histories(count, seed, enq_share=0.6):
     """Atomic-queue histories of 50-600 actions, spread geometrically,
     every fourth with a long NULL window (at most 250 actions, where the
-    reference VWit scan is cubic)."""
+    reference VWit scan is cubic) and the others enqueueing with
+    probability enq_share."""
     rng = random.Random(seed)
     for i in range(count):
         size = int(50 * 12 ** rng.random())
         if i % 4 == 0:
             yield atomic_queue_history(rng, min(size, 250), null_window=True)
         else:
-            yield atomic_queue_history(rng, size)
+            yield atomic_queue_history(rng, size, enq_share=enq_share)
 
 
 def test_sweeps_match_reference_on_generated_histories():
@@ -590,6 +593,61 @@ def test_sweeps_match_reference_on_generated_histories():
         assert v == reference_detect_vwit(mutated)
         fired += v is not None
     assert fired >= 50
+
+
+def test_sweeps_match_reference_on_null_heavy_histories():
+    """Generated histories whose plain runs enqueue half the time, so the
+    queue is often empty and NULL dequeues are many: ranks, witnesses,
+    VWit evidence and every NULL dequeue's bad set equal their
+    references."""
+    nulls = 0
+    for c in generated_histories(40, seed=13, enq_share=0.5):
+        match = derive_match(c)
+        assert _total_enq_order(c, match) == reference_total_enq_order(c, match)
+        assert_witness_matches_reference(c, match)
+        assert detect_vwit(c) == reference_detect_vwit(c)
+        for d, t in match.items():
+            if t is None:
+                nulls += 1
+                assert compute_bad(c, match, d) == reference_compute_bad(c, match, d)
+    assert nulls >= 150
+
+
+def test_vord_evidence_matches_reference_on_planted_swaps():
+    """Plain generated histories with one dequeue's result exchanged with
+    another dequeue's, or replaced by a value no dequeue returns: the
+    suffix-minimum VOrd evidence equals the pair scan's, with e1 consumed
+    (d1 given) and with e1 unconsumed."""
+    rng = random.Random(5)
+    fired = Counter()
+    for c in generated_histories(100, seed=9):
+        deqs = {e.uid: e.value for e in c.events if e.is_deq and e.value is not NULL}
+        d = rng.choice(sorted(deqs))
+        left = sorted(set(c.enq_values()) - set(deqs.values()))
+        value = rng.choice(left + [v for u, v in deqs.items() if u != d])
+        swapped = {d: value}
+        swapped.update((u, deqs[d]) for u, v in deqs.items() if v == value)
+        mutated = History(
+            deq_res(a.uid, swapped[a.uid]) if a.kind == "res" and a.uid in swapped else a
+            for a in c.actions
+        )
+        v = detect_vord(mutated)
+        assert v == reference_detect_vord(mutated), mutated.serialize()
+        if v is not None:
+            fired["unconsumed e1" if v.d1 is None else "consumed e1"] += 1
+    assert fired["consumed e1"] >= 10 and fired["unconsumed e1"] >= 10, fired
+
+
+def test_ten_thousand_action_witnesses():
+    """Scale canary, with no timer: a plain and a NULL-heavy history of
+    10,000 actions each get a legal witness with one event per
+    operation."""
+    for enq_share in (0.6, 0.5):
+        c = atomic_queue_history(random.Random(1), 10_000, enq_share=enq_share)
+        v = check_linearizable(c, build_witness=True)
+        assert v.status == LINEARIZABLE
+        assert is_legal(v.witness)
+        assert len(v.witness) == len(c.events) == 5_000
 
 
 def test_witness_does_not_depend_on_uid_order():

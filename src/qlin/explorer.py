@@ -8,12 +8,13 @@ replay the schedules that sweep reports to check them.
 ``divergence_check_vord`` build the two theorem-shaped programs around
 the prophecy-instrumented dequeue and assert their termination
 properties at every reachable state.  They reach those states only
-through the packed kernel in sweep, counted up to permuting threads
-with the same declared operation: the reported state count is the sum
-of the orbit sizes of the canonical states, each predicate is invariant
-under those permutations, and a failing predicate's counterexample is
-the breadth-first schedule to its first failing state, replayed
-through hwmodel.
+through the packed kernel in sweep, by ``sweep.reachable_states``,
+which counts no schedules, up to permuting threads with the same
+declared operation: the reported state count is the sum of the orbit
+sizes of the canonical states, each predicate is invariant under those
+permutations, and a failing predicate's counterexample is the
+breadth-first schedule to its first failing state, replayed through
+hwmodel.
 
 Schedules are tuples of ``tid:instruction`` labels and are always
 replayable: feeding one back through ``replay_schedule`` reproduces the
@@ -125,9 +126,11 @@ def _explore(config: Config, predicates) -> tuple[int, bool, dict]:
     must hold everywhere.  Each is invariant under permuting threads
     with the same declared operation, so it is evaluated on the
     canonical states only; the state count is the sum of their orbits.
+    The states come from sweep.reachable_states, which counts no
+    schedules: the harnesses need none.
     """
     kernel = _Kernel(config)
-    counts, canonical = sweep.count_schedules(kernel)
+    canonical, bound_hit = sweep.reachable_states(kernel)
     states = 0
     failing: list[str] = []
     for state in canonical:
@@ -139,7 +142,7 @@ def _explore(config: Config, predicates) -> tuple[int, bool, dict]:
         name: sweep.first_schedule(kernel, lambda s, holds=predicates[name]: not holds(kernel, s))[0]
         for name in failing
     }
-    return states, counts["BOUND_HIT"] > 0, schedules
+    return states, bound_hit, schedules
 
 
 def _counterexample(config: Config, schedule: tuple[str, ...], note: str) -> Counterexample:

@@ -32,7 +32,7 @@ class _Reject:
         return (_Reject, ())
 
 
-#: Returned by lts_step when the event is not enabled.  A value, not an error.
+#: Returned by replay when an event is not enabled.  A value, not an error.
 REJECT = _Reject()
 
 QueueState = tuple[int, ...]
@@ -85,28 +85,27 @@ class Behavior:
         return "Behavior[" + " ".join(parts) + "]"
 
 
-def lts_step(q: QueueState, event: Event) -> QueueState | _Reject:
-    """One transition of the queue LTS; REJECT when the event is not enabled.
+def replay(b: Behavior, initial: QueueState = ()) -> QueueState | _Reject:
+    """The queue after running b from initial, or REJECT at the first
+    event the LTS does not allow.
 
     enq(x) appends x; deq(x) requires x at the head and removes it;
-    deq(NULL) requires the empty queue and leaves it empty.
+    deq(NULL) requires the empty queue and leaves it empty.  One pass
+    over a list with a head index, so no step copies the queue.
     """
-    if event.is_enq:
-        return q + (event.value,)
-    if event.value is NULL:
-        return q if q == () else REJECT
-    if q and q[0] == event.value:
-        return q[1:]
-    return REJECT
-
-
-def replay(b: Behavior, initial: QueueState = ()) -> QueueState | _Reject:
-    q: QueueState | _Reject = initial
+    items = list(initial)
+    head = 0
     for e in b.events:
-        q = lts_step(q, e)
-        if q is REJECT:
+        if e.is_enq:
+            items.append(e.value)
+        elif e.value is NULL:
+            if head < len(items):
+                return REJECT
+        elif head < len(items) and items[head] == e.value:
+            head += 1
+        else:
             return REJECT
-    return q
+    return tuple(items[head:])
 
 
 def is_legal(b: Behavior) -> bool:

@@ -26,9 +26,18 @@ same declared operation (other than the flag thread that gates choice
 menus) sorted, after Ip and Dill's symmetry reduction.  Permuting such
 threads maps runs to runs and keeps endpoint status, so schedule counts
 come out exact, and ``_Kernel.orbit_size`` gives the number of raw
-states each canonical state stands for.  ``first_schedule`` walks raw
+states each canonical state stands for.  A step rewrites the frame of
+the thread that moves and no other, so the canonical walks put a
+successor of a canonical state in canonical form by moving that one
+frame to its place in its group (``_Kernel.canon_step``); ``canon``
+sorts every group and serves raw states.  ``first_schedule`` walks raw
 states breadth-first in hwmodel's order when a replayable schedule to
 some state is needed.
+
+Two walks visit the canonical states.  ``count_schedules`` counts
+schedules and serves ``sweep_config``.  ``reachable_states`` keeps
+only a visited set and whether some run stops at the loop bound, which
+is all the divergence harnesses in explorer read.
 
 The sweep produces
   - exact counts of maximal schedules by endpoint status, computed by
@@ -285,6 +294,37 @@ class _Kernel:
             for t, fbits in zip(tids, fields):
                 sh = shifts[t]
                 state = (state & ~(f_mask << sh)) | (fbits << sh)
+        return state
+
+    def canon_step(self, state: int, tid: int) -> int:
+        """canon of a successor of a canonical state by a step of tid.
+
+        A step rewrites tid's frame and shared fields, which canon does
+        not move, so the other frames of tid's group are still sorted:
+        the new frame moves left or right past the neighbours it no
+        longer fits between, one insertion-sort step.
+        """
+        for tids in self.sym_groups:
+            if tid in tids:
+                break
+        else:
+            return state
+        shifts, f_mask = self.shifts, self.f_mask
+        i = j = tids.index(tid)
+        f = (state >> shifts[tid]) & f_mask
+        while j and (g := (state >> shifts[tids[j - 1]]) & f_mask) > f:
+            sh = shifts[tids[j]]
+            state = (state & ~(f_mask << sh)) | (g << sh)
+            j -= 1
+        if j == i:
+            last = len(tids) - 1
+            while j < last and (g := (state >> shifts[tids[j + 1]]) & f_mask) < f:
+                sh = shifts[tids[j]]
+                state = (state & ~(f_mask << sh)) | (g << sh)
+                j += 1
+        if j != i:
+            sh = shifts[tids[j]]
+            state = (state & ~(f_mask << sh)) | (f << sh)
         return state
 
     def orbit_size(self, state: int) -> int:
@@ -643,16 +683,16 @@ def count_schedules(kernel: _Kernel):
     bound makes the state graph acyclic, so a post-order walk with an
     explicit stack sums each state's counts from its successors'.
     """
-    successors, canon = kernel.successors, kernel.canon
+    successors, canon_step = kernel.successors, kernel.canon_step
     memo: dict[int, tuple] = {}
-    init = canon(kernel.init_state())
+    init = kernel.canon(kernel.init_state())
     stack: list = [(init, None)]
     while stack:
         state, kids = stack[-1]
         if state in memo:
             stack.pop()
         elif kids is None:
-            kids = [canon(ns) for _, _, _, ns in successors(state)]
+            kids = [canon_step(ns, tid) for tid, _, _, ns in successors(state)]
             stack[-1] = (state, kids)
             stack.extend((k, None) for k in kids if k not in memo)
         else:
@@ -665,6 +705,32 @@ def count_schedules(kernel: _Kernel):
     totals = memo[init]
     counts = Counter({name: n for name, n in zip(_STATUS_ORDER, totals) if n})
     return counts, memo.keys()
+
+
+def reachable_states(kernel: _Kernel):
+    """The reachable canonical states, and whether some maximal run
+    stops at the loop bound.
+
+    The same states as count_schedules visits, with no counts: a
+    depth-first walk with a visited set that classifies dead ends only,
+    for callers that need neither schedule counts nor visiting order.
+    """
+    successors, canon_step, classify = kernel.successors, kernel.canon_step, kernel.classify
+    init = kernel.canon(kernel.init_state())
+    seen = {init}
+    stack = [init]
+    bound_hit = False
+    while stack:
+        state = stack.pop()
+        succs = successors(state)
+        if not succs:
+            bound_hit = bound_hit or classify(state) == "BOUND_HIT"
+        for tid, _, _, ns in succs:
+            ns = canon_step(ns, tid)
+            if ns not in seen:
+                seen.add(ns)
+                stack.append(ns)
+    return seen, bound_hit
 
 
 def purity_scan(kernel: _Kernel, states):

@@ -7,6 +7,8 @@ functions here check the reformulations themselves, and the acceptance
 suite and unit tests use them to show that each one agrees with the
 definition it replaces:
 
+- the queue LTS one step at a time, the reference that
+  ``qlin.queuespec.replay`` folds in one pass;
 - sequential witnesses: a behavior is legal exactly when some total
   mapping of its dequeues to enqueues meets six clauses;
 - canonical behaviors: a behavior with a witness can be rewritten into
@@ -33,7 +35,7 @@ import math
 
 from qlin.checker import EnqOrderCycle, _bad_bounds, _drain_keys
 from qlin.history import INV, NULL, RES, Event, History, HistoryError, deq_inv, deq_res, enq_inv, enq_res
-from qlin.queuespec import Behavior, Match, candidate_matches
+from qlin.queuespec import REJECT, Behavior, Match, QueueState, _Reject, candidate_matches
 
 
 # ---- views of histories and behaviors ----
@@ -103,6 +105,24 @@ def to_history(b: Behavior) -> History:
         else:
             acts += [deq_inv(e.uid), deq_res(e.uid, e.value)]
     return History(acts)
+
+
+# ---- the queue LTS, one step at a time ----
+
+
+def lts_step(q: QueueState, event: Event) -> QueueState | _Reject:
+    """One transition of the queue LTS; REJECT when the event is not enabled.
+
+    enq(x) appends x; deq(x) requires x at the head and removes it;
+    deq(NULL) requires the empty queue and leaves it empty.
+    """
+    if event.is_enq:
+        return q + (event.value,)
+    if event.value is NULL:
+        return q if q == () else REJECT
+    if q and q[0] == event.value:
+        return q[1:]
+    return REJECT
 
 
 # ---- sequential witnesses ----

@@ -32,7 +32,7 @@ from qlin.hwmodel import (
 )
 
 from qlin import sweep
-from qlin.sweep import _Kernel, count_schedules
+from qlin.sweep import _Kernel, reachable_states
 
 from support import (
     ConfigReport,
@@ -392,28 +392,32 @@ def test_harness_matches_reference(kind, params):
 def test_orbit_sum_equals_unreduced_state_count(kind, params):
     config = (vrepet_config if kind == "vrepet" else vord_config)(**params)
     kernel = _Kernel(config)
-    _, canonical = count_schedules(kernel)
+    canonical, _ = reachable_states(kernel)
     orbit_sum = sum(kernel.orbit_size(s) for s in canonical)
-    kernel.sym_groups = ()  # explore every raw state, one orbit each
-    _, raw = count_schedules(kernel)
+    # explore every raw state, one orbit each: canon and canon_step both
+    # read the groups off sym_groups, so no other index needs clearing
+    kernel.sym_groups = ()
+    raw, _ = reachable_states(kernel)
     assert len(raw) == orbit_sum
     assert all(kernel.orbit_size(s) == 1 for s in raw)
 
 
-def test_harness_counts_through_the_sweep_module(monkeypatch):
-    # the harnesses look the count walk up on qlin.sweep at call time, so
-    # a wrapper installed there, as the benchmark's per-layer trace does,
-    # sees every call
-    real = sweep.count_schedules
+def test_harness_walks_through_the_sweep_module(monkeypatch):
+    # the harnesses look their state walk up on qlin.sweep at call time,
+    # so a wrapper installed there, as a per-layer trace would be, sees
+    # every call, one per harness
+    real = sweep.reachable_states
     calls = []
 
-    def counting(kernel):
+    def walking(kernel):
         calls.append(kernel)
         return real(kernel)
 
-    monkeypatch.setattr(sweep, "count_schedules", counting)
+    monkeypatch.setattr(sweep, "reachable_states", walking)
     assert divergence_check_vrepet().passed
     assert len(calls) == 1
+    assert divergence_check_vord(k=1, mutant=MUTANT_SKIP_SLOT_ZERO).counterexample is not None
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

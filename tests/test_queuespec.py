@@ -5,17 +5,18 @@ length 4; the acceptance suite pushes the same comparison to length 6.
 """
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qlin.checker import LINEARIZABLE, check_linearizable
 from qlin.history import NULL, Event, HistoryError, deq_inv, enq_inv
 from qlin.queuespec import (
     REJECT,
     Behavior,
     SearchBoundExceeded,
     is_legal,
-    lts_step,
     replay,
 )
 
@@ -26,10 +27,11 @@ from lemmas import (
     deq_values,
     find_sequential_witness,
     is_canonical,
+    lts_step,
     obs_equiv,
     to_history,
 )
-from support import behavior_seqs, seq_history, simple_legal
+from support import atomic_queue_history, behavior_seqs, seq_history, simple_legal
 
 
 def beh(*seq):
@@ -102,6 +104,37 @@ def test_replay_runs_from_initial_state():
     b = beh(D(7), E(1))
     assert replay(b) is REJECT
     assert replay(b, initial=(7,)) == (1,)
+
+
+def lts_fold(b: Behavior, initial=()):
+    """replay the long way: lts_step once per event."""
+    q = initial
+    for e in b.events:
+        q = lts_step(q, e)
+        if q is REJECT:
+            return REJECT
+    return q
+
+
+def test_replay_is_the_lts_step_fold():
+    """replay agrees with folding the one-step reference, REJECT
+    included, on every behavior over three values up to length 6 and on
+    the witnesses of two 10,000-action histories."""
+    verdicts = {True: 0, False: 0}
+    for seq in behavior_seqs(6):
+        b = Behavior(Event(uid, method, value, False) for uid, (method, value) in enumerate(seq))
+        got = replay(b)
+        assert got == lts_fold(b), seq
+        assert (got is not REJECT) == simple_legal(seq), seq
+        verdicts[got is not REJECT] += 1
+    assert verdicts[True] and verdicts[False]
+    assert sum(verdicts.values()) == sum(7**n for n in range(1, 7))
+    for enq_share in (0.6, 0.5):
+        c = atomic_queue_history(random.Random(1), 10_000, enq_share=enq_share)
+        v = check_linearizable(c, build_witness=True)
+        assert v.status == LINEARIZABLE
+        assert replay(v.witness) == lts_fold(v.witness)
+        assert replay(v.witness, initial=(7, 8)) == lts_fold(v.witness, initial=(7, 8))
 
 
 def test_is_legal_examples():

@@ -23,6 +23,7 @@ from qlin.hwmodel import (
     MUTANT_DIRTY_SPIN,
     MUTANT_NO_SWAP_CLEAR,
     MUTANT_NONATOMIC_ENQ,
+    MUTANT_NONE,
     MUTANT_SKIP_SLOT_ZERO,
 )
 from qlin.sweep import (
@@ -31,6 +32,7 @@ from qlin.sweep import (
     collect_histories,
     count_schedules,
     purity_scan,
+    reachable_states,
     sweep_config,
 )
 
@@ -140,6 +142,69 @@ def test_null_prophecy_dequeue_hits_the_loop_bound():
     counts, states = count_schedules(_Kernel(config))
     assert dict(counts) == dict(count_traces(config)) == {"BOUND_HIT": 1}
     assert len(states) == 4
+
+
+# ---------------------------------------------------------------------------
+# the canonical walks: one-frame re-canonicalisation, and the walk that
+# counts nothing against the one that counts
+
+
+def grid_config(n_enq, n_deq, mutant=MUTANT_NONE):
+    threads = tuple(EnqOp(i + 1) for i in range(n_enq)) + (DeqOp(),) * n_deq
+    return Config(threads, capacity=4, loop_bound=4, mutant=mutant)
+
+
+# the benchmark's grid cells and mutant cells, two non-trivial groups of
+# plain threads, the divergence harnesses, and a harness where a choice
+# group and a prophecy group both have two members
+CANON_CONFIGS = [
+    pytest.param(grid_config(ne, nd), id=f"grid-{ne}+{nd}")
+    for ne, nd in ((0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3),
+                   (2, 0), (2, 1), (2, 2), (3, 0), (3, 1))
+] + [
+    pytest.param(grid_config(1, 2, MUTANT_NO_SWAP_CLEAR), id="grid-1+2-no-swap-clear"),
+    pytest.param(grid_config(2, 1, MUTANT_SKIP_SLOT_ZERO), id="grid-2+1-skip-slot-zero"),
+    pytest.param(
+        Config((EnqOp(1), EnqOp(1), DeqOp(), DeqOp()), capacity=2, loop_bound=3),
+        id="two-groups",
+    ),
+    pytest.param(vrepet_config(m=2, k=0), id="vrepet-m2-k0"),
+    pytest.param(vrepet_config(m=2, k=1), id="vrepet-m2-k1"),
+    pytest.param(vrepet_config(m=3, k=0), id="vrepet-m3-k0"),
+    pytest.param(vord_config(k=0), id="vord-k0"),
+    pytest.param(vord_config(k=1), id="vord-k1"),
+    pytest.param(vrepet_config(m=2, k=0, mutant=MUTANT_NO_SWAP_CLEAR), id="vrepet-no-swap-clear"),
+    pytest.param(vord_config(k=1, mutant=MUTANT_SKIP_SLOT_ZERO), id="vord-skip-slot-zero"),
+    pytest.param(vrepet_config(m=2, k=2, loop_bound=1), id="vrepet-m2-k2-choice-group"),
+]
+
+
+@pytest.mark.parametrize("config", CANON_CONFIGS)
+def test_canon_step_is_canon_on_every_successor(config):
+    # a walk that canonicalises with canon alone, checking canon_step on
+    # every successor of every canonical state it reaches
+    kernel = _Kernel(config)
+    init = kernel.canon(kernel.init_state())
+    seen = {init}
+    stack = [init]
+    while stack:
+        state = stack.pop()
+        for tid, _, _, ns in kernel.successors(state):
+            full = kernel.canon(ns)
+            assert kernel.canon_step(ns, tid) == full, (state, tid)
+            if full not in seen:
+                seen.add(full)
+                stack.append(full)
+    assert reachable_states(kernel)[0] == seen
+
+
+@pytest.mark.parametrize("config", CANON_CONFIGS)
+def test_reachable_states_match_the_count_walk(config):
+    kernel = _Kernel(config)
+    states, bound_hit = reachable_states(kernel)
+    counts, counted = count_schedules(kernel)
+    assert states == set(counted)
+    assert bound_hit == (counts["BOUND_HIT"] > 0)
 
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)

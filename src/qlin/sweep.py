@@ -47,7 +47,10 @@ The sweep produces
     frame) pair, memoized on exactly that projection, in a pass over
     the states the count walk visited;
   - the distinct complete histories, found by a breadth-first walk over
-    (state, closed runs, open run) nodes with the closed runs interned.
+    (state, history prefix) nodes that goes one level at a time and
+    expands each state once per level for all the prefixes that reached
+    it; each prefix is an interned integer id, and extending it by a
+    token is one memo lookup.
 
 One collection loop serves two modes.  The exact mode keeps emission
 order (every action closes its run) and returns every distinct history.
@@ -66,7 +69,7 @@ exhaustively at small scales.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
 from .history import NULL, Action, History, deq_inv, deq_res, enq_inv, enq_res
@@ -329,15 +332,20 @@ class _Kernel:
 
     def orbit_size(self, state: int) -> int:
         """Number of states that permuting interchangeable threads makes
-        of this one: per group, the multinomial of its equal frames."""
+        of this one: per group, the multinomial of its equal frames.
+
+        The state must be canonical: its groups' frames are then sorted,
+        so equal frames sit next to each other and are counted as runs.
+        """
         shifts, f_mask = self.shifts, self.f_mask
         size = 1
         for tids in self.sym_groups:
-            frames = sorted((state >> shifts[t]) & f_mask for t in tids)
-            run = 1
-            for i, f in enumerate(frames):
-                run = run + 1 if i and f == frames[i - 1] else 1
-                size = size * (i + 1) // run
+            prev = run = -1
+            for i, t in enumerate(tids, 1):
+                f = (state >> shifts[t]) & f_mask
+                run = run + 1 if f == prev else 1
+                prev = f
+                size = size * i // run
         return size
 
     def _entry(self, state: int, tid: int) -> int:
@@ -763,17 +771,25 @@ def purity_scan(kernel: _Kernel, states):
 
 
 def collect_histories(kernel: _Kernel, *, quotient: bool):
-    """All distinct complete token sequences.
+    """All distinct complete token sequences, and the number of nodes
+    the walk visited.
 
-    A node is (state, closed runs, open run), where a run is a maximal
-    stretch of invocations or of responses: closed run chains are
-    interned and open runs are kept in a table.  In quotient mode each
-    run is sorted, so sequences that differ only in the order within
-    runs share a node, and the enqueuers are gated to invoke in value
-    order, which renames values by invocation rank.  In exact mode
-    every token closes its run, so a node keeps the emission order.
-    Node keys are packed into single integers to keep the visited set
-    compact.
+    A node is a state and a history prefix.  A prefix is a chain of
+    closed runs and an open run, where a run is a maximal stretch of
+    invocations or of responses; closed run chains and open runs are
+    interned, and each distinct prefix gets an integer id when first
+    formed.  In quotient mode each run is sorted, so sequences that
+    differ only in the order within runs share a prefix, and the
+    enqueuers are gated to invoke in value order, which renames values
+    by invocation rank.  In exact mode every token closes its run, so a
+    prefix keeps the emission order.
+
+    The walk is breadth-first one level at a time.  A level maps each
+    state to the ids of the prefixes that reached it, so a state's
+    successors are computed once per level and every prefix is pushed
+    through them; extending a prefix by a token is one memo lookup.  A
+    node's key in the visited set is its prefix id shifted past the
+    state's bits, so the set holds single integers.
     """
     gate_groups = kernel.emit_groups(quotient)
 
@@ -782,6 +798,11 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
     seq_parent: list = [(None, None)]
     open_ids: dict[tuple, int] = {(): 0}
     open_seqs: list[tuple] = [()]
+    # prefixes: id -> (closed chain id, open run id); id 0 is the empty one
+    prefix_ids: dict[tuple, int] = {(0, 0): 0}
+    prefixes: list[tuple] = [(0, 0)]
+    # token -> {prefix id: id of the prefix extended by token}
+    moves: dict[tuple, dict[int, int]] = {}
 
     def intern_open(run: tuple) -> int:
         got = open_ids.get(run)
@@ -797,38 +818,52 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
             seq_parent.append((cid, run))
         return got
 
+    def extend(memo: dict, pid: int, token: tuple) -> int:
+        cid, oid = prefixes[pid]
+        orun = open_seqs[oid]
+        if quotient and orun and _is_inv(orun[0]) == _is_inv(token):
+            key = (cid, intern_open(tuple(sorted(orun + (token,)))))
+        else:
+            key = (close(cid, orun) if orun else cid, intern_open((token,)))
+        got = prefix_ids.get(key)
+        if got is None:
+            got = prefix_ids[key] = len(prefixes)
+            prefixes.append(key)
+        memo[pid] = got
+        return got
+
+    def tokens_of(pid: int) -> tuple:
+        cid, oid = prefixes[pid]
+        runs = [open_seqs[oid]]
+        while cid:
+            cid, run = seq_parent[cid]
+            runs.append(run)
+        return tuple(t for run in reversed(runs) for t in run)
+
     init = kernel.init_state()
     state_bits = kernel.frames_sh + kernel.f_bits * kernel.n
     complete: set[tuple] = set()
-    successors = kernel.successors
-    seen = {init}  # key = ((cid << 14 | oid) << state_bits) | state
-    queue = deque([(init, 0, 0)])
-    while queue:
-        state, cid, oid = queue.popleft()
-        succs = successors(state, gate_groups)
-        orun = open_seqs[oid]
-        if not succs:
-            if kernel.classify(state) == "COMPLETE":
-                runs = [orun]
-                while cid:
-                    cid, run = seq_parent[cid]
-                    runs.append(run)
-                complete.add(tuple(t for run in reversed(runs) for t in run))
-            continue
-        for _, _, token, ns in succs:
-            if token is None:
-                ncid, noid = cid, oid
-            elif quotient and orun and _is_inv(orun[0]) == _is_inv(token):
-                ncid, noid = cid, intern_open(tuple(sorted(orun + (token,))))
-            else:
-                ncid = close(cid, orun) if orun else cid
-                noid = intern_open((token,))
-            key = ((ncid << 14 | noid) << state_bits) | ns
-            if key not in seen:
-                seen.add(key)
-                queue.append((ns, ncid, noid))
-    if len(open_seqs) >= 1 << 14:
-        raise AssertionError("open-run table overflowed its key field")
+    successors, classify = kernel.successors, kernel.classify
+    seen = {init}  # key = prefix id << state_bits | state
+    level: dict[int, list[int]] = {init: [0]}
+    while level:
+        following: defaultdict[int, list[int]] = defaultdict(list)
+        for state, pids in level.items():
+            succs = successors(state, gate_groups)
+            if not succs:
+                if classify(state) == "COMPLETE":
+                    complete.update(map(tokens_of, pids))
+                continue
+            for _, _, token, ns in succs:
+                memo = None if token is None else moves.setdefault(token, {})
+                for pid in pids:
+                    # a stored id is never 0, the empty prefix's
+                    npid = pid if memo is None else memo.get(pid) or extend(memo, pid, token)
+                    key = npid << state_bits | ns
+                    if key not in seen:
+                        seen.add(key)
+                        following[ns].append(npid)
+        level = following
     return complete, len(seen)
 
 

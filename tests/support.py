@@ -1002,6 +1002,77 @@ def canonicalize_tokens(kernel: _Kernel, tokens) -> tuple:
     return tuple(out)
 
 
+# ---- reference history collection, node by node ----
+
+
+def reference_collect_histories(kernel: _Kernel, *, quotient: bool, expanded=None):
+    """collect_histories as a plain breadth-first walk that expands every
+    (state, closed runs, open run) node on its own, so a state reached
+    with several prefixes has its successors computed once per prefix.
+
+    Given a set as expanded, it also records the (depth, state) pair of
+    every node it expands: the level walk calls successors once per
+    such pair.
+    """
+    gate_groups = kernel.emit_groups(quotient)
+
+    # closed run chains: id -> (parent id, run)
+    seq_next: dict = {}
+    seq_parent: list = [(None, None)]
+    open_ids: dict[tuple, int] = {(): 0}
+    open_seqs: list[tuple] = [()]
+
+    def intern_open(run: tuple) -> int:
+        got = open_ids.get(run)
+        if got is None:
+            got = open_ids[run] = len(open_seqs)
+            open_seqs.append(run)
+        return got
+
+    def close(cid: int, run: tuple) -> int:
+        got = seq_next.get((cid, run))
+        if got is None:
+            got = seq_next[(cid, run)] = len(seq_parent)
+            seq_parent.append((cid, run))
+        return got
+
+    init = kernel.init_state()
+    state_bits = kernel.frames_sh + kernel.f_bits * kernel.n
+    complete: set[tuple] = set()
+    successors = kernel.successors
+    seen = {init}  # key = ((cid << 14 | oid) << state_bits) | state
+    queue = deque([(init, 0, 0, 0)])
+    while queue:
+        state, cid, oid, depth = queue.popleft()
+        if expanded is not None:
+            expanded.add((depth, state))
+        succs = successors(state, gate_groups)
+        orun = open_seqs[oid]
+        if not succs:
+            if kernel.classify(state) == "COMPLETE":
+                runs = [orun]
+                while cid:
+                    cid, run = seq_parent[cid]
+                    runs.append(run)
+                complete.add(tuple(t for run in reversed(runs) for t in run))
+            continue
+        for _, _, token, ns in succs:
+            if token is None:
+                ncid, noid = cid, oid
+            elif quotient and orun and _is_inv(orun[0]) == _is_inv(token):
+                ncid, noid = cid, intern_open(tuple(sorted(orun + (token,))))
+            else:
+                ncid = close(cid, orun) if orun else cid
+                noid = intern_open((token,))
+            key = ((ncid << 14 | noid) << state_bits) | ns
+            if key not in seen:
+                seen.add(key)
+                queue.append((ns, ncid, noid, depth + 1))
+    if len(open_seqs) >= 1 << 14:
+        raise AssertionError("open-run table overflowed its key field")
+    return complete, len(seen)
+
+
 # ---- reference purity sweep ----
 
 

@@ -7,6 +7,9 @@ exhaustive sweeps themselves; every schedule-shaped expectation is also
 replayed through the machine to confirm it is not a stale literal.
 """
 
+from itertools import groupby
+from math import factorial
+
 import pytest
 
 from qlin.explorer import (
@@ -400,6 +403,22 @@ def test_orbit_sum_equals_unreduced_state_count(kind, params):
     raw, _ = reachable_states(kernel)
     assert len(raw) == orbit_sum
     assert all(kernel.orbit_size(s) == 1 for s in raw)
+
+
+@pytest.mark.parametrize("kind, params", HARNESSES)
+def test_orbit_size_is_the_sorted_multinomial(kind, params):
+    # orbit_size counts runs of adjacent equal frames, which needs a
+    # canonical state; here each group's frames are sorted afresh
+    kernel = _Kernel((vrepet_config if kind == "vrepet" else vord_config)(**params))
+    canonical, _ = reachable_states(kernel)
+    for state in canonical:
+        size = 1
+        for tids in kernel.sym_groups:
+            frames = sorted(kernel.frame(state, t) for t in tids)
+            size *= factorial(len(frames))
+            for _, equal in groupby(frames):
+                size //= factorial(len(list(equal)))
+        assert kernel.orbit_size(state) == size, state
 
 
 def test_harness_walks_through_the_sweep_module(monkeypatch):

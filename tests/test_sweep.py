@@ -45,6 +45,7 @@ from support import (
     isomorphic,
     plain_config,
     purity_sweep,
+    reference_collect_histories,
 )
 
 
@@ -205,6 +206,54 @@ def test_reachable_states_match_the_count_walk(config):
     counts, counted = count_schedules(kernel)
     assert states == set(counted)
     assert bound_hit == (counts["BOUND_HIT"] > 0)
+
+
+# the plain configurations among CANON_CONFIGS, a repeated enqueue value,
+# and the mutants that add a step (nonatomic_enq) or a shared counter
+# (dirty_spin) to a run
+COLLECT_CONFIGS = [p for p in CANON_CONFIGS if not _Kernel(p.values[0]).ranked] + [
+    pytest.param(
+        Config((EnqOp(1), EnqOp(1), EnqOp(2), DeqOp()), capacity=3, loop_bound=2),
+        id="repeated-value",
+    ),
+    pytest.param(plain_config(2, 2, mutant=MUTANT_NONATOMIC_ENQ, capacity=2, loop_bound=2),
+                 id="nonatomic-enq"),
+    pytest.param(plain_config(1, 2, mutant=MUTANT_DIRTY_SPIN, capacity=1, loop_bound=3),
+                 id="dirty-spin"),
+]
+
+
+@pytest.mark.parametrize("config", COLLECT_CONFIGS)
+@pytest.mark.parametrize("quotient", [True, False], ids=["quotient", "exact"])
+def test_collect_matches_the_reference_walk(config, quotient):
+    kernel = _Kernel(config)
+    assert collect_histories(kernel, quotient=quotient) == reference_collect_histories(
+        kernel, quotient=quotient)
+
+
+@pytest.mark.parametrize("cell, expanded, nodes", [
+    pytest.param((2, 2), 4_033, 7_127, id="grid-2+2"),
+    pytest.param((3, 1), 1_104, 2_589, id="grid-3+1"),
+    pytest.param((1, 3), 3_399, 4_969, id="grid-1+3"),
+])
+def test_collect_expands_each_state_once_per_level(monkeypatch, cell, expanded, nodes):
+    # the node-by-node walk expands a state once per prefix that reaches
+    # it; the level walk, once per BFS depth at which some prefix does
+    kernel = _Kernel(grid_config(*cell))
+    pairs: set = set()
+    _, ref_nodes = reference_collect_histories(kernel, quotient=True, expanded=pairs)
+    assert (len(pairs), ref_nodes) == (expanded, nodes)
+    calls = []
+    real = kernel.successors
+
+    def counting(state, gate_groups=()):
+        calls.append(state)
+        return real(state, gate_groups)
+
+    monkeypatch.setattr(kernel, "successors", counting)
+    _, got_nodes = collect_histories(kernel, quotient=True)
+    assert got_nodes == nodes
+    assert len(calls) == expanded
 
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)

@@ -13,8 +13,10 @@ Three layers:
   of a slot-array queue with seeded bug variants; `sweep` explores
   every interleaving of a configuration on packed integer states, up to
   permuting identical threads, and checks every history it can produce;
-  `explorer` replays schedules on the readable model and runs the
-  divergence harnesses, whose states it reaches through `sweep`.
+  `explorer` runs the divergence harnesses, whose states, schedules and
+  counterexample histories all come from `sweep`.  No command runs the
+  readable model: it and `explorer.replay_schedule` are the reference
+  the tests and the benchmark check the packed kernel against.
 
 `cli.main` wires these into the `qlin` command.  The checkers of the
 source paper's reformulation lemmas (sequential witnesses, canonical
@@ -71,20 +73,12 @@ from .hwmodel import (
     Config,
     DeqOp,
     EnqOp,
-    HWState,
-    ThreadFrame,
-    classify_endpoint,
-    hw_init,
-    successors,
 )
 from .explorer import (
     Counterexample,
     DivergenceReport,
-    ExecutionTrace,
     divergence_check_vord,
     divergence_check_vrepet,
-    induce_history,
-    replay_schedule,
     vord_config,
     vrepet_config,
 )

@@ -1,20 +1,20 @@
 """Schedule replay and the divergence harnesses.
 
 ``replay_schedule`` re-runs a schedule through hwmodel and
-``induce_history`` reads off its history; the divergence harnesses
-build their counterexamples this way, and the tests and the benchmark
-replay the schedules that sweep reports to check them.
-``divergence_check_vrepet`` and
-``divergence_check_vord`` build the two theorem-shaped programs around
-the prophecy-instrumented dequeue and assert their termination
-properties at every reachable state.  They reach those states only
-through the packed kernel in sweep, by ``sweep.reachable_states``,
-which counts no schedules, up to permuting threads with the same
-declared operation: the reported state count is the sum of the orbit
-sizes of the canonical states, each predicate is invariant under those
-permutations, and a failing predicate's counterexample is the
-breadth-first schedule to its first failing state, replayed through
-hwmodel.
+``induce_history`` reads off its history.  No command calls them: the
+tests and the benchmark replay the schedules that sweep and the
+harnesses report through them, to check those against the readable
+model.  ``divergence_check_vrepet`` and ``divergence_check_vord``
+build the two theorem-shaped programs around the prophecy-instrumented
+dequeue and assert their termination properties at every reachable
+state.  They reach those states only through the packed kernel in
+sweep, by ``sweep.reachable_states``, which counts no schedules, up to
+permuting threads with the same declared operation: the reported state
+count is the sum of the orbit sizes of the canonical states, each
+predicate is invariant under those permutations, and a failing
+predicate's counterexample is the breadth-first schedule to its first
+failing state, with the history read off the tokens that walk emits
+(``sweep.first_schedule``).
 
 Schedules are tuples of ``tid:instruction`` labels and are always
 replayable: feeding one back through ``replay_schedule`` reproduces the
@@ -120,7 +120,8 @@ class DivergenceReport:
 
 def _explore(config: Config, predicates) -> tuple[int, bool, dict]:
     """Reachable states, whether a run stops at the loop bound, and a
-    schedule to a failing state for each failing predicate.
+    (schedule, history) pair to a failing state for each failing
+    predicate.
 
     predicates maps a name to a function of (kernel, packed state) that
     must hold everywhere.  Each is invariant under permuting threads
@@ -138,16 +139,12 @@ def _explore(config: Config, predicates) -> tuple[int, bool, dict]:
         for name, holds in predicates.items():
             if name not in failing and not holds(kernel, state):
                 failing.append(name)
-    schedules = {
-        name: sweep.first_schedule(kernel, lambda s, holds=predicates[name]: not holds(kernel, s))[0]
-        for name in failing
-    }
-    return states, bound_hit, schedules
-
-
-def _counterexample(config: Config, schedule: tuple[str, ...], note: str) -> Counterexample:
-    trace = replay_schedule(config, schedule)
-    return Counterexample(schedule, induce_history(trace), note)
+    failures = {}
+    for name in failing:
+        holds = predicates[name]
+        schedule, tokens, _ = sweep.first_schedule(kernel, lambda s: not holds(kernel, s))
+        failures[name] = (schedule, kernel.tokens_to_history(tokens))
+    return states, bound_hit, failures
 
 
 # the harness values: the duplicated value of vrepet, and the older and
@@ -200,9 +197,8 @@ def divergence_check_vrepet(m: int = 2, k: int = 0, *,
     states, bound_hit, failures = _explore(config, {"at-most-one": at_most_one})
     ce = None
     if "at-most-one" in failures:
-        ce = _counterexample(
-            config, failures["at-most-one"],
-            f"two deq({v}) threads finished on one enq({v})",
+        ce = Counterexample(
+            *failures["at-most-one"], f"two deq({v}) threads finished on one enq({v})",
         )
     return DivergenceReport(
         name="vrepet",
@@ -276,14 +272,14 @@ def divergence_check_vord(k: int = 0, *,
     states, bound_hit, failures = _explore(config, predicates)
     ce = None
     if "main-deq-blocked" in failures:
-        ce = _counterexample(
-            config, failures["main-deq-blocked"],
+        ce = Counterexample(
+            *failures["main-deq-blocked"],
             f"deq({v2}) finished although enq({v1}) came first and was never dequeued",
         )
     inv_example = None
     if "slot-invariant" in failures:
-        inv_example = _counterexample(
-            config, failures["slot-invariant"],
+        inv_example = Counterexample(
+            *failures["slot-invariant"],
             f"no slot holds {v1} below back without an earlier {v2}",
         )
     return DivergenceReport(

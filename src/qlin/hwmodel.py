@@ -14,6 +14,12 @@ deterministically.  The invocation action of an operation is emitted at its
 first instruction and its response at a dedicated exit step, so an operation
 stays pending while its effect is already (or not yet) visible.
 
+No command runs this interpreter: they all explore the packed transition
+relation in sweep, on the configuration types defined here.  The
+interpreter (``hw_init``, ``successors``, ``classify_endpoint``) is the
+readable specification that the tests and the benchmark's replay gate
+run, through ``explorer.replay_schedule``, to check the kernel against.
+
 Besides the faithful queue the module implements intentionally broken
 variants (``MUTANTS``) and a prophecy-instrumented dequeue whose scan step
 is split into a commit branch (the probed slot holds the predicted value;

@@ -32,7 +32,8 @@ successor of a canonical state in canonical form by moving that one
 frame to its place in its group (``_Kernel.canon_step``); ``canon``
 sorts every group and serves raw states.  ``first_schedule`` walks raw
 states breadth-first in hwmodel's order when a replayable schedule to
-some state is needed.
+some state is needed, and returns the tokens that schedule emits too:
+the divergence harnesses read their counterexample histories off them.
 
 Two walks visit the canonical states.  ``count_schedules`` counts
 schedules and serves ``sweep_config``.  ``reachable_states`` keeps
@@ -49,8 +50,9 @@ The sweep produces
   - the distinct complete histories, found by a breadth-first walk over
     (state, history prefix) nodes that goes one level at a time and
     expands each state once per level for all the prefixes that reached
-    it; each prefix is an interned integer id, and extending it by a
-    token is one memo lookup.
+    it; each prefix is an integer id in one table that also names the
+    chain of runs it closes, and extending it by a token is one memo
+    lookup.
 
 One collection loop serves two modes.  The exact mode keeps emission
 order (every action closes its run) and returns every distinct history.
@@ -212,7 +214,6 @@ class _Kernel:
             for t in threads
         ]
         self.is_enq = [p is not None and p[0] > 0 for p in self.progs]
-        self.enq_vbits = [p[0] if p is not None else 0 for p in self.progs]
         self.ranked = any(p is None or p[1] is not None for p in self.progs)
 
         # field widths: back and rng + 1 hold 0..cap, slot 0..cap-1,
@@ -265,11 +266,10 @@ class _Kernel:
         # enqueuers listed by ascending value index, for value renaming
         # in history collection; sound while no transition compares a
         # stored value with anything, so not with prophecy dequeues
-        enq_tids = sorted(
+        self.enq_tids = tuple(sorted(
             (t for t in range(self.n) if self.is_enq[t]),
-            key=lambda t: self.enq_vbits[t],
-        )
-        self.enq_tids = tuple(enq_tids)
+            key=lambda t: self.progs[t][0],
+        ))
 
     def emit_groups(self, value_sym: bool) -> tuple[tuple[int, ...], ...]:
         """Thread groups gated to invoke in member order during history
@@ -384,7 +384,8 @@ class _Kernel:
         by thread, then menu entry.
 
         instr is the instruction mnemonic used in schedule labels; token
-        is None for internal steps, otherwise (kind, tid, value-index).
+        is None for internal steps, otherwise (kind, tid, value index)
+        with the index of the value the action carries, 0 for none.
 
         gate_groups restricts invocations: within each listed group only
         the lowest idle member may take its first step.  Runs then
@@ -435,7 +436,7 @@ class _Kernel:
                         ns = (base | (nf << sh)) + 1  # back += 1
                     if ranked:
                         ns |= self._rank(state) << (sh + self.uid_sh)
-                    out.append((tid, "E1", (_T_EINV, tid, 0), ns))
+                    out.append((tid, "E1", (_T_EINV, tid, vbits), ns))
                 elif pc == _E1B:
                     nf = _E2 | (f & (slot_mask << slot_sh))
                     ns = (base | (nf << sh)) + 1
@@ -572,7 +573,7 @@ class _Kernel:
         for kind, tid, val in tokens:
             if kind == _T_EINV:
                 uid_of[tid] = len(uid_of)
-                actions.append(enq_inv(uid_of[tid], self.values[self.enq_vbits[tid] - 1]))
+                actions.append(enq_inv(uid_of[tid], self.values[val - 1]))
             elif kind == _T_ERES:
                 actions.append(enq_res(uid_of[tid]))
             elif kind == _T_DINV:
@@ -651,8 +652,9 @@ class _Kernel:
 
 def first_schedule(kernel: _Kernel, stop):
     """The first raw state, in breadth-first order, that satisfies stop,
-    with the schedule that reaches it: (schedule, state), or None when
-    no reachable state does.
+    with the schedule that reaches it and the tokens that schedule
+    emits: (schedule, tokens, state), or None when no reachable state
+    does.
 
     Threads and branches are expanded in hwmodel's order and each state
     keeps the step that first reached it, so this is the schedule a
@@ -665,9 +667,9 @@ def first_schedule(kernel: _Kernel, stop):
     found = init if stop(init) else None
     while found is None and queue:
         state = queue.popleft()
-        for tid, instr, _, ns in kernel.successors(state):
+        for tid, instr, token, ns in kernel.successors(state):
             if ns not in parents:
-                parents[ns] = (state, f"{tid}:{instr}")
+                parents[ns] = (state, f"{tid}:{instr}", token)
                 if stop(ns):
                     found = ns
                     break
@@ -675,11 +677,14 @@ def first_schedule(kernel: _Kernel, stop):
     if found is None:
         return None
     labels: list[str] = []
+    tokens: list[tuple] = []
     state = found
     while parents[state] is not None:
-        state, label = parents[state]
+        state, label, token = parents[state]
         labels.append(label)
-    return tuple(reversed(labels)), found
+        if token is not None:
+            tokens.append(token)
+    return tuple(reversed(labels)), tuple(reversed(tokens)), found
 
 
 def count_schedules(kernel: _Kernel):
@@ -776,13 +781,15 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
 
     A node is a state and a history prefix.  A prefix is a chain of
     closed runs and an open run, where a run is a maximal stretch of
-    invocations or of responses; closed run chains and open runs are
-    interned, and each distinct prefix gets an integer id when first
-    formed.  In quotient mode each run is sorted, so sequences that
-    differ only in the order within runs share a prefix, and the
-    enqueuers are gated to invoke in value order, which renames values
-    by invocation rank.  In exact mode every token closes its run, so a
-    prefix keeps the emission order.
+    invocations or of responses.  Open runs are interned, and each
+    distinct prefix gets an integer id when first formed.  The chain a
+    token closes is the whole prefix it extends, so a prefix is stored
+    as (id of the prefix its closed chain was, open run id) and one
+    table names prefixes and chains alike.  In quotient mode each run
+    is sorted, so sequences that differ only in the order within runs
+    share a prefix, and the enqueuers are gated to invoke in value
+    order, which renames values by invocation rank.  In exact mode
+    every token closes its run, so a prefix keeps the emission order.
 
     The walk is breadth-first one level at a time.  A level maps each
     state to the ids of the prefixes that reached it, so a state's
@@ -793,12 +800,9 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
     """
     gate_groups = kernel.emit_groups(quotient)
 
-    # closed run chains: id -> (parent id, run)
-    seq_next: dict = {}
-    seq_parent: list = [(None, None)]
     open_ids: dict[tuple, int] = {(): 0}
     open_seqs: list[tuple] = [()]
-    # prefixes: id -> (closed chain id, open run id); id 0 is the empty one
+    # prefixes: id -> (closed chain's prefix id, open run id); 0 is empty
     prefix_ids: dict[tuple, int] = {(0, 0): 0}
     prefixes: list[tuple] = [(0, 0)]
     # token -> {prefix id: id of the prefix extended by token}
@@ -811,20 +815,14 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
             open_seqs.append(run)
         return got
 
-    def close(cid: int, run: tuple) -> int:
-        got = seq_next.get((cid, run))
-        if got is None:
-            got = seq_next[(cid, run)] = len(seq_parent)
-            seq_parent.append((cid, run))
-        return got
-
     def extend(memo: dict, pid: int, token: tuple) -> int:
         cid, oid = prefixes[pid]
         orun = open_seqs[oid]
         if quotient and orun and _is_inv(orun[0]) == _is_inv(token):
             key = (cid, intern_open(tuple(sorted(orun + (token,)))))
         else:
-            key = (close(cid, orun) if orun else cid, intern_open((token,)))
+            # the token closes pid's open run, so pid names that chain
+            key = (pid, intern_open((token,)))
         got = prefix_ids.get(key)
         if got is None:
             got = prefix_ids[key] = len(prefixes)
@@ -833,11 +831,10 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
         return got
 
     def tokens_of(pid: int) -> tuple:
-        cid, oid = prefixes[pid]
-        runs = [open_seqs[oid]]
-        while cid:
-            cid, run = seq_parent[cid]
-            runs.append(run)
+        runs = []
+        while pid:
+            pid, oid = prefixes[pid]
+            runs.append(open_seqs[oid])
         return tuple(t for run in reversed(runs) for t in run)
 
     init = kernel.init_state()
@@ -939,7 +936,7 @@ def sweep_config(config: Config, *, oracle: bool = False,
 def _impurity(kernel: _Kernel, state: int, tid: int) -> SweepImpurity:
     """Evidence for an impure dequeue found in canonical state: the
     first raw state of that orbit and the thread holding its frame."""
-    schedule, raw = first_schedule(kernel, lambda s: kernel.canon(s) == state)
+    schedule, _, raw = first_schedule(kernel, lambda s: kernel.canon(s) == state)
     frame = kernel.frame(state, tid)
     group = next((g for g in kernel.sym_groups if tid in g), (tid,))
     return SweepImpurity(next(t for t in group if kernel.frame(raw, t) == frame), schedule)

@@ -989,7 +989,7 @@ def canonicalize_tokens(kernel: _Kernel, tokens) -> tuple:
     vmap = {0: 0}
     for t in range(kernel.n):
         if kernel.is_enq[t]:
-            vmap[kernel.enq_vbits[t]] = kernel.enq_vbits[rename.get(t, t)]
+            vmap[kernel.progs[t][0]] = kernel.progs[rename.get(t, t)][0]
     renamed = [(k, rename.get(t, t), vmap[v]) for k, t, v in tokens]
     out: list = []
     run: list = []

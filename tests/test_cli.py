@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, and that printed
 schedules really replay to the printed histories."""
 
+import importlib
 import io
 
 import pytest
@@ -407,6 +408,40 @@ def test_divergence_bad_parameters_exit_2(capsys, argv, message):
     code, out, err = run(capsys, ["divergence"] + argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# one transition relation
+
+
+INTERPRETER = {
+    "qlin.hwmodel": ("successors", "hw_init", "classify_endpoint"),
+    "qlin.explorer": ("successors", "hw_init", "classify_endpoint", "replay_schedule"),
+}
+
+
+def test_no_command_reaches_the_interpreter(capsys, monkeypatch):
+    # every command explores on the packed kernel alone: with the
+    # readable model's transitions and replay made to raise, each of
+    # these prints what it printed before, counterexamples included
+    commands = [
+        "divergence vrepet --mutant no_swap_clear",
+        "divergence vord --k 1 --mutant skip_slot_zero",
+        "divergence vord --k 1",
+        "explore --enq 1 --deq 2 --mutant no_swap_clear",
+        "explore --enq 1 --deq 1 --mutant dirty_spin --purity",
+        "explore --enq 2 --deq 1 --mutant skip_slot_zero --oracle",
+    ]
+    normal = [run(capsys, argv.split())[:2] for argv in commands]
+
+    def interpreter(*args, **kwargs):
+        raise AssertionError("a command reached the interpreter")
+
+    for module, names in INTERPRETER.items():
+        for name in names:
+            monkeypatch.setattr(importlib.import_module(module), name, interpreter)
+    for argv, before in zip(commands, normal):
+        assert run(capsys, argv.split())[:2] == before, argv
 
 
 # ---------------------------------------------------------------------------

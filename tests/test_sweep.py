@@ -29,8 +29,10 @@ from qlin.hwmodel import (
 from qlin.sweep import (
     SweepScopeError,
     _Kernel,
+    _T_EINV,
     collect_histories,
     count_schedules,
+    first_schedule,
     purity_scan,
     reachable_states,
     sweep_config,
@@ -523,6 +525,29 @@ def test_repeated_value_violations_replay_to_their_history():
         again = replay_schedule(config, v.schedule)
         assert again.status == "COMPLETE"
         assert induce_history(again).serialize() == v.history.serialize()
+
+
+def test_first_schedule_tokens_match_replay_on_choice_threads():
+    # the divergence harnesses read counterexample histories off the
+    # tokens of first_schedule's walk; on a choice thread the enqueued
+    # value comes from the menu entry, so check those against replay
+    config = vord_config(k=1)
+    kernel = _Kernel(config)
+    states, _ = reachable_states(kernel)
+    assert len(states) == 3817
+    choice = [t for t in range(kernel.n) if kernel.progs[t] is None]
+    choice_enqs = {(_T_EINV, t) for t in choice}
+    invoked = [s for s in sorted(states)
+               if any(kernel.frame(s, t) & 0x7 for t in choice)][:40]
+    assert len(invoked) == 40
+    enqueued_by_choice = 0
+    for state in invoked:
+        schedule, tokens, raw = first_schedule(kernel, lambda s: kernel.canon(s) == state)
+        assert kernel.canon(raw) == state
+        history = kernel.tokens_to_history(tokens)
+        assert history.serialize() == induce_history(replay_schedule(config, schedule)).serialize()
+        enqueued_by_choice += any(t[:2] in choice_enqs for t in tokens)
+    assert enqueued_by_choice
 
 
 def test_find_schedule_rejects_unrealizable_tokens():

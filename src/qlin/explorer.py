@@ -6,15 +6,16 @@ tests and the benchmark replay the schedules that sweep and the
 harnesses report through them, to check those against the readable
 model.  ``divergence_check_vrepet`` and ``divergence_check_vord``
 build the two theorem-shaped programs around the prophecy-instrumented
-dequeue and assert their termination properties at every reachable
-state.  They reach those states only through the packed kernel in
-sweep, by ``sweep.reachable_states``, which counts no schedules, up to
-permuting threads with the same declared operation: the reported state
-count is the sum of the orbit sizes of the canonical states, each
-predicate is invariant under those permutations, and a failing
-predicate's counterexample is the breadth-first schedule to its first
-failing state, with the history read off the tokens that walk emits
-(``sweep.first_schedule``).
+dequeue and hand them, with the predicates that state their termination
+properties and a note for each, to one runner, ``_run``.  It reaches
+the states only through the packed kernel in sweep, by
+``sweep.reachable_states``, which counts no schedules, up to permuting
+threads with the same declared operation: the reported state count is
+the sum of the orbit sizes of the canonical states, each predicate is
+invariant under those permutations and must hold at every one of them,
+and a failing predicate's counterexample is the breadth-first schedule
+to its first failing state, with the history read off the tokens that
+walk emits (``sweep.first_schedule``).
 
 Schedules are tuples of ``tid:instruction`` labels and are always
 replayable: feeding one back through ``replay_schedule`` reproduces the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .history import Action, History, NULL
+from .history import Action, History
 from .hwmodel import (
     ChoiceOp,
     Config,
@@ -118,33 +119,48 @@ class DivergenceReport:
         return " ".join(parts)
 
 
-def _explore(config: Config, predicates) -> tuple[int, bool, dict]:
-    """Reachable states, whether a run stops at the loop bound, and a
-    (schedule, history) pair to a failing state for each failing
-    predicate.
+def _run(name: str, params: tuple, config: Config, check, invariant=None) -> DivergenceReport:
+    """Walk the harness configuration and report on its predicates.
 
-    predicates maps a name to a function of (kernel, packed state) that
-    must hold everywhere.  Each is invariant under permuting threads
-    with the same declared operation, so it is evaluated on the
-    canonical states only; the state count is the sum of their orbits.
-    The states come from sweep.reachable_states, which counts no
-    schedules: the harnesses need none.
+    check and invariant are (predicate, note) pairs.  A predicate is a
+    function of (kernel, packed state) that must hold at every reachable
+    state.  Each is invariant under permuting threads with the same
+    declared operation, so it is evaluated on the canonical states only,
+    and no more once it has failed; the state count is the sum of their
+    orbits.  The states come from sweep.reachable_states, which counts
+    no schedules: the harnesses need none.  A failing predicate's
+    counterexample is sweep.first_schedule's breadth-first schedule to
+    its first failing state, with the history its tokens spell.
     """
     kernel = _Kernel(config)
     canonical, bound_hit = sweep.reachable_states(kernel)
+    pairs = [pair for pair in (check, invariant) if pair is not None]
+    failing: list = []
     states = 0
-    failing: list[str] = []
     for state in canonical:
         states += kernel.orbit_size(state)
-        for name, holds in predicates.items():
-            if name not in failing and not holds(kernel, state):
-                failing.append(name)
-    failures = {}
-    for name in failing:
-        holds = predicates[name]
+        for pair in pairs:
+            if pair not in failing and not pair[0](kernel, state):
+                failing.append(pair)
+
+    def example(pair) -> Counterexample | None:
+        if pair not in failing:
+            return None
+        holds, note = pair
         schedule, tokens, _ = sweep.first_schedule(kernel, lambda s: not holds(kernel, s))
-        failures[name] = (schedule, kernel.tokens_to_history(tokens))
-    return states, bound_hit, failures
+        return Counterexample(schedule, kernel.tokens_to_history(tokens), note)
+
+    ce, inv_example = example(check), example(invariant)
+    return DivergenceReport(
+        name=name,
+        params=params,
+        passed=ce is None,
+        states=states,
+        bound_caveat=bound_hit,
+        counterexample=ce,
+        invariant_ok=None if invariant is None else inv_example is None,
+        invariant_example=inv_example,
+    )
 
 
 # the harness values: the duplicated value of vrepet, and the older and
@@ -184,29 +200,18 @@ def divergence_check_vrepet(m: int = 2, k: int = 0, *,
     """
     v = VREPET_V
     config = vrepet_config(m, k, loop_bound=loop_bound, mutant=mutant)
-    watched = DeqOp(prophecy=v)
+    # a kernel dequeue finishes only by taking a value, and the choice
+    # menus dequeue only 8 or 9, so a finished deq(7) thread took a value
+    watched = [t for t, op in enumerate(config.threads) if op == DeqOp(prophecy=v)]
 
     def at_most_one(kernel: _Kernel, state: int) -> bool:
-        terminated = 0
-        for tid in range(kernel.n):
-            if kernel.done(state, tid) and kernel.op(state, tid) == watched:
-                result = kernel.result(state, tid)
-                terminated += result is not None and result is not NULL
-        return terminated <= 1
+        return sum(kernel.done(state, t) for t in watched) <= 1
 
-    states, bound_hit, failures = _explore(config, {"at-most-one": at_most_one})
-    ce = None
-    if "at-most-one" in failures:
-        ce = Counterexample(
-            *failures["at-most-one"], f"two deq({v}) threads finished on one enq({v})",
-        )
-    return DivergenceReport(
-        name="vrepet",
-        params=(("v", v), ("m", m), ("k", k), ("loop_bound", loop_bound), ("mutant", mutant)),
-        passed=ce is None,
-        states=states,
-        bound_caveat=bound_hit,
-        counterexample=ce,
+    return _run(
+        "vrepet",
+        (("v", v), ("m", m), ("k", k), ("loop_bound", loop_bound), ("mutant", mutant)),
+        config,
+        (at_most_one, f"two deq({v}) threads finished on one enq({v})"),
     )
 
 
@@ -253,8 +258,8 @@ def divergence_check_vord(k: int = 0, *,
     v1, v2 = VORD_V1, VORD_V2
     config = vord_config(k, loop_bound=loop_bound, mutant=mutant)
 
-    predicates = {"main-deq-blocked": lambda kernel, state: not kernel.done(state, 0)}
-    check_invariant = mutant == MUTANT_NONE
+    def main_deq_blocked(kernel: _Kernel, state: int) -> bool:
+        return not kernel.done(state, 0)
 
     def slot_invariant(kernel: _Kernel, state: int) -> bool:
         if not kernel.done(state, 1):
@@ -266,29 +271,14 @@ def divergence_check_vord(k: int = 0, *,
                 return True
         return False
 
-    if check_invariant:
-        predicates["slot-invariant"] = slot_invariant
-
-    states, bound_hit, failures = _explore(config, predicates)
-    ce = None
-    if "main-deq-blocked" in failures:
-        ce = Counterexample(
-            *failures["main-deq-blocked"],
-            f"deq({v2}) finished although enq({v1}) came first and was never dequeued",
-        )
-    inv_example = None
-    if "slot-invariant" in failures:
-        inv_example = Counterexample(
-            *failures["slot-invariant"],
-            f"no slot holds {v1} below back without an earlier {v2}",
-        )
-    return DivergenceReport(
-        name="vord",
-        params=(("k", k), ("v1", v1), ("v2", v2), ("loop_bound", loop_bound), ("mutant", mutant)),
-        passed=ce is None,
-        states=states,
-        bound_caveat=bound_hit,
-        counterexample=ce,
-        invariant_ok=None if not check_invariant else "slot-invariant" not in failures,
-        invariant_example=inv_example,
+    invariant = None
+    if mutant == MUTANT_NONE:
+        invariant = (slot_invariant, f"no slot holds {v1} below back without an earlier {v2}")
+    return _run(
+        "vord",
+        (("k", k), ("v1", v1), ("v2", v2), ("loop_bound", loop_bound), ("mutant", mutant)),
+        config,
+        (main_deq_blocked,
+         f"deq({v2}) finished although enq({v1}) came first and was never dequeued"),
+        invariant,
     )

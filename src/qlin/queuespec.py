@@ -63,9 +63,6 @@ class Behavior:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Behavior is immutable")
 
-    def enq_values(self) -> tuple[Value, ...]:
-        return tuple(e.value for e in self.events if e.is_enq)
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -45,8 +45,10 @@ The sweep produces
     dynamic programming in one iterative post-order walk over the
     canonical states;
   - a purity verdict for every reachable (shared state, pending dequeue
-    frame) pair, memoized on exactly that projection, in a pass over
-    the states the count walk visited;
+    frame) pair, from solo runs of the dequeue with a fresh loop budget,
+    memoized on exactly that projection with the loop counter cleared,
+    in one pass (``purity_scan``) over the states the count walk
+    visited;
   - the distinct complete histories, found by a breadth-first walk over
     (state, history prefix) nodes that goes one level at a time and
     expands each state once per level for all the prefixes that reached
@@ -121,7 +123,6 @@ class SweepImpurity:
 
 @dataclass
 class SweepReport:
-    config: Config
     quotient: bool
     trace_counts: Counter
     canonical_states: int
@@ -352,22 +353,8 @@ class _Kernel:
         # a choice thread's menu entry, 1-based; 0 while uncommitted
         return (state >> (self.shifts[tid] + self.op_sh)) & self.op_mask
 
-    def op(self, state: int, tid: int):
-        """The operation thread tid runs, as hwmodel's frame.op: None
-        for an uncommitted choice thread."""
-        declared = self.config.threads[tid]
-        if not isinstance(declared, ChoiceOp):
-            return declared
-        entry = self._entry(state, tid)
-        return declared.menu[entry - 1][0] if entry else None
-
     def done(self, state: int, tid: int) -> bool:
         return (state >> self.shifts[tid]) & 0x7 == _DONE
-
-    def result(self, state: int, tid: int):
-        """The value a dequeue took, or None."""
-        res = (self.frame(state, tid) & self.low_mask) >> self.res_sh
-        return self.values[res - 1] if res else None
 
     def items(self, state: int) -> tuple:
         """The slots below back, as values with NULL for empty."""
@@ -533,38 +520,6 @@ class _Kernel:
             return "BOUND_HIT"
         return "STUCK"
 
-    # -- purity -------------------------------------------------------------
-
-    def purity(self, state: int, tid: int) -> str:
-        """Solo run of one pending dequeue with a fresh loop budget.
-
-        TERMINATES when every solo run finishes the operation, PURE when
-        some run blocks but none blocks after changing the shared state
-        (back, slots, scratch), VIOLATION when one does.
-        """
-        sh = self.shifts[tid]
-        start = state & ~(self.it_mask << (sh + self.it_sh))  # iters := 0
-        shared_mask = (1 << self.frames_sh) - 1
-        base_shared = start & shared_mask
-        blocked_pure = False
-        seen = {start}
-        stack = [start]
-        while stack:
-            s = stack.pop()
-            if ((s >> sh) & 0x7) == _DONE:
-                continue
-            succs = [ns for t, _, _, ns in self.successors(s) if t == tid]
-            if not succs:
-                if (s & shared_mask) != base_shared:
-                    return "VIOLATION"
-                blocked_pure = True
-                continue
-            for ns in succs:
-                if ns not in seen:
-                    seen.add(ns)
-                    stack.append(ns)
-        return "PURE" if blocked_pure else "TERMINATES"
-
     # -- history materialization --------------------------------------------
 
     def tokens_to_history(self, tokens) -> History:
@@ -594,21 +549,22 @@ class _Kernel:
         order is tried first (each run a singleton), so sequences that
         were emitted verbatim replay verbatim; run-permuted sequences
         from the quotient fall back to multiset matching, which may emit
-        a run in another order.
+        a run in another order.  RuntimeError when neither finds one.
         """
-        try:
-            return self._find_schedule([(t,) for t in tokens])
-        except RuntimeError:
-            pass
-        runs: list[tuple] = []
-        for token in tokens:
-            if runs and _is_inv(runs[-1][0]) == _is_inv(token):
-                runs[-1] = runs[-1] + (token,)
-            else:
-                runs.append((token,))
-        return self._find_schedule(runs)
+        found = self._find_schedule([(t,) for t in tokens])
+        if found is None:
+            runs: list[tuple] = []
+            for token in tokens:
+                if runs and _is_inv(runs[-1][0]) == _is_inv(token):
+                    runs[-1] = runs[-1] + (token,)
+                else:
+                    runs.append((token,))
+            found = self._find_schedule(runs)
+        if found is None:
+            raise RuntimeError("token sequence is not realizable")
+        return found
 
-    def _find_schedule(self, runs: list) -> tuple[tuple[str, ...], tuple]:
+    def _find_schedule(self, runs: list) -> tuple[tuple[str, ...], tuple] | None:
         dead: set = set()
         path: list = []  # (key, untried successors) per node on the path
         steps: list = []  # (label, token) taken out of each node on the path
@@ -647,7 +603,7 @@ class _Kernel:
                     dead.add(key)
                     path.pop()
             if node is None:
-                raise RuntimeError("token sequence is not realizable")
+                return None
 
 
 def first_schedule(kernel: _Kernel, stop):
@@ -749,29 +705,54 @@ def reachable_states(kernel: _Kernel):
 def purity_scan(kernel: _Kernel, states):
     """Purity-check every pending dequeue in the given canonical states.
 
+    A check runs the dequeue alone from its state with a fresh loop
+    budget (its iteration counter cleared).  The verdict is TERMINATES
+    when every solo run finishes the operation, PURE when some run
+    blocks but none blocks after changing the shared state (back,
+    slots, scratch), VIOLATION when one does.
+
     Over the states count_schedules visited, this covers every reachable
     (shared state, dequeue frame) pair up to permuting interchangeable
-    threads; the pair fully determines the solo-run verdict, which is
-    memoized on it.
+    threads; the pair, with the counter cleared, fully determines the
+    verdict, which is memoized on it.
     """
+    successors, shifts, f_mask = kernel.successors, kernel.shifts, kernel.f_mask
     memo: dict = {}
     outcomes: Counter = Counter()
     bad: list = []
     shared_mask = (1 << kernel.frames_sh) - 1
+    fresh_mask = ~(kernel.it_mask << kernel.it_sh)
     deq_tids = [t for t in range(kernel.n) if not kernel.is_enq[t]]
     for state in states:
         shared = state & shared_mask
         for tid in deq_tids:
-            f = kernel.frame(state, tid)
-            pc = f & 0x7
-            if pc == _IDLE or pc == _DONE:
+            sh = shifts[tid]
+            f = (state >> sh) & f_mask
+            fresh = f & fresh_mask
+            if (f & 0x7) in (_IDLE, _DONE) or (shared, fresh) in memo:
                 continue
-            key = (shared, f & ~(kernel.it_mask << kernel.it_sh))
-            if key not in memo:
-                got = memo[key] = kernel.purity(state, tid)
-                outcomes[got] += 1
-                if got == "VIOLATION":
-                    bad.append((state, tid))
+            start = (state & ~(f_mask << sh)) | (fresh << sh)
+            verdict = "TERMINATES"
+            seen = {start}
+            stack = [start]
+            while stack:
+                s = stack.pop()
+                if ((s >> sh) & 0x7) == _DONE:
+                    continue
+                succs = [ns for t, _, _, ns in successors(s) if t == tid]
+                if not succs:
+                    if (s & shared_mask) != shared:
+                        verdict = "VIOLATION"
+                        break
+                    verdict = "PURE"
+                for ns in succs:
+                    if ns not in seen:
+                        seen.add(ns)
+                        stack.append(ns)
+            memo[shared, fresh] = verdict
+            outcomes[verdict] += 1
+            if verdict == "VIOLATION":
+                bad.append((state, tid))
     return outcomes, bad
 
 
@@ -919,7 +900,6 @@ def sweep_config(config: Config, *, oracle: bool = False,
             violations.append(SweepViolation(c, verdict, schedule))
 
     return SweepReport(
-        config=config,
         quotient=quotient,
         trace_counts=counts,
         canonical_states=canonical_states,

@@ -54,6 +54,10 @@ def deq_events(h: History | Behavior) -> tuple[Event, ...]:
     return tuple(e for e in h.events if e.is_deq)
 
 
+def enq_values(b: Behavior) -> tuple:
+    return tuple(e.value for e in b.events if e.is_enq)
+
+
 def deq_values(h: History | Behavior) -> tuple:
     return tuple(e.value for e in h.events if e.is_deq)
 
@@ -244,7 +248,7 @@ def is_canonical(b: Behavior) -> bool:
 
 def obs_equiv(b1: Behavior, b2: Behavior) -> bool:
     """Equal enqueue-value and dequeue-value projections."""
-    return b1.enq_values() == b2.enq_values() and deq_values(b1) == deq_values(b2)
+    return enq_values(b1) == enq_values(b2) and deq_values(b1) == deq_values(b2)
 
 
 def canonicalize(b: Behavior, mu: Match) -> Behavior:

@@ -28,9 +28,11 @@ from qlin.hwmodel import (
     DeqOp,
     EnqOp,
     GATE_FLAG_DONE,
+    MUTANTS,
     MUTANT_DIRTY_SPIN,
     MUTANT_NO_SWAP_CLEAR,
     MUTANT_NONATOMIC_ENQ,
+    MUTANT_NONE,
     MUTANT_SKIP_SLOT_ZERO,
 )
 
@@ -437,6 +439,35 @@ def test_harness_walks_through_the_sweep_module(monkeypatch):
     assert len(calls) == 1
     assert divergence_check_vord(k=1, mutant=MUTANT_SKIP_SLOT_ZERO).counterexample is not None
     assert len(calls) == 2
+
+
+# the unmutated harnesses, and a small one of each kind under every mutant
+FINISHED_DEQUEUE_HARNESSES = [p.values for p in HARNESSES if "mutant" not in p.values[1]] + [
+    (kind, dict(params, mutant=mutant))
+    for kind, params in (("vrepet", dict(m=2, k=0)), ("vord", dict(k=1)))
+    for mutant in MUTANTS if mutant != MUTANT_NONE
+]
+
+
+def test_finished_dequeues_hold_a_value():
+    # the vrepet predicate counts finished deq(7) threads without reading
+    # what they took; that equals counting those that took a value only
+    # while no kernel dequeue can finish with its result field empty
+    checked = 0
+    for kind, params in FINISHED_DEQUEUE_HARNESSES:
+        kernel = _Kernel((vrepet_config if kind == "vrepet" else vord_config)(**params))
+        canonical, _ = reachable_states(kernel)
+        for state in canonical:
+            for t in range(kernel.n):
+                prog = kernel.progs[t]
+                if prog is None and (entry := kernel._entry(state, t)):
+                    prog = kernel.menus[t][entry - 1][0]
+                if prog is None or prog[0] or not kernel.done(state, t):
+                    continue
+                checked += 1
+                res = (kernel.frame(state, t) & kernel.low_mask) >> kernel.res_sh
+                assert res, (kind, params, state, t)
+    assert checked
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from lemmas import (
     canonicalize,
     check_sequential_witness,
     deq_values,
+    enq_values,
     find_sequential_witness,
     is_canonical,
     lts_step,
@@ -65,7 +66,7 @@ def test_behavior_rejects_null_enqueue():
 def test_behavior_round_trips_through_history():
     b = beh(E(1), D(1), D(NULL))
     assert behavior_of(to_history(b)) == b
-    assert b.enq_values() == (1,)
+    assert enq_values(b) == (1,)
     assert deq_values(b) == (1, NULL)
     assert repr(b) == "Behavior[enq^0(1) deq^1(1) deq^2(NULL)]"
 

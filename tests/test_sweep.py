@@ -498,8 +498,7 @@ def test_find_schedule_run_multiset_fallback():
     orig = next(t for t in tokens if kernel.tokens_to_history(t).serialize() == wanted)
     variant = (orig[1], orig[0]) + orig[2:]
     assert variant not in tokens
-    with pytest.raises(RuntimeError):
-        kernel._find_schedule([(t,) for t in variant])
+    assert kernel._find_schedule([(t,) for t in variant]) is None
     labels, emitted = kernel.find_schedule(variant)
     assert emitted == orig
     assert labels == (

@@ -62,9 +62,15 @@ from itertools import accumulate
 from typing import Iterator
 
 from .history import ENQ, INV, NULL, RES, Event, History, Value, deq_res, enq_res
-from .queuespec import Behavior, Match, SearchBoundExceeded, candidate_matches, is_legal
+from .queuespec import (
+    DEFAULT_MATCH_BOUND,
+    Behavior,
+    Match,
+    SearchBoundExceeded,
+    candidate_matches,
+    is_legal,
+)
 
-DEFAULT_MATCH_BOUND = 10_000
 DEFAULT_COMPLETION_BOUND = 10_000
 
 LINEARIZABLE = "LINEARIZABLE"

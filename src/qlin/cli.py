@@ -12,6 +12,7 @@ found, 2 usage, parse, bound, or IO error.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -155,9 +156,7 @@ def cmd_explore(args) -> int:
         config = _build_config(args)
     except ValueError as exc:
         return _fail(str(exc))
-    report = sweep_config(
-        config, quotient=True, oracle=args.oracle, check_purity=args.purity
-    )
+    report = sweep_config(config, oracle=args.oracle, check_purity=args.purity)
     if args.format == "lines":
         print(report.summary())
         for v in report.violations:
@@ -325,8 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the interpreter's
+        # final flush cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("cannot write to stdout: broken pipe")
 
 
 if __name__ == "__main__":  # pragma: no cover

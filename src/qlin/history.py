@@ -103,14 +103,15 @@ class Action:
             raise HistoryError(f"bad action kind {self.kind!r}")
         if self.method not in (ENQ, DEQ):
             raise HistoryError(f"bad method {self.method!r}")
-        if not isinstance(self.uid, int) or self.uid < 0:
+        # type(x) is int: a bool is an int subclass and is refused
+        if type(self.uid) is not int or self.uid < 0:
             raise HistoryError(f"uid must be a non-negative int, got {self.uid!r}")
         if self.kind == INV and self.method == ENQ:
-            if not isinstance(self.payload, int) or self.payload < 0:
+            if type(self.payload) is not int or self.payload < 0:
                 raise HistoryError("enq invocation needs a non-negative int payload, "
                                    f"got {self.payload!r}")
         elif self.kind == RES and self.method == DEQ:
-            ok = self.payload is NULL or (isinstance(self.payload, int) and self.payload >= 0)
+            ok = self.payload is NULL or (type(self.payload) is int and self.payload >= 0)
             if not ok:
                 raise HistoryError("deq response needs a non-negative int or NULL payload, "
                                    f"got {self.payload!r}")

@@ -116,8 +116,12 @@ def is_legal(b: Behavior) -> bool:
 # value from, or to None for a NULL dequeue.
 Match = dict[int, int | None]
 
+# how many candidate matches a search may try before it gives up
+DEFAULT_MATCH_BOUND = 10_000
 
-def candidate_matches(events: Iterable[Event], bound: int = 10_000) -> Iterator[Match]:
+
+def candidate_matches(events: Iterable[Event],
+                      bound: int = DEFAULT_MATCH_BOUND) -> Iterator[Match]:
     """Every value-respecting injective match of the dequeues among
     ``events`` to its enqueues, NULL dequeues to bottom.
 

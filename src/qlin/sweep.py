@@ -49,26 +49,24 @@ The sweep produces
     memoized on exactly that projection with the loop counter cleared,
     in one pass (``purity_scan``) over the states the count walk
     visited;
-  - the distinct complete histories, found by a breadth-first walk over
-    (state, history prefix) nodes that goes one level at a time and
-    expands each state once per level for all the prefixes that reached
-    it; each prefix is an integer id in one table that also names the
-    chain of runs it closes, and extending it by a token is one memo
-    lookup.
+  - representative complete histories, at least one per isomorphism
+    class, found by a breadth-first walk over (state, history prefix)
+    nodes that goes one level at a time and expands each state once per
+    level for all the prefixes that reached it; each prefix is an
+    integer id in one table that also names the chain of runs it
+    closes, and extending it by a token is one memo lookup.
 
-One collection loop serves two modes.  The exact mode keeps emission
-order (every action closes its run) and returns every distinct history.
-The quotient mode sorts each maximal run of same-kind actions (adjacent
-invocations, adjacent responses) and renames enqueue values by
-invocation rank.  Permuting adjacent same-kind actions and
-renaming operations or values are isomorphisms of histories: they
-preserve methods, matching values and the precedes relation, hence
-every checker and oracle verdict.  The quotient therefore covers the
-full history set with representative histories, at least one per
-isomorphism class: sorting runs is finer than isomorphism, and value
-renaming is skipped when two enqueuers share a value, so a class can
-keep several representatives.  The test suite verifies that expansion
-exhaustively at small scales.
+History collection sorts each maximal run of same-kind actions
+(adjacent invocations, adjacent responses) and renames enqueue values
+by invocation rank.  Permuting adjacent same-kind actions and renaming
+operations or values are isomorphisms of histories: they preserve
+methods, matching values and the precedes relation, hence every checker
+and oracle verdict.  The representatives therefore cover the full
+history set, at least one per isomorphism class: sorting runs is finer
+than isomorphism, and value renaming is skipped when two enqueuers
+share a value, so a class can keep several representatives.  The test
+suite checks this exhaustively at small scales against an exact
+collection that keeps every distinct history.
 """
 
 from __future__ import annotations
@@ -123,7 +121,6 @@ class SweepImpurity:
 
 @dataclass
 class SweepReport:
-    quotient: bool
     trace_counts: Counter
     canonical_states: int
     nodes: int
@@ -152,9 +149,8 @@ class SweepReport:
             f"SWEEP {status}",
             f"traces={self.total_traces}",
             f"complete-histories={self.distinct_complete}",
+            "history-mode=quotient",
         ]
-        if self.quotient:
-            parts.append("history-mode=quotient")
         for name in _STATUS_ORDER:
             if self.trace_counts.get(name):
                 parts.append(f"{name.lower().replace('_', '-')}-traces={self.trace_counts[name]}")
@@ -272,12 +268,12 @@ class _Kernel:
             key=lambda t: self.progs[t][0],
         ))
 
-    def emit_groups(self, value_sym: bool) -> tuple[tuple[int, ...], ...]:
+    def emit_groups(self) -> tuple[tuple[int, ...], ...]:
         """Thread groups gated to invoke in member order during history
-        collection.  Identical threads always; all enqueuers too when
-        values are treated as interchangeable."""
+        collection: identical threads, and all enqueuers, whose values
+        collection treats as interchangeable."""
         groups = list(self.sym_groups)
-        if value_sym and len(self.enq_tids) > 1:
+        if len(self.enq_tids) > 1:
             if not any(set(g) & set(self.enq_tids) for g in groups):
                 groups.append(self.enq_tids)
         return tuple(groups)
@@ -756,9 +752,9 @@ def purity_scan(kernel: _Kernel, states):
     return outcomes, bad
 
 
-def collect_histories(kernel: _Kernel, *, quotient: bool):
-    """All distinct complete token sequences, and the number of nodes
-    the walk visited.
+def collect_histories(kernel: _Kernel):
+    """Representative complete token sequences, at least one per
+    isomorphism class, and the number of nodes the walk visited.
 
     A node is a state and a history prefix.  A prefix is a chain of
     closed runs and an open run, where a run is a maximal stretch of
@@ -766,11 +762,10 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
     distinct prefix gets an integer id when first formed.  The chain a
     token closes is the whole prefix it extends, so a prefix is stored
     as (id of the prefix its closed chain was, open run id) and one
-    table names prefixes and chains alike.  In quotient mode each run
-    is sorted, so sequences that differ only in the order within runs
-    share a prefix, and the enqueuers are gated to invoke in value
-    order, which renames values by invocation rank.  In exact mode
-    every token closes its run, so a prefix keeps the emission order.
+    table names prefixes and chains alike.  Each run is sorted, so
+    sequences that differ only in the order within runs share a prefix,
+    and the enqueuers are gated to invoke in value order, which renames
+    values by invocation rank.
 
     The walk is breadth-first one level at a time.  A level maps each
     state to the ids of the prefixes that reached it, so a state's
@@ -779,7 +774,7 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
     node's key in the visited set is its prefix id shifted past the
     state's bits, so the set holds single integers.
     """
-    gate_groups = kernel.emit_groups(quotient)
+    gate_groups = kernel.emit_groups()
 
     open_ids: dict[tuple, int] = {(): 0}
     open_seqs: list[tuple] = [()]
@@ -799,7 +794,7 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
     def extend(memo: dict, pid: int, token: tuple) -> int:
         cid, oid = prefixes[pid]
         orun = open_seqs[oid]
-        if quotient and orun and _is_inv(orun[0]) == _is_inv(token):
+        if orun and _is_inv(orun[0]) == _is_inv(token):
             key = (cid, intern_open(tuple(sorted(orun + (token,)))))
         else:
             # the token closes pid's open run, so pid names that chain
@@ -847,17 +842,16 @@ def collect_histories(kernel: _Kernel, *, quotient: bool):
 
 def sweep_config(config: Config, *, oracle: bool = False,
                  check_purity: bool = False,
-                 quotient: bool = False) -> SweepReport:
+                 quotient: bool = True) -> SweepReport:
     """Full exhaustive sweep of one plain configuration.
 
-    Counts every maximal schedule, checks every distinct complete
-    history with the aspect detectors (and optionally the brute-force
-    oracle), and optionally purity-checks every reachable pending
-    dequeue.  Violations and impure dequeues carry a replayable
-    schedule.  With quotient representative histories (at least one
-    per isomorphism class) are materialized and checked; they cover the
-    rest (see module docstring).  Without it every distinct history is
-    checked, which is the quotient's reference.
+    Counts every maximal schedule, checks the representative complete
+    histories (at least one per isomorphism class, which cover the rest;
+    see module docstring) with the aspect detectors and optionally the
+    brute-force oracle, and optionally purity-checks every reachable
+    pending dequeue.  Violations and impure dequeues carry a replayable
+    schedule.  ``quotient`` accepts only True; the exact collection of
+    every distinct history is the test suite's reference walk.
 
     Choice threads and prophecy dequeues raise SweepScopeError: history
     collection renames values, which is unsound once a transition
@@ -866,6 +860,10 @@ def sweep_config(config: Config, *, oracle: bool = False,
     """
     from .checker import LINEARIZABLE, brute_force_linearizable, check_linearizable
 
+    # kept only because the benchmark worker passes quotient=True
+    if quotient is not True:
+        raise ValueError("sweep_config collects quotient histories only; every distinct "
+                         "history comes from reference_collect_histories in tests/support.py")
     kernel = _Kernel(config)
     if kernel.ranked:
         raise SweepScopeError("sweep_config handles plain enq/deq threads only")
@@ -878,7 +876,7 @@ def sweep_config(config: Config, *, oracle: bool = False,
     del states  # collection's peak memory comes on top otherwise
     impure = tuple(_impurity(kernel, state, tid) for state, tid in purity_bad)
 
-    complete, nodes = collect_histories(kernel, quotient=quotient)
+    complete, nodes = collect_histories(kernel)
 
     violations = []
     oracle_checked = 0
@@ -900,7 +898,6 @@ def sweep_config(config: Config, *, oracle: bool = False,
             violations.append(SweepViolation(c, verdict, schedule))
 
     return SweepReport(
-        quotient=quotient,
         trace_counts=counts,
         canonical_states=canonical_states,
         nodes=nodes,

@@ -27,8 +27,10 @@ breadth-first walk over every dataclass state.  The packed kernel in
 instead and are what the kernel's trace counts, history sets,
 violations, purity verdicts and harness reports are compared against.
 ``canonicalize_tokens`` maps a token sequence to its representative
-under the history quotient, the reference the quotient collection is
-checked against.
+under the history quotient.  ``reference_collect_histories`` walks
+history collection node by node; without ``quotient`` it is the exact
+collection of every distinct complete history, which only the tests
+run and which the quotient collection is checked against.
 
 The checkers of the source paper's reformulation lemmas are not
 references for product code; they live in ``lemmas.py``, and
@@ -229,9 +231,18 @@ def raw_histories(n_enq: int, n_deq: int):
 
 
 def canonical_form(c: History) -> History:
-    """Map any complete differentiated history onto its class
-    representative: relabel operations per method by invocation order,
-    rename enqueue values by rank, sort each maximal same-kind run."""
+    """Map a complete differentiated history onto the quotient's normal
+    form: relabel operations per method by invocation order, rename
+    enqueue values by rank, sort each maximal same-kind run.  The form
+    is finer than isomorphism, since the renaming reads the order inside
+    a run that the sort then forgets; ``isomorphic`` groups classes.
+
+    Raises ValueError when enqueue values repeat: equal values then
+    share one rank, which is not how the quotient treats them, and the
+    exact and quotient history sets of one configuration can map to
+    different sets of forms."""
+    if not c.is_differentiated:
+        raise ValueError("canonical_form needs a differentiated history")
     enq_order = [e.uid for e in c.events if e.is_enq]
     deq_order = [e.uid for e in c.events if e.is_deq]
     relabel = {uid: i for i, uid in enumerate(enq_order)}
@@ -975,7 +986,7 @@ def canonicalize_tokens(kernel: _Kernel, tokens) -> tuple:
     same-kind tokens sorted.  The quotient tests check that the
     quotient collection is exactly the image of the exact one under
     this map."""
-    groups = kernel.emit_groups(True)
+    groups = kernel.emit_groups()
     rename: dict[int, int] = {}
     pools = {tids: list(tids) for tids in groups}
     for token in tokens:
@@ -1010,11 +1021,16 @@ def reference_collect_histories(kernel: _Kernel, *, quotient: bool, expanded=Non
     (state, closed runs, open run) node on its own, so a state reached
     with several prefixes has its successors computed once per prefix.
 
+    With quotient it walks as collect_histories does.  Without it, it is
+    the exact collection the quotient is checked against: only
+    identical threads are gated, every token closes its run, and every
+    distinct complete history comes out in emission order.
+
     Given a set as expanded, it also records the (depth, state) pair of
     every node it expands: the level walk calls successors once per
     such pair.
     """
-    gate_groups = kernel.emit_groups(quotient)
+    gate_groups = kernel.emit_groups() if quotient else kernel.sym_groups
 
     # closed run chains: id -> (parent id, run)
     seq_next: dict = {}

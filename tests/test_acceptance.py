@@ -305,7 +305,7 @@ def grid_report(n_enq, n_deq):
         )
         config = Config(threads, capacity=4, loop_bound=4)
         _grid_cache[(n_enq, n_deq)] = sweep_config(
-            config, quotient=True, oracle=True, check_purity=True
+            config, oracle=True, check_purity=True
         )
     return _grid_cache[(n_enq, n_deq)]
 
@@ -347,7 +347,7 @@ def test_criterion_06_every_mutant_is_caught_with_replayable_evidence():
                 DeqOp() for _ in range(nd)
             )
             config = Config(threads, capacity=4, loop_bound=4, mutant=mutant)
-            r = sweep_config(config, quotient=True, oracle=True)
+            r = sweep_config(config, oracle=True)
             assert r.distinct_complete == classes, mutant
             assert len(r.violations) == nviol and nviol >= 1, mutant
             assert {v.verdict.violation.kind for v in r.violations} == {kind}

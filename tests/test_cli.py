@@ -3,9 +3,14 @@ schedules really replay to the printed histories."""
 
 import importlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qlin
 from qlin.cli import generate_history, main
 from qlin.explorer import induce_history, replay_schedule
 from qlin.history import NULL, parse_history
@@ -160,6 +165,28 @@ def test_non_utf8_stdin_is_an_input_error(capsys, monkeypatch, cmd):
     code, out, err = run(capsys, [cmd, "-"])
     assert (code, out) == (2, "")
     assert err == "error: <stdin>: not UTF-8 text (invalid start byte at byte 12)\n"
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_an_io_error(hist_file, buffered):
+    # unbuffered, the command's print fails; buffered, the last flush does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(qlin.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = "import sys; from qlin.cli import main; sys.exit(main())"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "check", hist_file(LIN), "--witness"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: broken pipe\n")
 
 
 # ---------------------------------------------------------------------------

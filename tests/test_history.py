@@ -71,6 +71,20 @@ def test_action_rejects_bad_shapes(kwargs):
         Action(**kwargs)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: enq_inv(True, 1),
+    lambda: enq_res(True),
+    lambda: deq_inv(False),
+    lambda: enq_inv(0, False),
+    lambda: deq_res(1, True),
+], ids=["enq-inv-uid", "enq-res-uid", "deq-inv-uid", "enq-payload", "deq-payload"])
+def test_action_rejects_bool_uids_and_payloads(make):
+    # bool is an int subclass: a True uid serializes as "inv True enq 1",
+    # which parse_history rejects, and a False payload equals the value 0
+    with pytest.raises(HistoryError):
+        make()
+
+
 # ---- History well-formedness ----
 
 

@@ -4,8 +4,9 @@ interpreter on every scale both can reach.
 The kernel re-implements the machine semantics for speed; nothing here
 trusts it on its own.  Trace counts, history sets, violation sets and
 purity verdicts are all compared against the reference interpreter, and
-the isomorphism quotient is compared against an independent semantic
-canonical form.  Numeric literals were frozen from those cross-runs.
+the isomorphism quotient against the exact collection of the reference
+walk in support, an independent semantic canonical form and brute-force
+isomorphism.  Numeric literals were frozen from those cross-runs.
 """
 
 import sys
@@ -71,8 +72,14 @@ CROSS_CONFIGS = [
 
 def exact_histories(config):
     kernel = _Kernel(config)
-    tokens, _ = collect_histories(kernel, quotient=False)
+    tokens, _ = reference_collect_histories(kernel, quotient=False)
     return kernel, {kernel.tokens_to_history(t).serialize() for t in tokens}
+
+
+def isomorphic_sets(got, want) -> bool:
+    """Every history in either collection has an isomorphic one in the other."""
+    return (all(any(isomorphic(g, w) for w in want) for g in got)
+            and all(any(isomorphic(w, g) for g in got) for w in want))
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +232,12 @@ COLLECT_CONFIGS = [p for p in CANON_CONFIGS if not _Kernel(p.values[0]).ranked] 
 ]
 
 
-@pytest.mark.parametrize("config", COLLECT_CONFIGS)
-@pytest.mark.parametrize("quotient", [True, False], ids=["quotient", "exact"])
-def test_collect_matches_the_reference_walk(config, quotient):
+# ids name the reference walk's mode; its exact mode has no product twin
+@pytest.mark.parametrize(
+    "config", [pytest.param(*p.values, id=f"quotient-{p.id}") for p in COLLECT_CONFIGS])
+def test_collect_matches_the_reference_walk(config):
     kernel = _Kernel(config)
-    assert collect_histories(kernel, quotient=quotient) == reference_collect_histories(
-        kernel, quotient=quotient)
+    assert collect_histories(kernel) == reference_collect_histories(kernel, quotient=True)
 
 
 @pytest.mark.parametrize("cell, expanded, nodes", [
@@ -253,7 +260,7 @@ def test_collect_expands_each_state_once_per_level(monkeypatch, cell, expanded, 
         return real(state, gate_groups)
 
     monkeypatch.setattr(kernel, "successors", counting)
-    _, got_nodes = collect_histories(kernel, quotient=True)
+    _, got_nodes = collect_histories(kernel)
     assert got_nodes == nodes
     assert len(calls) == expanded
 
@@ -269,16 +276,28 @@ def test_exact_histories_match_reference(config):
     assert mine == ref
 
 
-@pytest.mark.parametrize("config", CROSS_CONFIGS)
+# a mutant with a repeated enqueue value, where no schedule emits some
+# representatives' run order and the report names the emitted history
+REPEATED_VALUE_MUTANT = Config((EnqOp(1), EnqOp(1), EnqOp(2), DeqOp()), capacity=3,
+                               loop_bound=2, mutant=MUTANT_SKIP_SLOT_ZERO)
+
+
+@pytest.mark.parametrize("config", CROSS_CONFIGS + [
+    pytest.param(REPEATED_VALUE_MUTANT, id="repeated-value-skip-slot-zero"),
+])
 def test_exact_violations_match_reference(config):
+    # the report checks representatives; the interpreter's every history
     report = sweep_config(config)
     ref = check_configuration(config)
-    assert {v.history.serialize() for v in report.violations} == {
-        v.history.serialize() for v in ref.violations
-    }
-    assert {v.verdict.violation.kind for v in report.violations} == {
-        v.verdict.violation.kind for v in ref.violations
-    }
+    assert isomorphic_sets([v.history for v in report.violations],
+                           [v.history for v in ref.violations])
+
+    def kinds(violations):
+        # a history with repeated values violates with a reason, not a detector
+        return {v.verdict.violation.kind if v.verdict.violation else v.verdict.reason
+                for v in violations}
+
+    assert kinds(report.violations) == kinds(ref.violations)
 
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
@@ -297,21 +316,43 @@ def test_purity_scan_agrees_with_reference(config):
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
 def test_quotient_is_canonical_image_of_exact(config):
     kernel = _Kernel(config)
-    exact, _ = collect_histories(kernel, quotient=False)
-    quot, _ = collect_histories(kernel, quotient=True)
+    exact, _ = reference_collect_histories(kernel, quotient=False)
+    quot, _ = collect_histories(kernel)
     assert {canonicalize_tokens(kernel, t) for t in exact} == quot
 
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
 def test_quotient_matches_semantic_classes(config):
-    # one representative per class under the independent canonical form
     kernel = _Kernel(config)
-    exact, _ = collect_histories(kernel, quotient=False)
-    quot, _ = collect_histories(kernel, quotient=True)
-    sem_exact = {canonical_form(kernel.tokens_to_history(t)) for t in exact}
-    sem_quot = {canonical_form(kernel.tokens_to_history(t)) for t in quot}
-    assert sem_exact == sem_quot
-    assert len(sem_quot) == len(quot)  # representatives are pairwise non-isomorphic
+    exact, _ = reference_collect_histories(kernel, quotient=False)
+    quot, _ = collect_histories(kernel)
+    exact_hs = [kernel.tokens_to_history(t) for t in exact]
+    quot_hs = [kernel.tokens_to_history(t) for t in quot]
+    if len(kernel.values) == sum(kernel.is_enq):
+        # the independent normal form: the exact set has the quotient's
+        # forms, and the representatives have pairwise distinct ones
+        forms = {canonical_form(h) for h in quot_hs}
+        assert {canonical_form(h) for h in exact_hs} == forms
+        assert len(forms) == len(quot)
+        return
+    # canonical_form refuses repeated values, so group by isomorphism:
+    # the representatives cover every class of the exact set, and no
+    # other; repeated-value is the one such config here
+    classes: list = []
+    for h in quot_hs:
+        if not any(isomorphic(h, c) for c in classes):
+            classes.append(h)
+    hit = {next((i for i, c in enumerate(classes) if isomorphic(h, c)), None)
+           for h in exact_hs}
+    assert (len(exact), len(quot), len(classes)) == (42, 10, 9)
+    assert hit == set(range(len(classes)))
+
+
+def test_canonical_form_refuses_repeated_values():
+    kernel = _Kernel(Config((EnqOp(5), EnqOp(5), DeqOp()), capacity=2, loop_bound=3))
+    tokens, _ = collect_histories(kernel)
+    with pytest.raises(ValueError):
+        canonical_form(kernel.tokens_to_history(min(tokens)))
 
 
 def test_quotient_sizes_at_small_scale():
@@ -325,8 +366,8 @@ def test_quotient_sizes_at_small_scale():
         (plain_config(2, 1, mutant=MUTANT_NONATOMIC_ENQ), "nonatomic"),
     ]:
         kernel = _Kernel(config)
-        exact, exact_nodes = collect_histories(kernel, quotient=False)
-        quot, quot_nodes = collect_histories(kernel, quotient=True)
+        exact, exact_nodes = reference_collect_histories(kernel, quotient=False)
+        quot, quot_nodes = collect_histories(kernel)
         sizes[key] = (len(exact), exact_nodes, len(quot), quot_nodes)
     assert sizes == {
         "1+1": (5, 53, 2, 32),
@@ -340,7 +381,7 @@ def test_quotient_sizes_at_small_scale():
 
 def test_canonicalize_tokens_is_idempotent():
     kernel = _Kernel(plain_config(2, 1))
-    exact, _ = collect_histories(kernel, quotient=False)
+    exact, _ = reference_collect_histories(kernel, quotient=False)
     for t in exact:
         c = canonicalize_tokens(kernel, t)
         assert canonicalize_tokens(kernel, c) == c
@@ -351,9 +392,8 @@ def test_canonicalize_tokens_is_idempotent():
 
 
 def test_report_small_clean():
-    r = sweep_config(plain_config(1, 1), quotient=True, oracle=True, check_purity=True)
+    r = sweep_config(plain_config(1, 1), oracle=True, check_purity=True)
     assert r.clean
-    assert r.quotient
     assert dict(r.trace_counts) == {"COMPLETE": 42, "BOUND_HIT": 4}
     assert r.total_traces == 46
     assert r.canonical_states == 29
@@ -371,15 +411,13 @@ def test_report_small_clean():
 
 
 def test_report_exact_mode():
-    r = sweep_config(plain_config(1, 1))
-    assert not r.quotient
-    assert r.distinct_complete == 5
-    assert "history-mode" not in r.summary()
+    # the exact collection lives in the test reference only
+    with pytest.raises(ValueError, match="reference_collect_histories"):
+        sweep_config(plain_config(1, 1), quotient=False)
 
 
 def test_impure_dequeues_make_the_report_unclean():
-    r = sweep_config(plain_config(1, 1, mutant=MUTANT_DIRTY_SPIN), quotient=True,
-                     check_purity=True)
+    r = sweep_config(plain_config(1, 1, mutant=MUTANT_DIRTY_SPIN), check_purity=True)
     assert not r.violations
     assert not r.clean
     assert dict(r.purity_outcomes) == {"PURE": 1, "TERMINATES": 10, "VIOLATION": 7}
@@ -395,7 +433,7 @@ def test_starved_dequeues_never_complete():
     r = sweep_config(plain_config(1, 2))
     assert r.distinct_complete == 0
     assert dict(r.trace_counts) == {"BOUND_HIT": 87870}
-    big = sweep_config(plain_config(2, 3, loop_bound=2), quotient=True)
+    big = sweep_config(plain_config(2, 3, loop_bound=2))
     assert big.distinct_complete == 0
     assert dict(big.trace_counts) == {"BOUND_HIT": 1131613866168}
     assert big.canonical_states == 5614
@@ -405,7 +443,7 @@ def test_deep_state_graph_leaves_the_recursion_limit_alone():
     # a 600-iteration loop bound makes paths far deeper than the default
     # recursion limit of 1000, so every walk here must be iterative
     limit = sys.getrecursionlimit()
-    r = sweep_config(plain_config(1, 1, capacity=1, loop_bound=600), quotient=True,
+    r = sweep_config(plain_config(1, 1, capacity=1, loop_bound=600),
                      oracle=True, check_purity=True)
     assert sys.getrecursionlimit() == limit
     assert dict(r.trace_counts) == {"COMPLETE": 1262100, "BOUND_HIT": 601}
@@ -417,15 +455,16 @@ def test_deep_state_graph_leaves_the_recursion_limit_alone():
 
 def test_mutant_violation_schedules_replay():
     config = plain_config(1, 2, mutant=MUTANT_NO_SWAP_CLEAR)
+    ref = check_configuration(config, oracle=True)
+    assert len(ref.violations) == ref.distinct_complete == 33
+    assert {v.verdict.violation.kind for v in ref.violations} == {"vrepet"}
+    assert (ref.oracle_checked, ref.oracle_disagreements) == (33, 0)
+    assert dict(ref.trace_counts) == {"COMPLETE": 93400, "BOUND_HIT": 11540}
     r = sweep_config(config, oracle=True)
-    assert len(r.violations) == 33
-    assert {v.verdict.violation.kind for v in r.violations} == {"vrepet"}
-    assert (r.oracle_checked, r.oracle_disagreements) == (33, 0)
-    assert r.summary() == (
-        "SWEEP violations=33 traces=104940 complete-histories=33 "
-        "complete-traces=93400 bound-hit-traces=11540 "
-        "oracle-checked=33 oracle-disagreements=0"
-    )
+    assert r.trace_counts == ref.trace_counts
+    assert r.oracle_disagreements == 0
+    assert isomorphic_sets([v.history for v in r.violations],
+                           [v.history for v in ref.violations])
     for v in r.violations:
         again = replay_schedule(config, v.schedule)
         assert again.status == "COMPLETE"
@@ -434,7 +473,7 @@ def test_mutant_violation_schedules_replay():
 
 def test_skip_slot_zero_quotient_report():
     config = plain_config(2, 1, mutant=MUTANT_SKIP_SLOT_ZERO)
-    r = sweep_config(config, quotient=True, oracle=True)
+    r = sweep_config(config, oracle=True)
     assert r.distinct_complete == 7
     assert len(r.violations) == 3
     assert {v.verdict.violation.kind for v in r.violations} == {"vord"}
@@ -445,7 +484,7 @@ def test_skip_slot_zero_quotient_report():
 
 
 def test_nonatomic_clean_at_two_enqueuers():
-    r = sweep_config(plain_config(2, 1, mutant=MUTANT_NONATOMIC_ENQ), quotient=True)
+    r = sweep_config(plain_config(2, 1, mutant=MUTANT_NONATOMIC_ENQ))
     assert r.clean
     assert r.distinct_complete == 14
     assert dict(r.trace_counts) == {"COMPLETE": 84780, "BOUND_HIT": 5140}
@@ -478,7 +517,7 @@ def test_purity_outcome_counts():
 def test_find_schedule_replays_every_exact_history():
     for config in (plain_config(2, 1), plain_config(1, 2, mutant=MUTANT_NO_SWAP_CLEAR)):
         kernel = _Kernel(config)
-        tokens, _ = collect_histories(kernel, quotient=False)
+        tokens, _ = reference_collect_histories(kernel, quotient=False)
         for t in sorted(tokens):
             labels, emitted = kernel.find_schedule(t)
             assert emitted == t
@@ -493,7 +532,7 @@ def test_find_schedule_run_multiset_fallback():
     # dequeue must take slot 0, so invoking enq(2) first forces deq->2
     config = plain_config(2, 1)
     kernel = _Kernel(config)
-    tokens, _ = collect_histories(kernel, quotient=False)
+    tokens, _ = reference_collect_histories(kernel, quotient=False)
     wanted = "inv 0 enq 1\ninv 1 enq 2\nres 0 enq\nres 1 enq\ninv 2 deq\nres 2 deq 1"
     orig = next(t for t in tokens if kernel.tokens_to_history(t).serialize() == wanted)
     variant = (orig[1], orig[0]) + orig[2:]
@@ -516,9 +555,8 @@ def test_repeated_value_violations_replay_to_their_history():
     # with two enqueuers of 1 the sorted runs of a representative can be
     # an order no schedule emits; the reported history is then the one
     # the schedule emits, so the printed schedule replays to it
-    config = Config((EnqOp(1), EnqOp(1), EnqOp(2), DeqOp()), capacity=3,
-                    loop_bound=2, mutant=MUTANT_SKIP_SLOT_ZERO)
-    r = sweep_config(config, quotient=True)
+    config = REPEATED_VALUE_MUTANT
+    r = sweep_config(config)
     assert (r.distinct_complete, len(r.violations)) == (133, 31)
     for v in r.violations:
         again = replay_schedule(config, v.schedule)
@@ -551,7 +589,7 @@ def test_first_schedule_tokens_match_replay_on_choice_threads():
 
 def test_find_schedule_rejects_unrealizable_tokens():
     kernel = _Kernel(plain_config(1, 1))
-    tokens, _ = collect_histories(kernel, quotient=False)
+    tokens, _ = reference_collect_histories(kernel, quotient=False)
     some = next(iter(tokens))
     # doubling the whole emission is never realizable
     with pytest.raises(RuntimeError):

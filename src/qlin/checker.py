@@ -614,8 +614,7 @@ def _undominated_completions(c: History) -> Iterator[History]:
     enumeration stops at the first k that admits none.
     """
     pending = [e for e in c.events if e.pending]
-    pending_uids = {e.uid for e in pending}
-    yield History(a for a in c.actions if a.uid not in pending_uids)
+    yield c.remove_pending()
     deqs = [e.uid for e in pending if e.is_deq]
     completed_deqs = Counter(e.value for e in c.events if e.is_deq and not e.pending)
     budget = Counter(e.value for e in c.events if e.is_enq)
@@ -637,10 +636,9 @@ def _undominated_completions(c: History) -> Iterator[History]:
         keep = {e.uid for e in pending if e.is_enq and e.value in returned}
         result = dict(zip(deqs, assigned))
         keep.update(result)
-        actions = [a for a in c.actions if a.uid not in pending_uids or a.uid in keep]
-        actions += [enq_res(e.uid) if e.is_enq else deq_res(e.uid, result[e.uid])
-                    for e in pending if e.uid in keep]
-        return History(actions)
+        return c.completion([e.uid for e in pending if e.uid not in keep],
+                            [enq_res(e.uid) if e.is_enq else deq_res(e.uid, result[e.uid])
+                             for e in pending if e.uid in keep])
 
     if any(e.is_enq and e.value in completed_deqs for e in pending):
         yield completion([])  # k = 0 differs from drop-all by rule 5
@@ -735,16 +733,29 @@ class OracleBoundExceeded(RuntimeError):
     pass
 
 
+def _predecessor_masks(comp: History) -> list[int]:
+    """Bit j of mask i is set when event j precedes event i, numbered as
+    in ``comp.events``.  Events are numbered in invocation order, so one
+    pass over the actions finds them: the mask of an event is the set of
+    events that have responded when it is invoked."""
+    preds = []
+    bit: dict[int, int] = {}
+    responded = 0
+    for a in comp.actions:
+        if a.kind == INV:
+            bit[a.uid] = 1 << len(preds)
+            preds.append(responded)
+        else:
+            responded |= bit[a.uid]
+    return preds
+
+
 def _legal_linearization_exists(comp: History) -> bool:
     events = comp.events
     n = len(events)
     if n == 0:
         return True
-    preds = [0] * n
-    for i, a in enumerate(events):
-        for j, b in enumerate(events):
-            if i != j and comp.precedes(b.uid, a.uid):
-                preds[i] |= 1 << j
+    preds = _predecessor_masks(comp)
     # (remaining, queue) states known to reach no legal linearization
     failed: set[tuple[int, tuple[int, ...]]] = set()
     # depth-first search; a frame is [remaining, queue, untried candidates]

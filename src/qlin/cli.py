@@ -256,10 +256,20 @@ def cmd_gen(args) -> int:
 
 # ---- argument wiring ---------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse swallows a failed write; a help text that cannot reach
+        # stdout must fail like any other lost output, buffered or not
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .hwmodel import MUTANTS
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlin",
         description="FIFO-queue linearizability: aspect detectors, brute-force "
                     "oracle, and exhaustive queue-machine exploration.",

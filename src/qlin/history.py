@@ -22,12 +22,25 @@ the actions fit together (one invocation and at most one response per
 uid, in that order, on one method), and ``parse_history`` only what
 needs the text, reporting the other two layers' errors at the line of
 the action they reject.
+
+Only the public ``History`` constructor checks how the actions fit
+together.  A history derived from one already built is well formed by
+construction, so ``restrict``, ``remove_pending``, ``completion`` and
+``completions`` build their result through a private index builder that
+does not check again, and reuse the events whose actions they keep
+unchanged.  A restriction keeps every action of a kept uid, in order, so
+each uid keeps its invocation, its response if any, and its method.  A
+completion drops pending uids whole and appends one response, on the
+invoked method, to each pending uid it keeps.  ``completion`` checks
+exactly that of its arguments, in time linear in the number of pending
+events; ``completions`` and the checker's undominated completions are
+built through it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -85,7 +98,7 @@ class HistoryParseError(HistoryError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """One invocation or response.
 
@@ -98,25 +111,30 @@ class Action:
     method: str
     payload: Value | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (INV, RES):
-            raise HistoryError(f"bad action kind {self.kind!r}")
-        if self.method not in (ENQ, DEQ):
-            raise HistoryError(f"bad method {self.method!r}")
+    def __init__(self, kind: str, uid: int, method: str, payload: Value | None = None):
+        # checked in this order: kind, method, uid, payload
+        if kind != INV and kind != RES:
+            raise HistoryError(f"bad action kind {kind!r}")
+        if method != ENQ and method != DEQ:
+            raise HistoryError(f"bad method {method!r}")
         # type(x) is int: a bool is an int subclass and is refused
-        if type(self.uid) is not int or self.uid < 0:
-            raise HistoryError(f"uid must be a non-negative int, got {self.uid!r}")
-        if self.kind == INV and self.method == ENQ:
-            if type(self.payload) is not int or self.payload < 0:
+        if type(uid) is not int or uid < 0:
+            raise HistoryError(f"uid must be a non-negative int, got {uid!r}")
+        if kind == INV and method == ENQ:
+            if type(payload) is not int or payload < 0:
                 raise HistoryError("enq invocation needs a non-negative int payload, "
-                                   f"got {self.payload!r}")
-        elif self.kind == RES and self.method == DEQ:
-            ok = self.payload is NULL or (type(self.payload) is int and self.payload >= 0)
-            if not ok:
+                                   f"got {payload!r}")
+        elif kind == RES and method == DEQ:
+            if payload is not NULL and (type(payload) is not int or payload < 0):
                 raise HistoryError("deq response needs a non-negative int or NULL payload, "
-                                   f"got {self.payload!r}")
-        elif self.payload is not None:
-            raise HistoryError(f"{self.kind} {self.method} carries no payload")
+                                   f"got {payload!r}")
+        elif payload is not None:
+            raise HistoryError(f"{kind} {method} carries no payload")
+        # the slot descriptors store past the frozen __setattr__
+        _set_kind(self, kind)
+        _set_uid(self, uid)
+        _set_method(self, method)
+        _set_payload(self, payload)
 
     def serialize(self) -> str:
         if self.kind == INV and self.method == ENQ:
@@ -125,6 +143,12 @@ class Action:
             val = "null" if self.payload is NULL else str(self.payload)
             return f"res {self.uid} deq {val}"
         return f"{self.kind} {self.uid} {self.method}"
+
+
+_set_kind = Action.kind.__set__
+_set_uid = Action.uid.__set__
+_set_method = Action.method.__set__
+_set_payload = Action.payload.__set__
 
 
 def enq_inv(uid: int, value: int) -> Action:
@@ -143,26 +167,39 @@ def deq_res(uid: int, value: Value) -> Action:
     return Action(RES, uid, DEQ, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One operation instance, derived from its invocation/response pair.
 
     ``value`` is the enqueue argument or the dequeue result; it is None for
-    a pending dequeue, whose result does not exist yet.
+    a pending dequeue, whose result does not exist yet.  ``is_enq`` and
+    ``is_deq`` follow from ``method``; they are stored, not computed,
+    since the checker reads them in its inner loops, and they take no
+    part in equality, hashing or the repr.
     """
 
     uid: int
     method: str
     value: Value | None
     pending: bool
+    is_enq: bool = field(init=False, repr=False, compare=False)
+    is_deq: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_enq(self) -> bool:
-        return self.method == ENQ
+    def __init__(self, uid: int, method: str, value: Value | None, pending: bool):
+        _set_event_uid(self, uid)
+        _set_event_method(self, method)
+        _set_event_value(self, value)
+        _set_event_pending(self, pending)
+        _set_event_is_enq(self, method == ENQ)
+        _set_event_is_deq(self, method == DEQ)
 
-    @property
-    def is_deq(self) -> bool:
-        return self.method == DEQ
+
+_set_event_uid = Event.uid.__set__
+_set_event_method = Event.method.__set__
+_set_event_value = Event.value.__set__
+_set_event_pending = Event.pending.__set__
+_set_event_is_enq = Event.is_enq.__set__
+_set_event_is_deq = Event.is_deq.__set__
 
 
 class History:
@@ -179,38 +216,65 @@ class History:
         acts = tuple(actions)
         inv_pos: dict[int, int] = {}
         res_pos: dict[int, int] = {}
+        open_method: dict[int, str] = {}  # invoked, not yet responded
+        for pos, a in enumerate(acts):
+            uid = a.uid
+            if a.kind == INV:
+                if inv_pos.setdefault(uid, pos) != pos:
+                    raise HistoryError(f"uid {uid} invoked twice", pos)
+                open_method[uid] = a.method
+                continue
+            invoked = open_method.pop(uid, None)
+            if invoked is None:
+                if uid in res_pos:
+                    raise HistoryError(f"uid {uid} responds twice", pos)
+                raise HistoryError(f"uid {uid} responds before invocation", pos)
+            if invoked != a.method:
+                raise HistoryError(f"uid {uid} method mismatch: invoked as "
+                                   f"{invoked}, responds as {a.method}", pos)
+            res_pos[uid] = pos
+        self._index(acts, inv_pos, res_pos, {})
+
+    @classmethod
+    def _derived(cls, acts: tuple[Action, ...], events: dict[int, Event]) -> "History":
+        """The history of acts, which must be well formed; nothing is
+        checked.  An event of ``events`` is reused when its uid keeps its
+        pending status in acts, so acts must carry that uid's actions
+        unchanged."""
+        inv_pos: dict[int, int] = {}
+        res_pos: dict[int, int] = {}
         for pos, a in enumerate(acts):
             if a.kind == INV:
-                if a.uid in inv_pos:
-                    raise HistoryError(f"uid {a.uid} invoked twice", pos)
                 inv_pos[a.uid] = pos
             else:
-                if a.uid not in inv_pos:
-                    raise HistoryError(f"uid {a.uid} responds before invocation", pos)
-                if a.uid in res_pos:
-                    raise HistoryError(f"uid {a.uid} responds twice", pos)
-                invoked = acts[inv_pos[a.uid]].method
-                if invoked != a.method:
-                    raise HistoryError(f"uid {a.uid} method mismatch: invoked as "
-                                       f"{invoked}, responds as {a.method}", pos)
                 res_pos[a.uid] = pos
+        h = object.__new__(cls)
+        h._index(acts, inv_pos, res_pos, events)
+        return h
+
+    def _index(self, acts: tuple[Action, ...], inv_pos: dict[int, int],
+               res_pos: dict[int, int], reuse: dict[int, Event]) -> None:
+        """Store the actions and their index tables, and make the events;
+        every History, checked or derived, is built here."""
+        events = []
+        res_get = res_pos.get
+        reuse_get = reuse.get
+        for uid, pos in inv_pos.items():  # filled in invocation order
+            rpos = res_get(uid)
+            ev = reuse_get(uid)
+            if ev is None or ev.pending != (rpos is None):
+                inv = acts[pos]
+                if inv.method == ENQ:
+                    ev = Event(uid, ENQ, inv.payload, rpos is None)
+                else:
+                    ev = Event(uid, DEQ, None if rpos is None else acts[rpos].payload,
+                               rpos is None)
+            events.append(ev)
         object.__setattr__(self, "actions", acts)
         object.__setattr__(self, "_inv_pos", inv_pos)
         object.__setattr__(self, "_res_pos", res_pos)
-        events = []
-        uid_event: dict[int, Event] = {}
-        for uid, pos in inv_pos.items():  # filled in invocation order
-            inv = acts[pos]
-            pending = uid not in res_pos
-            if inv.method == ENQ:
-                value: Value | None = inv.payload
-            else:
-                value = None if pending else acts[res_pos[uid]].payload
-            ev = Event(uid, inv.method, value, pending)
-            events.append(ev)
-            uid_event[uid] = ev
         object.__setattr__(self, "_events", tuple(events))
-        object.__setattr__(self, "_uid_event", uid_event)
+        object.__setattr__(self, "_uid_event", dict(zip(inv_pos, events)))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("History is immutable")
@@ -271,13 +335,43 @@ class History:
     def restrict(self, uids: Iterable[int]) -> "History":
         """The sub-history of all actions belonging to the given uids."""
         keep = set(uids)
-        return History(a for a in self.actions if a.uid in keep)
+        return History._derived(tuple([a for a in self.actions if a.uid in keep]),
+                                self._uid_event)
 
     def remove_pending(self) -> "History":
         return self.restrict(self._res_pos)
 
+    def completion(self, dropped: Iterable[int], responses: Iterable[Action]) -> "History":
+        """The completion that drops the pending events in ``dropped`` and
+        appends ``responses``, in order, after the existing actions.
+
+        Raises HistoryError unless every pending event is either dropped
+        or answered by exactly one of the responses, on its own method,
+        and nothing else is.
+        """
+        drop = set(dropped)
+        resps = tuple(responses)
+        answered: set[int] = set()
+        for uid in drop:
+            ev = self._uid_event.get(uid)
+            if ev is None or not ev.pending:
+                raise HistoryError(f"uid {uid} is not pending, so it cannot be dropped")
+        for a in resps:
+            ev = self._uid_event.get(a.uid)
+            if (a.kind != RES or ev is None or not ev.pending
+                    or a.uid in drop or a.uid in answered):
+                raise HistoryError(f"{a.serialize()!r} does not complete a pending event")
+            if a.method != ev.method:
+                raise HistoryError(f"uid {a.uid} method mismatch: invoked as "
+                                   f"{ev.method}, responds as {a.method}")
+            answered.add(a.uid)
+        if len(drop) + len(answered) != len(self._inv_pos) - len(self._res_pos):
+            raise HistoryError("a completion drops or completes every pending event")
+        kept = [a for a in self.actions if a.uid not in drop]
+        return History._derived(tuple(kept) + resps, self._uid_event)
+
     def completions(self) -> Iterator["History"]:
-        """All completions of this history.
+        """All completions of this history; a complete history is its own.
 
         Each pending event is either dropped or completed by a response
         appended after the existing actions.  A pending dequeue's response
@@ -288,6 +382,9 @@ class History:
 
         The first completion yielded is always the drop-everything one.
         """
+        if self.is_complete:
+            yield self
+            return
         cands = tuple(sorted(set(self.enq_values()))) + (NULL,)
         pending = [e for e in self._events if e.pending]
         options: list[list[Action | None]] = []
@@ -297,9 +394,8 @@ class History:
             else:
                 options.append([None] + [deq_res(e.uid, v) for v in cands])
         for choice in itertools.product(*options):
-            dropped = {e.uid for e, a in zip(pending, choice) if a is None}
-            kept = [a for a in self.actions if a.uid not in dropped]
-            yield History(kept + [a for a in choice if a is not None])
+            yield self.completion([e.uid for e, a in zip(pending, choice) if a is None],
+                                  [a for a in choice if a is not None])
 
     # ---- plumbing ----
 
@@ -331,25 +427,25 @@ def parse_history(text: str) -> History:
     """
     actions: list[Action] = []
     linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         tokens = line.split()
+        if not tokens:
+            continue
         if len(tokens) < 3:
             raise HistoryParseError(lineno, f"expected at least 3 tokens, got {len(tokens)}")
         kind, uid_tok, method = tokens[0], tokens[1], tokens[2]
-        if kind not in (INV, RES):
+        if kind != INV and kind != RES:
             raise HistoryParseError(lineno, f"unknown action kind {kind!r}")
-        if method not in (ENQ, DEQ):
+        if method != ENQ and method != DEQ:
             raise HistoryParseError(lineno, f"unknown method {method!r}")
         try:
             uid = int(uid_tok)
         except ValueError:
             raise HistoryParseError(lineno, f"uid {uid_tok!r} is not an integer") from None
         payload: Value | None = None
-        has_payload = kind == INV and method == ENQ or kind == RES and method == DEQ
-        if has_payload:
+        if kind == INV and method == ENQ or kind == RES and method == DEQ:
             if len(tokens) != 4:
                 raise HistoryParseError(lineno, f"{kind} {method} takes exactly one value")
             val_tok = tokens[3]

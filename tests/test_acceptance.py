@@ -270,7 +270,8 @@ def test_criterion_04_textbook_scenarios_replay_exactly():
 
 
 # full desk-scale grid: loop bound 4, capacity 4, one operation per
-# thread; (complete-traces, bound-hit-traces, distinct complete classes)
+# thread; (complete-traces, bound-hit-traces, quotient representatives of
+# the complete histories, which can be finer than isomorphism classes)
 GRID_EXPECT = {
     (0, 1): (0, 1, 0),
     (0, 2): (0, 70, 0),
@@ -314,24 +315,24 @@ def test_criterion_05_correct_queue_is_clean_at_desk_scale():
     with criterion("criterion 5: every configuration to 3+3 threads is "
                    "violation-free and oracle-confirmed") as info:
         checked = 0
-        for (ne, nd), (n_complete, n_bound, classes) in GRID_EXPECT.items():
+        for (ne, nd), (n_complete, n_bound, reps) in GRID_EXPECT.items():
             r = grid_report(ne, nd)
             assert r.clean, (ne, nd)
             assert r.trace_counts.get("COMPLETE", 0) == n_complete, (ne, nd)
             assert r.trace_counts.get("BOUND_HIT", 0) == n_bound, (ne, nd)
             assert "OVERFLOW" not in r.trace_counts and "STUCK" not in r.trace_counts
-            assert r.distinct_complete == classes, (ne, nd)
-            assert r.oracle_checked == classes
+            assert r.distinct_complete == reps, (ne, nd)
+            assert r.oracle_checked == reps
             assert r.oracle_disagreements == 0, (ne, nd)
-            checked += classes
+            checked += reps
         assert checked == 9_594
         big = GRID_EXPECT[(3, 3)]
-        info["detail"] = (f"history-classes={checked} "
+        info["detail"] = (f"history-representatives={checked} "
                           f"largest-cell-traces={big[0] + big[1]}")
 
 
 MUTANT_EXPECT = {
-    # (enqueuers, dequeuers, mutant): (classes, violations, kind)
+    # (enqueuers, dequeuers, mutant): (representatives, violations, kind)
     (1, 2, MUTANT_NO_SWAP_CLEAR): (6, 6, "vrepet"),
     (2, 1, MUTANT_SKIP_SLOT_ZERO): (7, 3, "vord"),
     (3, 2, MUTANT_NONATOMIC_ENQ): (1335, 248, "vord"),
@@ -342,13 +343,13 @@ def test_criterion_06_every_mutant_is_caught_with_replayable_evidence():
     with criterion("criterion 6: each seeded bug yields oracle-confirmed "
                    "violations of its engineered class") as info:
         total = 0
-        for (ne, nd, mutant), (classes, nviol, kind) in MUTANT_EXPECT.items():
+        for (ne, nd, mutant), (reps, nviol, kind) in MUTANT_EXPECT.items():
             threads = tuple(EnqOp(i + 1) for i in range(ne)) + tuple(
                 DeqOp() for _ in range(nd)
             )
             config = Config(threads, capacity=4, loop_bound=4, mutant=mutant)
             r = sweep_config(config, oracle=True)
-            assert r.distinct_complete == classes, mutant
+            assert r.distinct_complete == reps, mutant
             assert len(r.violations) == nviol and nviol >= 1, mutant
             assert {v.verdict.violation.kind for v in r.violations} == {kind}
             assert r.oracle_disagreements == 0

@@ -686,13 +686,16 @@ def test_witness_and_vwit_build_no_history(monkeypatch):
     assert len(c) >= 600
     match = derive_match(c)
     built = []
-    init = History.__init__
+    index = History._index  # every History, checked or derived, is built here
 
-    def counting_init(self, *args, **kwargs):
+    def counting_index(self, *args):
         built.append(1)
-        init(self, *args, **kwargs)
+        index(self, *args)
 
-    monkeypatch.setattr(History, "__init__", counting_init)
+    monkeypatch.setattr(History, "_index", counting_index)
+    c.restrict(uids(c))  # the counter sees a derived history
+    assert built == [1]
+    built.clear()
     construct_linearization(c, match)
     assert detect_vwit(c) is None
     assert not built

@@ -167,9 +167,17 @@ def test_non_utf8_stdin_is_an_input_error(capsys, monkeypatch, cmd):
     assert err == "error: <stdin>: not UTF-8 text (invalid start byte at byte 12)\n"
 
 
-@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-def test_closed_stdout_is_an_io_error(hist_file, buffered):
-    # unbuffered, the command's print fails; buffered, the last flush does
+@pytest.mark.parametrize("buffered, command", [
+    (False, "check"), (True, "check"),
+    (False, "help"), (True, "help"),
+    (False, "check-help"), (True, "check-help"),
+], ids=["unbuffered", "buffered", "unbuffered-help", "buffered-help",
+        "unbuffered-check-help", "buffered-check-help"])
+def test_closed_stdout_is_an_io_error(hist_file, buffered, command):
+    # unbuffered, the command's print fails; buffered, the last flush does.
+    # argparse swallows a failed help write, so help needs its own cases
+    args = {"check": ["check", hist_file(LIN), "--witness"],
+            "help": ["--help"], "check-help": ["check", "--help"]}[command]
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ)
@@ -181,7 +189,7 @@ def test_closed_stdout_is_an_io_error(hist_file, buffered):
     script = "import sys; from qlin.cli import main; sys.exit(main())"
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", script, "check", hist_file(LIN), "--witness"],
+            [sys.executable, "-c", script, *args],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
         )
     finally:

@@ -19,8 +19,10 @@ from qlin.history import (
     serialize_history,
 )
 
+from qlin.checker import _predecessor_masks, _undominated_completions
+
 from lemmas import after_set, before_set, deq_events, enq_events, is_sequential, uids
-from support import raw_histories
+from support import canonical_histories, raw_histories
 
 
 # ---- NULL sentinel ----
@@ -264,6 +266,83 @@ def test_completion_count_formula():
     # 2 pending enqs, 1 pending deq, 2 distinct values: 2*2*(1+2+1)
     c = History([enq_inv(0, 1), enq_inv(1, 2), deq_inv(2)])
     assert len(list(c.completions())) == 2 * 2 * 4
+
+
+def test_completion_checks_its_arguments():
+    c = History([enq_inv(0, 1), enq_res(0), deq_inv(1), enq_inv(2, 2)])
+    assert c.completion([1, 2], []) == c.remove_pending()
+    assert c.completion([2], [deq_res(1, 1)]).actions == c.actions[:3] + (deq_res(1, 1),)
+    with pytest.raises(HistoryError, match="uid 0 is not pending"):
+        c.completion([0, 1, 2], [])
+    with pytest.raises(HistoryError, match="uid 5 is not pending"):
+        c.completion([1, 2, 5], [])
+    with pytest.raises(HistoryError, match="does not complete a pending event"):
+        c.completion([1, 2], [enq_res(0)])
+    with pytest.raises(HistoryError, match="does not complete a pending event"):
+        c.completion([1], [enq_res(2), enq_res(2)])
+    with pytest.raises(HistoryError, match="does not complete a pending event"):
+        c.completion([1, 2], [enq_res(2)])
+    with pytest.raises(HistoryError, match="does not complete a pending event"):
+        c.completion([1, 2], [deq_inv(3)])
+    with pytest.raises(HistoryError, match="method mismatch"):
+        c.completion([2], [enq_res(1)])
+    with pytest.raises(HistoryError, match="drops or completes every pending event"):
+        c.completion([2], [])
+
+
+# ---- derived histories equal checked ones ----
+
+
+@pytest.fixture(scope="module")
+def small_histories():
+    """The canonical histories up to 3 enqueues and 2 dequeues, the raw
+    ones up to 3 operations, and every prefix of each, so that pending
+    events of both methods occur."""
+    complete = [c for ne in range(4) for nd in range(3) if ne + nd
+                for c in canonical_histories(ne, nd)]
+    complete += [c for ne, nd in [(1, 1), (2, 1), (1, 2)] for c in raw_histories(ne, nd)]
+    prefixes = {c.actions[:k] for c in complete for k in range(len(c.actions) + 1)}
+    return [History(acts) for acts in prefixes]
+
+
+def _assert_same_history(derived):
+    checked = History(derived.actions)
+    assert derived.actions == checked.actions
+    assert derived.events == checked.events
+    # is_enq and is_deq take no part in Event equality
+    assert ([(e.is_enq, e.is_deq) for e in derived.events]
+            == [(e.is_enq, e.is_deq) for e in checked.events])
+    for e in checked.events:
+        assert derived.event(e.uid) == e
+        assert derived.inv_index(e.uid) == checked.inv_index(e.uid)
+        assert derived.res_index(e.uid) == checked.res_index(e.uid)
+    assert derived == checked and hash(derived) == hash(checked)
+    assert derived.is_complete == checked.is_complete
+
+
+def test_derived_histories_equal_checked_ones(small_histories):
+    n = 0
+    for c in small_histories:
+        us = uids(c)
+        derived = [c.remove_pending(), c.restrict(us[::2]), c.restrict(us[1:]),
+                   *c.completions(), *_undominated_completions(c)]
+        for d in derived:
+            _assert_same_history(d)
+            n += 1
+        # the reused events are the same objects; completed ones are new
+        for d in derived:
+            for e in d.events:
+                if not c.event(e.uid).pending or e.pending:
+                    assert e is c.event(e.uid)
+    assert n == 180_881
+
+
+def test_one_pass_predecessor_masks_match_pairwise_precedence(small_histories):
+    for c in small_histories:
+        ev = c.events
+        pairwise = [sum(1 << j for j, b in enumerate(ev) if c.precedes(b.uid, a.uid))
+                    for a in ev]
+        assert _predecessor_masks(c) == pairwise, c.serialize()
 
 
 # ---- sequential shape ----

@@ -18,14 +18,19 @@ VOrd and VWit read through the match, which gives every enqueue a consumer
 from the match instead of from its value.
 
 An incomplete history is linearizable when some completion is, and only
-the completions that no other completion dominates are checked.  Five
+the completions that no other completion dominates are checked.  Seven
 rules, proved in ``check_linearizable``, leave the others out: a pending
 dequeue never returns NULL; no value is returned more often than it is
 enqueued; the pending dequeues kept are the earliest-invoked ones; their
 values are never inverted against the real-time order of their
-enqueues; and a pending enqueue is completed exactly when some dequeue
-returns its value.  ``History.completions``, which keeps every
-completion, serves the oracle alone.
+enqueues; a pending enqueue is completed exactly when some dequeue
+returns its value; pending dequeues with no response between their
+invocations are interchangeable, so such a block takes a multiset of
+values; and, by VOrd, a completion that returns u returns every v whose
+enqueues all precede those of u as often as v is enqueued.  The block's
+multiset is listed in the real-time order of the enqueues, not by value,
+or rule 4 would reject the one order tried.  ``History.completions``,
+which keeps every completion, serves the oracle alone.
 
 Each aspect is checked once per witness.  ``construct_linearization``
 trusts the checks its caller has just made and guards only its output:
@@ -602,34 +607,72 @@ def _check_complete(c: History, build_witness: bool) -> Verdict:
 
 
 def _undominated_completions(c: History) -> Iterator[History]:
-    """The completions of an incomplete history that the five rules of
+    """The completions of an incomplete history that the seven rules of
     check_linearizable keep, the drop-all-pending completion first.
 
     After that one, the completions come by the number k of pending
     dequeues kept, k = 0, 1, ...; for each k, the values of the kept
-    dequeues run in lexicographic order over the sorted enqueue values.
-    Both rule 2 and rule 4 hold for a prefix of an assignment whenever
-    they hold for the whole, so a depth-first walk that extends only
-    admissible prefixes reaches every admissible assignment, and the
-    enumeration stops at the first k that admits none.
+    dequeues run in lexicographic order over the enqueued values sorted
+    by last_res, the last response of a value's enqueues, a pending one
+    counting as the end of the history.  Only values with pending
+    enqueues share a last_res, and no rule orders those, so a stable
+    sort settles them.  Rules 2, 4 and 6, and rule 7 for the assigned
+    values, hold for a prefix of an assignment whenever they hold for
+    the whole, so a depth-first walk that extends only admissible
+    prefixes reaches every admissible assignment, and the enumeration
+    stops at the first k that admits none.
+
+    Rule 7 is prefix-closed through rule 4.  Say v is open (returned
+    fewer times than enqueued) when u is assigned, and every enqueue of
+    v precedes every enqueue of u.  Only assigning v after u could close
+    v, and rule 4 forbids that.  So u is admissible when its first
+    invocation comes before the least last_res over the open values; a
+    stack beside rule 4's keeps that bound, and a rescan updates it only
+    when a budget reaches 0.  The values that completed dequeues return
+    are checked at the leaf, against the values still open there.  That
+    filter drops a full assignment, but k still counts as admitting it:
+    a completion refuted at k may be completed at k + 1.
+
+    Rule 6 gives a block of interchangeable dequeues its values in
+    non-decreasing last_res order.  Sorting by value instead would be a
+    trap: rule 4 would reject the one order tried of a multiset whose
+    values run against the enqueues' real-time order.
     """
     pending = [e for e in c.events if e.pending]
     yield c.remove_pending()
-    deqs = [e.uid for e in pending if e.is_deq]
+    end = len(c.actions)
     completed_deqs = Counter(e.value for e in c.events if e.is_deq and not e.pending)
     budget = Counter(e.value for e in c.events if e.is_enq)
     budget.subtract(completed_deqs)
-    values = sorted(v for v, n in budget.items() if n > 0)
+    deqs: list[int] = []
+    joins: list[bool] = []  # joins[i]: deqs[i] is in the block of deqs[i - 1]
     # rule 4: every enqueue of v precedes every enqueue of u exactly when
     # last_res[v] < first_inv[u]; a pending enqueue responds after all
     first_inv: dict[Value, int] = {}
     last_res: dict[Value, int] = {}
-    for e in c.events:
+    responded = -1
+    for i, e in enumerate(c.events):
         if e.is_enq:
             first_inv.setdefault(e.value, c.inv_index(e.uid))
             res = c.res_index(e.uid)
-            res = len(c.actions) if res is None else res
+            res = end if res is None else res
             last_res[e.value] = max(res, last_res.get(e.value, res))
+        elif e.pending:
+            # the events before e in invocation order are i invocations, so
+            # the other actions before inv(e) are responses
+            before = c.inv_index(e.uid) - i
+            joins.append(before == responded)
+            responded = before
+            deqs.append(e.uid)
+    # a stable sort: values that share last_res, the end of the history,
+    # keep the order of their first enqueues
+    order = sorted([v for v, n in budget.items() if n > 0], key=last_res.__getitem__)
+    # rule 7 for the values completed dequeues return
+    done_bar = max((first_inv[v] for v in completed_deqs if v in first_inv), default=-1)
+
+    def least_open() -> int:
+        """The least last_res of a value returned fewer times than enqueued."""
+        return next((last_res[v] for v in order if budget[v] > 0), end)
 
     def completion(assigned: list[Value]) -> History:
         returned = set(completed_deqs).union(assigned)
@@ -640,31 +683,39 @@ def _undominated_completions(c: History) -> Iterator[History]:
                             [enq_res(e.uid) if e.is_enq else deq_res(e.uid, result[e.uid])
                              for e in pending if e.uid in keep])
 
-    if any(e.is_enq and e.value in completed_deqs for e in pending):
+    low = least_open()
+    if done_bar < low and any(e.is_enq and e.value in completed_deqs for e in pending):
         yield completion([])  # k = 0 differs from drop-all by rule 5
     for k in range(1, len(deqs) + 1):
         found = False
         chosen: list[Value] = []
         bars = [-1]  # bars[i]: the latest first_inv among chosen[:i]
-        stack = [iter(values)]
+        lows = [low]  # lows[i]: least_open() once chosen[:i] is assigned
+        stack = [iter(order)]
         while stack:
             for v in stack[-1]:
-                if budget[v] > 0 and last_res[v] > bars[-1]:
+                if budget[v] > 0 and last_res[v] > bars[-1] and first_inv[v] < lows[-1]:
                     break
             else:
                 stack.pop()
                 if chosen:
                     budget[chosen.pop()] += 1
                     bars.pop()
-                continue
-            if len(chosen) + 1 == k:
-                found = True
-                yield completion(chosen + [v])
+                    lows.pop()
                 continue
             chosen.append(v)
             budget[v] -= 1
             bars.append(max(bars[-1], first_inv[v]))
-            stack.append(iter(values))
+            lows.append(least_open() if not budget[v] and last_res[v] == lows[-1] else lows[-1])
+            if len(chosen) < k:
+                # rule 6: a dequeue in the block of the last one takes no
+                # value ranked below the last one's
+                stack.append(iter(order[order.index(v) if joins[len(chosen)] else 0:]))
+                continue
+            found = True
+            if done_bar < lows[-1]:
+                yield completion(chosen)
+            stack.append(iter(()))  # a full assignment extends no further
         if not found:
             return
 
@@ -680,7 +731,12 @@ def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
     Only the completions that no other completion dominates are checked;
     C dominates C' when C is linearizable whenever C' is.  Every appended
     response follows every invocation, so a completed pending event
-    precedes nothing.  Five rules leave the dominated completions out:
+    precedes nothing.  Seven rules leave out completions that are
+    dominated, never linearizable, or isomorphic to one that is kept.
+    Below, last_res[v] is the last response of an enqueue of v, a pending
+    one counting as the end of the history, and first_inv[v] the first
+    invocation of one; every enqueue of v precedes every enqueue of u
+    exactly when last_res[v] < first_inv[u].
 
     1. A pending dequeue never returns NULL: removing a deq(NULL) from a
        legal sequence leaves it legal, so dropping the dequeue dominates.
@@ -700,11 +756,31 @@ def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
        its value: an enqueue of a value nothing returns is never
        consumed, so removing it keeps a linearization legal, and a
        completed enqueue can always go last, so keeping it dominates.
+    6. Kept pending dequeues with no response between their invocations
+       form a block, and a block takes its values in non-decreasing
+       last_res order, ties in one fixed order.  The dequeues of a
+       block have the same predecessors and precede nothing, so
+       permuting their values gives an isomorphic completion; a block
+       takes a multiset.  The order breaks no rule 4 pair inside the
+       block, since last_res[v_j] >= last_res[v_i] > first_inv[v_i], and
+       a permutation inside blocks keeps the pairs across them.
+       Ordering by value instead is a trap: rule 4 rejects the one
+       permutation of a multiset tried whenever the values run against
+       the enqueues' real-time order.
+    7. When every enqueue of v precedes every enqueue of u, a completion
+       that returns u returns v as often as v is enqueued: the enqueue
+       that u is taken from follows every enqueue of v in a
+       linearization, so under FIFO every v leaves first.  A completion
+       that breaks this is never linearizable.  Under rule 4 the rule is
+       decided as values are assigned: a v still short when u is
+       assigned can only be assigned later, which rule 4 forbids.
 
     INDETERMINATE means the candidate-match search of a history with
     duplicate enqueue values exceeded DEFAULT_MATCH_BOUND, or that more
     than DEFAULT_COMPLETION_BOUND completions were left to check and
-    none checked so far was linearizable.
+    none checked so far was linearizable; the reason then gives the
+    number checked and the numbers of pending dequeues and distinct
+    enqueued values behind them.
     """
     if c.is_complete:
         return _check_complete(c, build_witness)
@@ -712,8 +788,11 @@ def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
     saw_indeterminate = False
     for n, comp in enumerate(_undominated_completions(c)):
         if n == DEFAULT_COMPLETION_BOUND:
-            return Verdict(INDETERMINATE, reason=f"more than {n} completions to check "
-                           "(DEFAULT_COMPLETION_BOUND), none linearizable so far")
+            deqs = sum(e.is_deq and e.pending for e in c.events)
+            values = len(set(c.enq_values()))
+            return Verdict(INDETERMINATE, reason=(
+                f"checked {n} completions (DEFAULT_COMPLETION_BOUND), none linearizable, "
+                f"and more remain: {deqs} pending dequeues, {values} distinct enqueued values"))
         v = _check_complete(comp, build_witness)
         if v.status == LINEARIZABLE:
             return v

@@ -340,11 +340,14 @@ def main(argv=None) -> int:
             return args.func(args)
         finally:
             sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so the interpreter's
+    except OSError as exc:
+        # every file a command reads is read under its own handler, so what
+        # reaches here is a failed write to stdout: the reader closed it, or
+        # the device is full.  Point stdout at devnull so the interpreter's
         # final flush cannot fail again (Python docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _fail("cannot write to stdout: broken pipe")
+        reason = "broken pipe" if isinstance(exc, BrokenPipeError) else exc.strerror or exc
+        return _fail(f"cannot write to stdout: {reason}")
 
 
 if __name__ == "__main__":  # pragma: no cover

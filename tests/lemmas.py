@@ -21,7 +21,10 @@ definition it replaces:
 - coverings: chains of alive enqueues spanning a NULL dequeue's window,
   the form VWit is derived from;
 - linearizations: a behavior is a linearization of a history when it
-  permutes some completion and respects precedence.
+  permutes some completion and respects precedence;
+- completion dominance: the FIFO shortfall that refutes a completion
+  (rule 7 of ``qlin.checker.check_linearizable``) and the blocks of
+  interchangeable pending dequeues (rule 6).
 
 The views of histories and behaviors that only these checkers and the
 tests read (uids, per-method events, precedence sets, positions, the
@@ -32,9 +35,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from qlin.checker import EnqOrderCycle, _bad_bounds, _drain_keys
-from qlin.history import INV, NULL, RES, Event, History, HistoryError, deq_inv, deq_res, enq_inv, enq_res
+from qlin.history import (INV, NULL, RES, Event, History, HistoryError, Value, deq_inv, deq_res,
+                          enq_inv, enq_res)
 from qlin.queuespec import REJECT, Behavior, Match, QueueState, _Reject, candidate_matches
 
 
@@ -504,3 +509,38 @@ def is_linearization_of(s: Behavior, c: History) -> bool:
         if ok:
             return True
     return False
+
+
+# ---- completion dominance ----
+
+
+def fifo_shortfall(c: History) -> tuple[Value, Value] | None:
+    """Values (u, v) of the complete history c such that a dequeue returns
+    u, every enqueue of v precedes every enqueue of u, and fewer dequeues
+    return v than enqueues supply it; None when there are none.  Such a
+    history is not linearizable: the enqueue u is taken from follows
+    every enqueue of v, so under FIFO every v leaves first."""
+    enqs = enq_events(c)
+    enqueued = Counter(e.value for e in enqs)
+    returned = Counter(e.value for e in deq_events(c))
+    for u in returned:
+        if u not in enqueued:
+            continue
+        for v in enqueued:
+            if v != u and returned[v] < enqueued[v] and all(
+                    c.precedes(a.uid, b.uid)
+                    for a in enqs if a.value == v for b in enqs if b.value == u):
+                return u, v
+    return None
+
+
+def interchangeable_blocks(c: History) -> list[list[int]]:
+    """The pending dequeues of c grouped by their sets of predecessors,
+    each group in invocation order.  Completed at the end, the dequeues
+    of a group have the same predecessors and precede nothing, so
+    permuting their results gives an isomorphic completion."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for e in c.events:
+        if e.is_deq and e.pending:
+            groups.setdefault(before_set(c, e.uid), []).append(e.uid)
+    return list(groups.values())

@@ -697,6 +697,17 @@ def pinned_history(p: int) -> History:
     return parse_history("\n".join(lines))
 
 
+def overlapping_history(n: int, p: int) -> History:
+    """F(n, p): n enqueues of 1..n, all invoked before any responds, then
+    p pending dequeues invoked back to back, then a completed NULL
+    dequeue.  A violation whenever p < n: the NULL needs every value
+    gone, and only the pending dequeues can take them."""
+    lines = [f"inv {u} enq {u + 1}" for u in range(n)] + [f"res {u} enq" for u in range(n)]
+    lines += [f"inv {n + j} deq" for j in range(p)]
+    lines += [f"inv {n + p} deq", f"res {n + p} deq null"]
+    return parse_history("\n".join(lines))
+
+
 # ---- seeded atomic-queue histories -------------------------------------------
 
 def atomic_queue_history(rng, n_actions: int, *, null_window: bool = False,

@@ -60,6 +60,8 @@ from lemmas import (
     compute_bad,
     detect_pwit_covering,
     enq_order,
+    fifo_shortfall,
+    interchangeable_blocks,
     is_linearization_of,
     uids,
     verify_covering,
@@ -72,6 +74,7 @@ from support import (
     canonical_histories,
     check_safe,
     isomorphic,
+    overlapping_history,
     pinned_history,
     pwit_prime,
     reference_check_linearizable,
@@ -766,24 +769,69 @@ def truncations(c):
             yield History(a for a in c.actions if not (a.kind == "res" and a.uid in drop))
 
 
-def test_incomplete_agreement_with_oracle_small():
+def small_truncations():
     """Every distinct truncation of the canonical 2+1, 2+2, 3+1 and 1+3
-    instances, unmerged and with value 2 merged into 1: the verdict agrees
-    with the oracle, and its summary, evidence included, with the check of
-    every completion."""
+    instances, unmerged and with value 2 merged into 1."""
     seen = set()
     for ne, nd in ((2, 1), (2, 2), (3, 1), (1, 3)):
         for base in canonical_histories(ne, nd):
             for mapping in ({}, {2: 1}):
                 for sub in truncations(with_values_merged(base, mapping)):
-                    if sub in seen:
-                        continue
-                    seen.add(sub)
-                    v = check_linearizable(sub)
-                    assert v.status != INDETERMINATE
-                    assert (v.status == LINEARIZABLE) == brute_force_linearizable(sub), sub.serialize()
-                    assert v.summary() == reference_check_linearizable(sub).summary(), sub.serialize()
-    assert len(seen) == 5201
+                    if sub not in seen:
+                        seen.add(sub)
+                        yield sub
+
+
+def test_incomplete_agreement_with_oracle_small():
+    """On every small truncation the verdict agrees with the oracle, and
+    its summary, evidence included, with the check of every completion."""
+    n = 0
+    for n, sub in enumerate(small_truncations(), start=1):
+        v = check_linearizable(sub)
+        assert v.status != INDETERMINATE
+        assert (v.status == LINEARIZABLE) == brute_force_linearizable(sub), sub.serialize()
+        assert v.summary() == reference_check_linearizable(sub).summary(), sub.serialize()
+    assert n == 5201
+
+
+def test_completions_short_of_a_fifo_predecessor_are_refuted():
+    """Rule 7: of all completions of the small truncations, each that
+    returns u but returns an earlier-enqueued v fewer times than it is
+    enqueued is refuted by the oracle."""
+    refuted = 0
+    for sub in small_truncations():
+        for comp in sub.completions():
+            if fifo_shortfall(comp) is not None:
+                assert not brute_force_linearizable(comp), comp.serialize()
+                refuted += 1
+    assert refuted == 1113
+
+
+def test_permuting_a_block_of_pending_dequeues_keeps_the_oracle_verdict():
+    """Rule 6: in every completion of the small truncations, each
+    permutation of the results of the kept dequeues of a block gives a
+    completion with the same oracle verdict."""
+    permuted = 0
+    for sub in small_truncations():
+        blocks = [b for b in interchangeable_blocks(sub) if len(b) > 1]
+        if not blocks:
+            continue
+        pending = [e for e in sub.events if e.pending]
+        for comp in sub.completions():
+            result = {e.uid: e.value for e in comp.events if e.is_deq}
+            present = {e.uid for e in comp.events}
+            verdict = brute_force_linearizable(comp)
+            for block in blocks:
+                kept = [d for d in block if d in result]
+                for values in set(itertools.permutations([result[d] for d in kept])):
+                    swap = {**result, **dict(zip(kept, values))}
+                    other = sub.completion(
+                        [e.uid for e in pending if e.uid not in present],
+                        [deq_res(e.uid, swap[e.uid]) if e.is_deq else enq_res(e.uid)
+                         for e in pending if e.uid in present])
+                    assert brute_force_linearizable(other) == verdict, other.serialize()
+                    permuted += 1
+    assert permuted == 4798  # the identity included
 
 
 # enq(1) twice; deq -> 1; a pending deq; then deq -> null.  The NULL
@@ -798,6 +846,36 @@ def test_pending_dequeue_may_return_a_value_a_completed_dequeue_returned():
     c = h(SECOND_ONE)
     assert brute_force_linearizable(c)
     assert reference_check_linearizable(c).status == LINEARIZABLE
+    assert check_linearizable(c).status == LINEARIZABLE
+
+
+def test_a_block_of_pending_dequeues_may_take_one_value_twice():
+    # two pending dequeues invoked back to back beside a deq -> null after
+    # two enqueues of 1: the NULL needs both 1s gone
+    c = h("inv 0 enq 1\nres 0 enq\ninv 1 enq 1\nres 1 enq\n"
+          "inv 2 deq\ninv 3 deq\ninv 4 deq\nres 4 deq null")
+    assert brute_force_linearizable(c)
+    assert check_linearizable(c).status == LINEARIZABLE
+
+
+def test_a_block_of_pending_dequeues_takes_values_in_real_time_order():
+    # enq(2) completes before enq(1) starts, so the block must return 2
+    # first: listed by value, its one order of {1, 2} would break rule 4
+    c = h("inv 0 enq 2\nres 0 enq\ninv 1 enq 1\nres 1 enq\n"
+          "inv 2 deq\ninv 3 deq\ninv 4 deq\nres 4 deq null")
+    assert brute_force_linearizable(c)
+    v = check_linearizable(c)
+    assert v.status == LINEARIZABLE
+    assert [(e.uid, e.value) for e in v.witness.events if e.is_deq] == [(2, 2), (3, 1), (4, NULL)]
+
+
+def test_rule_7_on_completed_dequeues_does_not_end_the_search():
+    # deq -> 2 completes after two enqueues of 1 that precede enq(2), so
+    # both 1s must leave first, through both pending dequeues: every
+    # completion keeping one of them is refuted, and keeping two is not
+    c = h("inv 0 enq 1\nres 0 enq\ninv 1 enq 1\nres 1 enq\ninv 2 enq 2\nres 2 enq\n"
+          "inv 3 deq\ninv 4 deq\ninv 5 deq\nres 5 deq 2")
+    assert brute_force_linearizable(c)
     assert check_linearizable(c).status == LINEARIZABLE
 
 
@@ -832,21 +910,41 @@ def test_pinned_family_with_eight_dequeues_is_linearizable():
 
 @pytest.mark.parametrize("p", range(9))
 def test_pinned_family_completion_count(p):
-    # the enqueues of 1..8 run one after another, so the kept dequeues
-    # take increasing values: one completion per subset of at most p values
+    # the enqueues of 1..8 run one after another, so rule 7 lets the kept
+    # dequeues return only a prefix 1..k of the values, and rule 6 takes
+    # that set once: one completion per k <= p, the drop-all one for k = 0
     count = sum(1 for _ in _undominated_completions(pinned_history(p)))
-    assert count == sum(math.comb(8, k) for k in range(p + 1))
+    assert count == p + 1
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_overlapping_family_completion_count(n):
+    # no enqueue precedes another, so rules 4 and 7 keep every set of
+    # values, and the n - 1 pending dequeues form one block, so rule 6
+    # takes each set of at most n - 1 values once
+    c = overlapping_history(n, n - 1)
+    count = sum(1 for _ in _undominated_completions(c))
+    assert count == sum(math.comb(n, k) for k in range(n)) == {8: 255, 12: 4095}[n]
+    v = check_linearizable(c, build_witness=False)
+    assert v.status == VIOLATION and v.violation.kind == "vwit"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_overlapping_family_agrees_with_oracle(n):
+    c = overlapping_history(n, n - 1)
+    assert check_linearizable(c).status == VIOLATION
+    assert not brute_force_linearizable(c)
 
 
 def test_completion_bound(monkeypatch):
-    c = pinned_history(3)  # 93 completions, none linearizable
-    monkeypatch.setattr(checker, "DEFAULT_COMPLETION_BOUND", 93)
+    c = overlapping_history(8, 7)  # 255 completions, none linearizable
+    monkeypatch.setattr(checker, "DEFAULT_COMPLETION_BOUND", 255)
     assert check_linearizable(c).status == VIOLATION
-    monkeypatch.setattr(checker, "DEFAULT_COMPLETION_BOUND", 92)
+    monkeypatch.setattr(checker, "DEFAULT_COMPLETION_BOUND", 254)
     v = check_linearizable(c)
     assert v.status == INDETERMINATE
-    assert v.reason == ("more than 92 completions to check (DEFAULT_COMPLETION_BOUND), "
-                        "none linearizable so far")
+    assert v.reason == ("checked 254 completions (DEFAULT_COMPLETION_BOUND), none linearizable, "
+                        "and more remain: 7 pending dequeues, 8 distinct enqueued values")
     # the second completion is the first linearizable one
     assert check_linearizable(h(SECOND_ONE)).status == LINEARIZABLE
     monkeypatch.setattr(checker, "DEFAULT_COMPLETION_BOUND", 1)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, and that printed
 schedules really replay to the printed histories."""
 
+import errno
 import importlib
 import io
 import os
@@ -167,6 +168,23 @@ def test_non_utf8_stdin_is_an_input_error(capsys, monkeypatch, cmd):
     assert err == "error: <stdin>: not UTF-8 text (invalid start byte at byte 12)\n"
 
 
+def run_with_stdout(args, stdout, buffered):
+    """Run the CLI in a child process whose stdout is ``stdout``, a file
+    descriptor or an open file; returns (exit code, stderr)."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(qlin.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = "import sys; from qlin.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stderr
+
+
 @pytest.mark.parametrize("buffered, command", [
     (False, "check"), (True, "check"),
     (False, "help"), (True, "help"),
@@ -180,21 +198,22 @@ def test_closed_stdout_is_an_io_error(hist_file, buffered, command):
             "help": ["--help"], "check-help": ["check", "--help"]}[command]
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    src = str(Path(qlin.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    script = "import sys; from qlin.cli import main; sys.exit(main())"
     try:
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *args],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-        )
+        result = run_with_stdout(args, write_end, buffered)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: broken pipe\n")
+    assert result == (2, "error: cannot write to stdout: broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered, command", [
+    (False, "check"), (True, "check"), (False, "help"), (True, "help"),
+], ids=["unbuffered", "buffered", "unbuffered-help", "buffered-help"])
+def test_full_stdout_is_an_io_error(hist_file, buffered, command):
+    args = {"check": ["check", hist_file(LIN), "--witness"], "help": ["--help"]}[command]
+    with open("/dev/full", "w") as full:
+        result = run_with_stdout(args, full, buffered)
+    assert result == (2, f"error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,7 @@ def test_derived_histories_equal_checked_ones(small_histories):
             for e in d.events:
                 if not c.event(e.uid).pending or e.pending:
                     assert e is c.event(e.uid)
-    assert n == 180_881
+    assert n == 175_941
 
 
 def test_one_pass_predecessor_masks_match_pairwise_precedence(small_histories):

@@ -6,9 +6,9 @@ Three layers:
   `queuespec`): parse/serialize operation histories, enumerate
   completions, decide legality of sequential behaviors, enumerate the
   candidate matches of dequeues to enqueues;
-- the aspect checker (`checker`): four independent violation detectors
-  that together decide linearizability of complete differentiated
-  histories, a witness constructor, and a brute-force oracle;
+- the aspect checker (`checker`): one decision path that reads the four
+  violation aspects through each candidate match of a complete history,
+  a witness constructor, and a brute-force oracle;
 - an operational queue model: `hwmodel` is the readable specification
   of a slot-array queue with seeded bug variants; `sweep` explores
   every interleaving of a configuration on packed integer states, up to
@@ -56,10 +56,8 @@ from .checker import (
     VWit,
     brute_force_linearizable,
     check_linearizable,
-    check_ordered,
     construct_linearization,
     detect_all,
-    detect_first,
 )
 from .hwmodel import (
     GATE_FLAG_DONE,

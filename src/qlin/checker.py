@@ -11,11 +11,14 @@ four violation patterns:
 * VWit    - a NULL dequeue ran while the queue was never observably empty.
 
 A complete differentiated history is linearizable exactly when none of the
-four patterns occurs; in that case a witness linearization is built from
-the value-derived match between dequeues and enqueues.  A history with
-duplicate enqueue arguments has many candidate matches; each is tested by
-VOrd and VWit read through the match, which gives every enqueue a consumer
-from the match instead of from its value.
+four patterns occurs.  Every complete history is decided on one path: each
+candidate match between dequeues and enqueues is scanned for the patterns
+read through the match, which gives every enqueue a consumer from the match
+instead of from its value.  The first match that breaks none is the one a
+witness linearization is built from.  A differentiated history has at most
+the one value-derived match, and the first pattern it breaks is the
+evidence.  A history with duplicate enqueue arguments tries its other
+candidates instead.
 
 An incomplete history is linearizable when some completion is, and only
 the completions that no other completion dominates are checked.  Seven
@@ -171,25 +174,6 @@ def derive_match(c: History) -> Match | None:
     return next(candidate_matches(c.events), None)
 
 
-def check_ordered(c: History, match: Match) -> str | None:
-    """The two ordering clauses; None when both hold.
-
-    The match is a candidate match (value-respecting, null-iff-bottom and
-    injective by construction).  no-future-take: a dequeue must not
-    strictly precede the enqueue it takes its value from.
-    fifo: when an enqueue precedes the enqueue consumed by d2, that earlier
-    enqueue is itself consumed, by a dequeue that d2 does not strictly
-    precede.  The fifo clause is VOrd read through the match: the scan of
-    ``detect_vord`` with each enqueue's consumer given by the match
-    instead of by its value.
-    """
-    if any(t is not None and c.precedes(d, t) for d, t in match.items()):
-        return "no-future-take"
-    if _first_vord(c, {e: d for d, e in match.items() if e is not None}) is not None:
-        return "fifo"
-    return None
-
-
 def _drain_keys(c: History, consumer: dict[int, int]) -> dict[int, int]:
     """Consumed enqueue uid -> its drain key, max(inv(e), inv(d_e)), d_e
     being its consumer: e is forced behind every event that responds
@@ -234,30 +218,14 @@ def _bad_bounds(c: History, drain: dict[int, int], nulls: list[int]) -> dict[int
     return bounds
 
 
-def is_linearization_witness(c: History, match: Match) -> bool:
-    """True when no NULL dequeue has a bad enqueue among its predecessors.
-
-    The match is a candidate match (value-respecting, null-iff-bottom and
-    injective by construction) that passed check_ordered.  The condition
-    is VWit read through the match: each enqueue is alive until its
-    consumer is invoked, and forever when the match leaves it unconsumed.
-    Relabelling every enqueue with its uid as value and every dequeue with
-    the uid it is matched to gives a differentiated history with the same
-    precedes whose value-derived match is this one.  There the clauses
-    already checked rule out VFresh, VRepet and VOrd, so the relabelled
-    history is linearizable exactly when it has no VWit, and exactly when
-    this match, its only one, meets the bad-set condition.
-    """
-    return _first_vwit(c, {e: d for d, e in match.items() if e is not None}) is None
-
-
 def _total_enq_order(c: History, match: Match) -> dict[int, int]:
     """Extend the enqueue order to a total order, lowest uid first among
     unconstrained enqueues.  Returns uid -> rank.
 
-    c is complete and the match is a candidate match that passed
-    check_ordered; construct_linearization gives it only witness matches.
-    On such a match the direct ordering pairs that ``enq_order`` in
+    c is complete and the match is a candidate match that breaks neither
+    VFresh nor VOrd read through it (``_match_violation``);
+    construct_linearization gives it only witness matches.  On such a
+    match the direct ordering pairs that ``enq_order`` in
     ``tests/lemmas.py`` closes put b after exactly these enqueues a:
 
     * every a with res(a) < inv(b);
@@ -269,8 +237,8 @@ def _total_enq_order(c: History, match: Match) -> dict[int, int]:
     The pairs ask in the last three that neither of a and b precede the
     other.  That never matters: an a that precedes b is in the first set
     anyway, and an a that b precedes is in none of the last three, since
-    fifo keeps d_a from preceding d_b, no-future-take keeps d_a from
-    preceding b, and a bad set that holds b holds what b precedes.
+    VOrd keeps d_a from preceding d_b, VFresh keeps d_a from preceding b,
+    and a bad set that holds b holds what b precedes.
 
     Kahn's algorithm ranks the enqueues, the available ones in a min-heap
     on uid.  Since every enqueue ranked so far had all its predecessors
@@ -353,10 +321,10 @@ class _Gate:
 
 def construct_linearization(c: History, match: Match) -> Behavior:
     """Build a legal linearization of a complete history from a witness
-    match: a candidate match that passed check_ordered and
-    is_linearization_witness.
+    match: a candidate match that breaks no aspect read through it
+    (``_match_violation``).
 
-    The caller makes those checks; they are not repeated here.  Only the
+    The caller makes that check; it is not repeated here.  Only the
     output is checked: the peel picks only precedence-maximal events and
     the result must be legal, so anything returned is a legal,
     precedence-respecting linearization of c.  A match that is not a
@@ -568,14 +536,6 @@ def _first_vwit(c: History, consumer: dict[int, int]) -> VWit | None:
 _DETECTORS = (detect_vfresh, detect_vrepet, detect_vord, detect_vwit)
 
 
-def detect_first(c: History) -> Violation | None:
-    for det in _DETECTORS:
-        v = det(c)
-        if v is not None:
-            return v
-    return None
-
-
 def detect_all(c: History) -> list[Violation]:
     return [v for det in _DETECTORS for v in (det(c),) if v is not None]
 
@@ -583,21 +543,46 @@ def detect_all(c: History) -> list[Violation]:
 # ---- top-level decision ----
 
 
+def _match_violation(c: History, match: Match) -> Violation | None:
+    """The first aspect a candidate match breaks, read through the match,
+    or None when the match is a witness.
+
+    Each enqueue is consumed by the dequeue the match gives it, and
+    unconsumed when the match gives it none.  The aspects are tried in
+    the detectors' order.  VRepet cannot occur, since a candidate match
+    is injective.  VFresh is the no-future-take clause: the first
+    dequeue, in invocation order, that strictly precedes the enqueue it
+    takes from.  Then come the first VOrd and the first VWit.
+
+    On a differentiated history the match is the value-derived one, so
+    each aspect gives the evidence of its detector.  On any other
+    history, relabel every enqueue with its uid as value and every
+    dequeue with the uid it is matched to.  That gives a differentiated
+    history with the same precedes whose one match is this one, and it
+    is linearizable exactly when this function finds nothing.
+    """
+    for d in c.events:
+        if d.is_deq and (e := match[d.uid]) is not None and c.precedes(d.uid, e):
+            return VFresh(d.uid)
+    consumer = {e: d for d, e in match.items() if e is not None}
+    return _first_vord(c, consumer) or _first_vwit(c, consumer)
+
+
 def _check_complete(c: History, build_witness: bool) -> Verdict:
     differentiated = c.is_differentiated
-    if differentiated and (violation := detect_first(c)) is not None:
-        return Verdict(VIOLATION, violation=violation)
     try:
-        # a differentiated history has one candidate, which the detectors
-        # have just cleared; any other candidate is cleared by the two
-        # match checks.  Either clearance is the witness's only
-        # precondition: construct_linearization does not check it again.
+        # a differentiated history has at most one candidate, so the
+        # first aspect its match breaks is the verdict; any other history
+        # tries the next candidate.  A match that breaks nothing is the
+        # witness's only precondition: construct_linearization does not
+        # check it again.
         for match in candidate_matches(c.events, DEFAULT_MATCH_BOUND):
-            if differentiated or (
-                check_ordered(c, match) is None and is_linearization_witness(c, match)
-            ):
+            violation = _match_violation(c, match)
+            if violation is None:
                 witness = construct_linearization(c, match) if build_witness else None
                 return Verdict(LINEARIZABLE, witness=witness)
+            if differentiated:
+                return Verdict(VIOLATION, violation=violation)
     except SearchBoundExceeded as exc:
         return Verdict(INDETERMINATE, reason=str(exc))
     violation = detect_vfresh(c) or detect_vrepet(c)

@@ -13,7 +13,8 @@ long histories to compare them on.
 The fifo clause and VOrd are kept in their separate pair-scanning
 forms, the reference for the one scan the checker reads both through,
 next to ``check_safe``, the safety clauses that candidate matches meet
-by construction.  ``reference_check_linearizable`` decides a history
+by construction, and ``reference_detect_first``, the four detectors run
+in turn.  ``reference_check_linearizable`` decides a history
 with pending operations through every one of its completions, the
 reference for the checker's dominance pruning, which ``pinned_history``
 stresses.
@@ -48,13 +49,16 @@ from qlin.checker import (
     LINEARIZABLE,
     Match,
     Verdict,
+    Violation,
     VOrd,
     VWit,
     _check_complete,
     brute_force_linearizable,
     check_linearizable,
-    check_ordered,
-    is_linearization_witness,
+    detect_vfresh,
+    detect_vord,
+    detect_vrepet,
+    detect_vwit,
 )
 from qlin.explorer import (
     VORD_V1,
@@ -94,7 +98,7 @@ from qlin.hwmodel import (
 from qlin.queuespec import Behavior, is_legal
 from qlin.sweep import _is_inv, _Kernel
 
-from lemmas import after_set, compute_bad, enq_order, uids
+from lemmas import after_set, before_set, compute_bad, enq_order, uids
 
 ENQ, DEQ = "enq", "deq"
 
@@ -500,9 +504,9 @@ def reference_construct_linearization(c: History, match: Match) -> Behavior:
         raise ValueError("history must be complete")
     if (clause := check_safe(c, match)) is not None:
         raise ValueError(f"match is not safe: {clause}")
-    if (clause := check_ordered(c, match)) is not None:
+    if (clause := reference_check_ordered(c, match)) is not None:
         raise ValueError(f"match is not ordered: {clause}")
-    if not is_linearization_witness(c, match):
+    if any(compute_bad(c, match, d) & before_set(c, d) for d, t in match.items() if t is None):
         raise ValueError("match fails the NULL-dequeue condition")
     by_uid = {e.uid: e for e in c.events}
     rank = reference_total_enq_order(c, match)
@@ -588,10 +592,13 @@ def reference_detect_vwit(c: History) -> VWit | None:
 #
 # ``check_safe`` states the three safety clauses that every candidate
 # match meets by construction, so the product never checks them.
-# ``check_ordered`` and ``detect_vord`` as two separate scans, the fifo
-# clause over the match and VOrd over the dequeued values.  The product
-# runs one VOrd scan for both, reading the consumer of each enqueue from
-# the match or from the values.
+# ``reference_check_ordered`` and ``reference_detect_vord`` are two
+# separate scans, the fifo clause over the match and VOrd over the
+# dequeued values.  The product runs one VOrd scan for both, reading the
+# consumer of each enqueue from the match or from the values.
+# ``reference_detect_first`` runs the four value-keyed detectors in
+# turn, the evidence the product reads through a differentiated
+# history's one match.
 
 
 def check_safe(c: History, match: Match) -> str | None:
@@ -656,6 +663,15 @@ def reference_detect_vord(c: History) -> VOrd | None:
                 return VOrd(e1.uid, e2.uid, d2)
             if c.precedes(d2, d1):
                 return VOrd(e1.uid, e2.uid, d2, d1)
+    return None
+
+
+def reference_detect_first(c: History) -> Violation | None:
+    """The first violation the four detectors find, tried in the order
+    VFresh, VRepet, VOrd, VWit."""
+    for detect in (detect_vfresh, detect_vrepet, detect_vord, detect_vwit):
+        if (v := detect(c)) is not None:
+            return v
     return None
 
 

@@ -26,21 +26,19 @@ from qlin.checker import (
     VOrd,
     VRepet,
     VWit,
+    _match_violation,
     _total_enq_order,
     _undominated_completions,
     brute_force_linearizable,
     candidate_matches,
     check_linearizable,
-    check_ordered,
     construct_linearization,
     derive_match,
     detect_all,
-    detect_first,
     detect_vfresh,
     detect_vord,
     detect_vrepet,
     detect_vwit,
-    is_linearization_witness,
 )
 from qlin.history import (
     NULL,
@@ -81,6 +79,7 @@ from support import (
     reference_check_ordered,
     reference_compute_bad,
     reference_construct_linearization,
+    reference_detect_first,
     reference_detect_vord,
     reference_detect_vwit,
     reference_total_enq_order,
@@ -162,8 +161,8 @@ def test_vwit_absent_when_enqueue_overlaps_window():
     assert detect_vwit(c) is None
 
 
-def test_detect_first_priority_and_detect_all():
-    # vfresh and vwit both present; detect_first reports the first kind
+def test_violation_priority_and_detect_all():
+    # vfresh and vwit both present; the verdict reports the first kind
     c = h(
         "inv 0 enq 1\nres 0 enq\n"
         "inv 1 deq\nres 1 deq 2\n"
@@ -171,13 +170,13 @@ def test_detect_first_priority_and_detect_all():
     )
     kinds = [v.kind for v in detect_all(c)]
     assert kinds == ["vfresh", "vwit"]
-    assert detect_first(c).kind == "vfresh"
+    assert check_linearizable(c).violation.kind == "vfresh"
 
 
 def test_detectors_none_on_linearizable():
     c = h("inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq 1")
     assert detect_all(c) == []
-    assert detect_first(c) is None
+    assert check_linearizable(c).status == LINEARIZABLE
 
 
 # ---- matches ----
@@ -228,14 +227,23 @@ def test_check_safe_clauses():
     assert check_safe(c3, {1: 0, 2: 0}) == "injective"
 
 
-def test_check_ordered_clauses():
+def test_match_violation_clauses():
+    # no-future-take is VFresh and fifo is VOrd, read through the match
     c = h("inv 0 deq\nres 0 deq 1\ninv 1 enq 1\nres 1 enq")
-    assert check_ordered(c, {0: 1}) == "no-future-take"
+    assert _match_violation(c, {0: 1}) == VFresh(d=0)
     c2 = h(
         "inv 0 enq 1\nres 0 enq\ninv 1 enq 2\nres 1 enq\n"
         "inv 2 deq\nres 2 deq 2"
     )
-    assert check_ordered(c2, {2: 1}) == "fifo"
+    assert _match_violation(c2, {2: 1}) == VOrd(e1=0, e2=1, d2=2)
+    # both dequeues precede the enqueue they take from; the evidence is
+    # the first one invoked, whatever order the match lists them in
+    c3 = h(
+        "inv 2 deq\nres 2 deq 1\ninv 3 deq\nres 3 deq 2\n"
+        "inv 0 enq 1\nres 0 enq\ninv 1 enq 2\nres 1 enq"
+    )
+    assert _match_violation(c3, {3: 1, 2: 0}) == VFresh(d=2)
+    assert check_linearizable(c3).violation == VFresh(d=2)
 
 
 # ---- NULL-dequeue machinery: bad sets, both witness formulations ----
@@ -245,7 +253,7 @@ def test_compute_bad_undrainable_enqueues():
     # enq(1) finished before the null deq started, never dequeued: bad
     c = h("inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq null")
     assert compute_bad(c, {1: None}, 1) == {0}
-    assert not is_linearization_witness(c, {1: None})
+    assert _match_violation(c, {1: None}) == VWit(d=1, alive=(0,))
 
 
 def test_compute_bad_empty_when_drainable():
@@ -254,7 +262,7 @@ def test_compute_bad_empty_when_drainable():
         "inv 2 deq\nres 2 deq null"
     )
     assert compute_bad(c, {1: 0, 2: None}, 2) == frozenset()
-    assert is_linearization_witness(c, {1: 0, 2: None})
+    assert _match_violation(c, {1: 0, 2: None}) is None
 
 
 def test_bad_set_propagates_through_chaining():
@@ -282,7 +290,7 @@ def iter_matched_instances(sizes=PWIT_SIZES):
             match = derive_match(c)
             if match is None:
                 continue
-            if check_safe(c, match) or check_ordered(c, match):
+            if check_safe(c, match) or reference_check_ordered(c, match):
                 continue
             yield c, match
 
@@ -324,7 +332,8 @@ def test_covering_characterizes_vwit_exhaustively():
 def test_vwit_agrees_with_covering_per_history():
     for ne, nd in PWIT_SIZES:
         for c in canonical_histories(ne, nd):
-            if detect_first(c) and detect_first(c).kind != "vwit":
+            first = check_linearizable(c, build_witness=False).violation
+            if first is not None and first.kind != "vwit":
                 continue
             v = detect_vwit(c)
             covered = any(
@@ -487,10 +496,11 @@ def test_sweeps_match_reference_on_canonical_histories(ne, nd):
                 for d, t in match.items():
                     if t is None:
                         assert compute_bad(c, match, d) == reference_compute_bad(c, match, d)
-                if check_safe(c, match) is not None or check_ordered(c, match) is not None:
+                if (check_safe(c, match) is not None
+                        or reference_check_ordered(c, match) is not None):
                     continue
                 assert _total_enq_order(c, match) == reference_total_enq_order(c, match)
-                if is_linearization_witness(c, match):
+                if _match_violation(c, match) is None:
                     assert_witness_matches_reference(c, match)
 
 
@@ -529,13 +539,18 @@ def test_construct_linearization_guards_its_output():
     assert outcomes["witness"] and outcomes["rejected"] and outcomes["harmless"]
 
 
+# the aspect each ordering clause of a match is, read through the match
+CLAUSE_KINDS = {"no-future-take": "vfresh", "fifo": "vord"}
+
+
 def test_match_checks_read_the_detectors_exhaustively():
-    """The fifo clause and the NULL-dequeue condition are VOrd and VWit
-    read through the match: on every canonical history up to 5 events,
-    unmerged and under three value mergings, the detectors, the fifo
-    clause and the witness condition decide as their pair-scanning and
-    bad-set references, and the checker agrees with the oracle on the
-    merged histories."""
+    """The ordering clauses and the NULL-dequeue condition are VFresh,
+    VOrd and VWit read through the match: on every canonical history up
+    to 5 events, unmerged and under three value mergings, the detectors
+    decide as their pair-scanning references, the aspect a match breaks
+    is the one its first failed clause names, or VWit exactly when only
+    the bad-set condition fails, and the checker agrees with the oracle
+    on the merged histories."""
     histories = 0
     for ne, nd in itertools.product(range(4), repeat=2):
         if ne + nd > 5:
@@ -549,14 +564,17 @@ def test_match_checks_read_the_detectors_exhaustively():
                 for match in candidate_matches(c.events):
                     if check_safe(c, match) is not None:
                         continue
-                    clause = check_ordered(c, match)
-                    assert clause == reference_check_ordered(c, match)
-                    if clause is None:
+                    v = _match_violation(c, match)
+                    clause = reference_check_ordered(c, match)
+                    if clause is not None:
+                        assert v.kind == CLAUSE_KINDS[clause]
+                    else:
                         bad_free = all(
                             not (compute_bad(c, match, d) & before_set(c, d))
                             for d, t in match.items() if t is None
                         )
-                        assert is_linearization_witness(c, match) == bad_free
+                        assert (v is None) == bad_free
+                        assert v is None or v.kind == "vwit"
                 if mapping:
                     verdict = check_linearizable(c, build_witness=False)
                     assert (verdict.status == LINEARIZABLE) == brute_force_linearizable(c)
@@ -581,7 +599,7 @@ def test_sweeps_match_reference_on_generated_histories():
     rng = random.Random(11)
     fired = 0
     for c in generated_histories(100, seed=7):
-        assert detect_first(c) is None
+        assert reference_detect_first(c) is None
         match = derive_match(c)
         assert _total_enq_order(c, match) == reference_total_enq_order(c, match)
         assert_witness_matches_reference(c, match)
@@ -721,6 +739,27 @@ def test_checker_matches_oracle_exhaustively(ne, nd, instance_sets):
         else:
             assert verdict.violation is not None
             assert verdict.violation.kind in ("vfresh", "vrepet", "vord", "vwit")
+
+
+EVIDENCE_SIZES = [(ne, nd) for ne in range(4) for nd in range(4)
+                  if 0 < ne + nd <= 5 and max(ne, nd) <= 3]
+
+
+def test_verdict_evidence_is_the_first_detector_finding(instance_sets):
+    """A differentiated history's one candidate match is judged by the
+    aspects read through it; on every canonical history up to 3+2 and
+    2+3 the evidence equals that of the four value-keyed detectors run
+    in turn, and every aspect occurs."""
+    histories = 0
+    kinds = Counter()
+    for ne, nd in EVIDENCE_SIZES:
+        for c in instance_sets(ne, nd):
+            histories += 1
+            violation = check_linearizable(c, build_witness=False).violation
+            assert violation == reference_detect_first(c), c.serialize()
+            kinds[violation and violation.kind] += 1
+    assert histories == 24_990
+    assert set(kinds) == {None, "vfresh", "vrepet", "vord", "vwit"}
 
 
 def test_linearizable_verdicts_can_skip_witness():
@@ -896,7 +935,7 @@ def test_pinned_family_without_enough_dequeues_is_a_vwit(p):
     c = pinned_history(p)
     v = check_linearizable(c)
     assert v.status == VIOLATION and v.violation.kind == "vwit"
-    assert v.violation == detect_first(c.remove_pending())
+    assert v.violation == reference_detect_first(c.remove_pending())
 
 
 def test_pinned_family_with_eight_dequeues_is_linearizable():

@@ -35,7 +35,6 @@ from .history import (
     enq_inv,
     enq_res,
     parse_history,
-    serialize_history,
 )
 from .queuespec import (
     REJECT,

@@ -11,17 +11,18 @@ four violation patterns:
 * VWit    - a NULL dequeue ran while the queue was never observably empty.
 
 A complete differentiated history is linearizable exactly when none of the
-four patterns occurs.  Every complete history is decided on one path: each
-candidate match between dequeues and enqueues is scanned for the patterns
-read through the match, which gives every enqueue a consumer from the match
-instead of from its value.  The first match that breaks none is the one a
-witness linearization is built from.  A differentiated history has at most
-the one value-derived match, and the first pattern it breaks is the
-evidence.  A history with duplicate enqueue arguments tries its other
-candidates instead.
+four patterns occurs.  Every history is decided on one loop over the
+candidate matches between dequeues and enqueues of its completions, a
+complete history being its own only completion.  Each match is scanned
+for the patterns read through it, which gives every enqueue a consumer
+from the match instead of from its value.  The first match that breaks
+none is the one a witness linearization is built from; otherwise the
+evidence is the first pattern seen, on the first match of the
+drop-all-pending completion, or VFresh or VRepet when that completion
+has no match at all.
 
-An incomplete history is linearizable when some completion is, and only
-the completions that no other completion dominates are checked.  Seven
+A history is linearizable when some completion is, and only the
+completions that no other completion dominates are checked.  Seven
 rules, proved in ``check_linearizable``, leave the others out: a pending
 dequeue never returns NULL; no value is returned more often than it is
 enqueued; the pending dequeues kept are the earliest-invoked ones; their
@@ -147,6 +148,10 @@ Violation = VFresh | VRepet | VOrd | VWit
 
 @dataclass(frozen=True)
 class Verdict:
+    """A LINEARIZABLE verdict may carry a witness, a VIOLATION carries
+    the violation that explains it, and an INDETERMINATE one carries the
+    reason the search stopped; ``reason`` is set on no other status."""
+
     status: str
     witness: Behavior | None = None
     violation: Violation | None = None
@@ -156,10 +161,8 @@ class Verdict:
         if self.status == LINEARIZABLE:
             return LINEARIZABLE
         if self.status == VIOLATION:
-            if self.violation is not None:
-                return f"VIOLATION {self.violation.summary()}"
-            return f"VIOLATION no-witness {self.reason or ''}".rstrip()
-        return f"INDETERMINATE {self.reason or ''}".rstrip()
+            return f"VIOLATION {self.violation.summary()}"
+        return f"INDETERMINATE {self.reason}"
 
 
 # ---- match mappings ----
@@ -568,32 +571,10 @@ def _match_violation(c: History, match: Match) -> Violation | None:
     return _first_vord(c, consumer) or _first_vwit(c, consumer)
 
 
-def _check_complete(c: History, build_witness: bool) -> Verdict:
-    differentiated = c.is_differentiated
-    try:
-        # a differentiated history has at most one candidate, so the
-        # first aspect its match breaks is the verdict; any other history
-        # tries the next candidate.  A match that breaks nothing is the
-        # witness's only precondition: construct_linearization does not
-        # check it again.
-        for match in candidate_matches(c.events, DEFAULT_MATCH_BOUND):
-            violation = _match_violation(c, match)
-            if violation is None:
-                witness = construct_linearization(c, match) if build_witness else None
-                return Verdict(LINEARIZABLE, witness=witness)
-            if differentiated:
-                return Verdict(VIOLATION, violation=violation)
-    except SearchBoundExceeded as exc:
-        return Verdict(INDETERMINATE, reason=str(exc))
-    violation = detect_vfresh(c) or detect_vrepet(c)
-    if violation is not None:
-        return Verdict(VIOLATION, violation=violation)
-    return Verdict(VIOLATION, reason="no candidate match satisfies the conditions")
-
-
 def _undominated_completions(c: History) -> Iterator[History]:
-    """The completions of an incomplete history that the seven rules of
-    check_linearizable keep, the drop-all-pending completion first.
+    """The completions of a history that the seven rules of
+    check_linearizable keep, the drop-all-pending completion first; a
+    complete history is its own only completion.
 
     After that one, the completions come by the number k of pending
     dequeues kept, k = 0, 1, ...; for each k, the values of the kept
@@ -623,6 +604,9 @@ def _undominated_completions(c: History) -> Iterator[History]:
     trap: rule 4 would reject the one order tried of a multiset whose
     values run against the enqueues' real-time order.
     """
+    if c.is_complete:
+        yield c
+        return
     pending = [e for e in c.events if e.pending]
     yield c.remove_pending()
     end = len(c.actions)
@@ -708,10 +692,15 @@ def _undominated_completions(c: History) -> Iterator[History]:
 def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
     """Decide linearizability of a history.
 
-    Complete histories are decided directly; incomplete ones are
-    linearizable when some completion is.  The verdict carries a witness
-    linearization (unless build_witness is off) or violation evidence from
-    the drop-all-pending completion.
+    A history is linearizable when some completion is, and a complete
+    history is its own only completion.  One loop takes every candidate
+    match of every undominated completion through ``_match_violation``.
+    The first match that breaks no aspect is a witness, and the verdict
+    carries the linearization built from it (unless build_witness is
+    off).  Otherwise the verdict carries the first violation seen, which
+    is that of the drop-all-pending completion: the violation of its
+    first candidate match, or, when it has none, the VFresh or VRepet
+    that explains why.
 
     Only the completions that no other completion dominates are checked;
     C dominates C' when C is linearizable whenever C' is.  Every appended
@@ -760,17 +749,17 @@ def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
        decided as values are assigned: a v still short when u is
        assigned can only be assigned later, which rule 4 forbids.
 
-    INDETERMINATE means the candidate-match search of a history with
-    duplicate enqueue values exceeded DEFAULT_MATCH_BOUND, or that more
-    than DEFAULT_COMPLETION_BOUND completions were left to check and
-    none checked so far was linearizable; the reason then gives the
-    number checked and the numbers of pending dequeues and distinct
-    enqueued values behind them.
+    INDETERMINATE means one of two things.  Either no completion was
+    linearizable and the candidate-match search of some completion with
+    duplicate enqueue values passed DEFAULT_MATCH_BOUND; the reason is
+    then ``more than N candidate matches``.  Or more than
+    DEFAULT_COMPLETION_BOUND completions were left to check and none
+    checked so far was linearizable; the reason then gives the number
+    checked and the numbers of pending dequeues and distinct enqueued
+    values behind them.
     """
-    if c.is_complete:
-        return _check_complete(c, build_witness)
-    first_violation: Verdict | None = None
-    saw_indeterminate = False
+    violation: Violation | None = None  # the first one seen
+    bound: str | None = None  # why some completion's match search stopped
     for n, comp in enumerate(_undominated_completions(c)):
         if n == DEFAULT_COMPLETION_BOUND:
             deqs = sum(e.is_deq and e.pending for e in c.events)
@@ -778,16 +767,26 @@ def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
             return Verdict(INDETERMINATE, reason=(
                 f"checked {n} completions (DEFAULT_COMPLETION_BOUND), none linearizable, "
                 f"and more remain: {deqs} pending dequeues, {values} distinct enqueued values"))
-        v = _check_complete(comp, build_witness)
-        if v.status == LINEARIZABLE:
-            return v
-        if v.status == INDETERMINATE:
-            saw_indeterminate = True
-        elif first_violation is None:
-            first_violation = v
-    if saw_indeterminate or first_violation is None:
-        return Verdict(INDETERMINATE, reason="no completion decided linearizable")
-    return first_violation
+        try:
+            for match in candidate_matches(comp.events, DEFAULT_MATCH_BOUND):
+                found = _match_violation(comp, match)
+                if found is None:
+                    # the witness's only precondition, which
+                    # construct_linearization does not check again
+                    witness = construct_linearization(comp, match) if build_witness else None
+                    return Verdict(LINEARIZABLE, witness=witness)
+                violation = violation or found
+        except SearchBoundExceeded as exc:
+            bound = str(exc)
+            continue
+        if violation is None:
+            # no completion so far had a candidate match.  Without one,
+            # some value is dequeued more often than it is enqueued: never,
+            # and VFresh fires, or at least twice, and VRepet fires
+            violation = detect_vfresh(comp) or detect_vrepet(comp)
+    if bound is not None:
+        return Verdict(INDETERMINATE, reason=bound)
+    return Verdict(VIOLATION, violation=violation)
 
 
 # ---- independent brute-force oracle ----

@@ -25,7 +25,6 @@ from .history import (
     enq_inv,
     enq_res,
     parse_history,
-    serialize_history,
 )
 
 EXIT_OK = 0
@@ -51,10 +50,6 @@ def _read_history(path: str) -> History:
     return parse_history(text)
 
 
-def _behavior_text(witness) -> str:
-    return " ".join(f"{e.method}^{e.uid}({e.value})" for e in witness.events)
-
-
 # ---- check ----------------------------------------------------------------
 
 def cmd_check(args) -> int:
@@ -69,17 +64,14 @@ def cmd_check(args) -> int:
     if args.format == "lines":
         lines.append(verdict.summary())
         if args.witness and verdict.witness is not None:
-            lines.append(f"WITNESS {_behavior_text(verdict.witness)}")
+            lines.append(f"WITNESS {verdict.witness}")
     else:
         if verdict.status == LINEARIZABLE:
             lines.append("linearizable")
             if args.witness and verdict.witness is not None:
-                lines.append(f"witness: {_behavior_text(verdict.witness)}")
+                lines.append(f"witness: {verdict.witness}")
         elif verdict.status == VIOLATION:
-            if verdict.violation is not None:
-                lines.append(f"violation: {verdict.violation.summary()}")
-            else:
-                lines.append(f"violation: {verdict.reason}")
+            lines.append(f"violation: {verdict.violation.summary()}")
         else:
             lines.append(f"indeterminate: {verdict.reason}")
     if args.all and verdict.status == VIOLATION:
@@ -161,7 +153,7 @@ def cmd_explore(args) -> int:
         print(report.summary())
         for v in report.violations:
             print(v.verdict.summary())
-            for line in serialize_history(v.history).splitlines():
+            for line in v.history.serialize().splitlines():
                 print(f"  {line}")
             print(f"  schedule {' '.join(v.schedule)}")
         for imp in report.impure:
@@ -179,7 +171,7 @@ def cmd_explore(args) -> int:
               f"{', '.join(problems) or 'clean'}")
         for v in report.violations:
             print(f"- {v.verdict.summary()}")
-            print(f"  history: {'; '.join(serialize_history(v.history).splitlines())}")
+            print(f"  history: {'; '.join(v.history.serialize().splitlines())}")
             print(f"  schedule: {' '.join(v.schedule)}")
         for imp in report.impure:
             print(f"- impure dequeue: thread {imp.tid} run alone blocks after "
@@ -250,7 +242,7 @@ def generate_history(seed: int, n_enq: int, n_deq: int) -> History:
 def cmd_gen(args) -> int:
     if args.enq < 0 or args.deq < 0 or args.enq + args.deq == 0:
         return _fail("need --enq >= 0, --deq >= 0, at least one operation")
-    print(serialize_history(generate_history(args.seed, args.enq, args.deq)))
+    print(generate_history(args.seed, args.enq, args.deq).serialize())
     return EXIT_OK
 
 

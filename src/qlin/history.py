@@ -469,7 +469,3 @@ def parse_history(text: str) -> History:
         return History(actions)
     except HistoryError as exc:
         raise HistoryParseError(linenos[exc.position], str(exc)) from None
-
-
-def serialize_history(c: History) -> str:
-    return c.serialize()

@@ -75,11 +75,11 @@ class Behavior:
     def __hash__(self) -> int:
         return hash(self.events)
 
+    def __str__(self) -> str:
+        return " ".join(f"{e.method}^{e.uid}({e.value})" for e in self.events)
+
     def __repr__(self) -> str:
-        parts = []
-        for e in self.events:
-            parts.append(f"{e.method}^{e.uid}({e.value})")
-        return "Behavior[" + " ".join(parts) + "]"
+        return f"Behavior[{self}]"
 
 
 def replay(b: Behavior, initial: QueueState = ()) -> QueueState | _Reject:

@@ -52,7 +52,6 @@ from qlin.checker import (
     Violation,
     VOrd,
     VWit,
-    _check_complete,
     brute_force_linearizable,
     check_linearizable,
     detect_vfresh,
@@ -681,24 +680,18 @@ def reference_detect_first(c: History) -> Violation | None:
 
 
 def reference_check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
-    """Linearizability of c through every one of its completions; the
-    verdict of the first linearizable completion, or the first violation
-    (that of the drop-all-pending completion)."""
-    if c.is_complete:
-        return _check_complete(c, build_witness)
-    first_violation: Verdict | None = None
-    saw_indeterminate = False
+    """Linearizability of c through every one of its completions, each
+    checked on its own: the verdict of the first linearizable completion,
+    else of the first whose match search stopped, else the first
+    violation (that of the drop-all-pending completion)."""
+    first: Verdict | None = None
     for comp in c.completions():
-        v = _check_complete(comp, build_witness)
+        v = check_linearizable(comp, build_witness=build_witness)
         if v.status == LINEARIZABLE:
             return v
-        if v.status == INDETERMINATE:
-            saw_indeterminate = True
-        elif first_violation is None:
-            first_violation = v
-    if saw_indeterminate or first_violation is None:
-        return Verdict(INDETERMINATE, reason="no completion decided linearizable")
-    return first_violation
+        if first is None or (v.status == INDETERMINATE and first.status != INDETERMINATE):
+            first = v
+    return first
 
 
 def pinned_history(p: int) -> History:

@@ -1043,15 +1043,15 @@ def test_duplicates_generalized_vrepet():
 
 
 def test_duplicates_violation_without_pattern_evidence():
-    # two finished enqueues of 5 and a null dequeue after both
+    # two finished enqueues of 5 and a null dequeue after both; no
+    # candidate match is a witness, and the evidence is read through the
+    # first one
     c = h(
         "inv 0 enq 5\nres 0 enq\ninv 1 enq 5\nres 1 enq\n"
         "inv 2 deq\nres 2 deq null"
     )
     v = check_linearizable(c)
-    assert v.status == VIOLATION
-    assert v.violation is None
-    assert v.summary().startswith("VIOLATION no-witness")
+    assert v.summary() == "VIOLATION vwit d=2 alive=0"
     assert not brute_force_linearizable(c)
 
 
@@ -1068,20 +1068,48 @@ def test_duplicates_indeterminate_on_tiny_bound(monkeypatch):
     assert "candidate matches" in v.reason
 
 
+def all_equal_values():
+    """The 2+1 interleaving space with every value renamed to 7."""
+    return [with_values_merged(c, {1: 7, 2: 7}) for c in canonical_histories(2, 1)]
+
+
 def test_duplicates_agree_with_oracle_exhaustively():
-    # all-equal enqueue values over the 2+1 interleaving space
-    for c in canonical_histories(2, 1):
-        same = History(
-            a._replace(payload=7) if hasattr(a, "_replace") else a
-            for a in c.actions
-        )
-        # dataclasses lack _replace; rebuild by parsing the serialized text
-        text = c.serialize().replace("enq 1", "enq 7").replace("enq 2", "enq 7")
-        text = text.replace("deq 1", "deq 7").replace("deq 2", "deq 7")
-        same = parse_history(text)
+    for same in all_equal_values():
         v = check_linearizable(same)
         assert v.status != INDETERMINATE
         assert (v.status == LINEARIZABLE) == brute_force_linearizable(same)
+
+
+def random_pending_history(seed):
+    """A seeded history of 2-8 calls with values drawn from 1-3, each
+    call left pending with probability 0.2."""
+    rng = random.Random(seed)
+    calls = rng.randint(2, 8)
+    n_enq = rng.randint(1, calls - 1)
+    c = generate_history(seed, n_enq, calls - n_enq)
+    c = with_values_merged(c, {v: rng.randint(1, 3) for v in range(1, n_enq + 1)})
+    drop = {u for u in uids(c) if rng.random() < 0.2}
+    return History(a for a in c.actions if not (a.kind == "res" and a.uid in drop))
+
+
+def test_every_violation_names_its_evidence():
+    """Every VIOLATION carries the violation of the first candidate match
+    of its drop-all-pending completion, or, when that completion has no
+    candidate, the VFresh or VRepet that explains why."""
+    repeated = 0
+    pool = all_equal_values() + [random_pending_history(seed) for seed in range(10_000)]
+    for c in pool:
+        v = check_linearizable(c, build_witness=False)
+        if v.status != VIOLATION:
+            continue
+        assert v.violation is not None, c.serialize()
+        repeated += not c.is_differentiated
+        d = c.remove_pending()
+        first = next(candidate_matches(d.events), None)
+        expected = (detect_vfresh(d) or detect_vrepet(d) if first is None
+                    else _match_violation(d, first))
+        assert v.violation == expected, c.serialize()
+    assert repeated > 1_000
 
 
 # ---- the oracle itself ----

@@ -16,7 +16,6 @@ from qlin.history import (
     enq_inv,
     enq_res,
     parse_history,
-    serialize_history,
 )
 
 from qlin.checker import _predecessor_masks, _undominated_completions
@@ -384,7 +383,7 @@ def test_parse_basic():
 
 def test_serialize_parse_round_trip():
     c = parse_history(ROUND_TRIP)
-    assert parse_history(serialize_history(c)) == c
+    assert parse_history(c.serialize()) == c
 
 
 @pytest.mark.parametrize(
@@ -474,7 +473,7 @@ def histories(draw):
 
 @given(histories())
 def test_round_trip_property(c):
-    assert parse_history(serialize_history(c)) == c
+    assert parse_history(c.serialize()) == c
 
 
 @given(histories())

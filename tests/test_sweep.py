@@ -293,9 +293,7 @@ def test_exact_violations_match_reference(config):
                            [v.history for v in ref.violations])
 
     def kinds(violations):
-        # a history with repeated values violates with a reason, not a detector
-        return {v.verdict.violation.kind if v.verdict.violation else v.verdict.reason
-                for v in violations}
+        return {v.verdict.violation.kind for v in violations}
 
     assert kinds(report.violations) == kinds(ref.violations)
 

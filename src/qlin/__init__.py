@@ -8,7 +8,9 @@ Three layers:
   candidate matches of dequeues to enqueues;
 - the aspect checker (`checker`): one decision path that reads the four
   violation aspects through each candidate match of a complete history,
-  a witness constructor, and a brute-force oracle;
+  the list of every aspect behind a verdict's evidence (`detect_all`,
+  read through the same match), a witness constructor, and a
+  brute-force oracle;
 - an operational queue model: `hwmodel` is the readable specification
   of a slot-array queue with seeded bug variants; `sweep` explores
   every interleaving of a configuration on packed integer states, up to

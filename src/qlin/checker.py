@@ -19,7 +19,12 @@ from the match instead of from its value.  The first match that breaks
 none is the one a witness linearization is built from; otherwise the
 evidence is the first pattern seen, on the first match of the
 drop-all-pending completion, or VFresh or VRepet when that completion
-has no match at all.
+has no match at all.  ``detect_all`` lists every pattern that same
+match breaks, or that VFresh and VRepet when there is no match, so its
+first entry is the evidence.
+No verdict and no list reads a pattern by value: ``detect_vord`` and
+``detect_vwit``, which do, decide nothing; the benchmark's detector
+probe times them.
 
 A history is linearizable when some completion is, and only the
 completions that no other completion dominates are checked.  Seven
@@ -226,7 +231,7 @@ def _total_enq_order(c: History, match: Match) -> dict[int, int]:
     unconstrained enqueues.  Returns uid -> rank.
 
     c is complete and the match is a candidate match that breaks neither
-    VFresh nor VOrd read through it (``_match_violation``);
+    VFresh nor VOrd read through it (``_match_violations``);
     construct_linearization gives it only witness matches.  On such a
     match the direct ordering pairs that ``enq_order`` in
     ``tests/lemmas.py`` closes put b after exactly these enqueues a:
@@ -325,7 +330,7 @@ class _Gate:
 def construct_linearization(c: History, match: Match) -> Behavior:
     """Build a legal linearization of a complete history from a witness
     match: a candidate match that breaks no aspect read through it
-    (``_match_violation``).
+    (``_match_violations``).
 
     The caller makes that check; it is not repeated here.  Only the
     output is checked: the peel picks only precedence-maximal events and
@@ -536,39 +541,49 @@ def _first_vwit(c: History, consumer: dict[int, int]) -> VWit | None:
     return None
 
 
-_DETECTORS = (detect_vfresh, detect_vrepet, detect_vord, detect_vwit)
-
-
-def detect_all(c: History) -> list[Violation]:
-    return [v for det in _DETECTORS for v in (det(c),) if v is not None]
-
-
 # ---- top-level decision ----
 
 
-def _match_violation(c: History, match: Match) -> Violation | None:
-    """The first aspect a candidate match breaks, read through the match,
-    or None when the match is a witness.
+def _match_violations(c: History, match: Match) -> Iterator[Violation]:
+    """The aspects a candidate match breaks, read through the match: the
+    first VFresh, the first VOrd and the first VWit, in that order, and
+    nothing when the match is a witness.  Lazy, so a caller that wants
+    only the first aspect computes no other.
 
     Each enqueue is consumed by the dequeue the match gives it, and
-    unconsumed when the match gives it none.  The aspects are tried in
-    the detectors' order.  VRepet cannot occur, since a candidate match
-    is injective.  VFresh is the no-future-take clause: the first
-    dequeue, in invocation order, that strictly precedes the enqueue it
-    takes from.  Then come the first VOrd and the first VWit.
+    unconsumed when the match gives it none.  VRepet cannot occur, since
+    a candidate match is injective.  VFresh is the no-future-take clause:
+    the first dequeue, in invocation order, that strictly precedes the
+    enqueue it takes from.
 
     On a differentiated history the match is the value-derived one, so
     each aspect gives the evidence of its detector.  On any other
     history, relabel every enqueue with its uid as value and every
     dequeue with the uid it is matched to.  That gives a differentiated
     history with the same precedes whose one match is this one, and it
-    is linearizable exactly when this function finds nothing.
+    is linearizable exactly when this function yields nothing.
     """
     for d in c.events:
         if d.is_deq and (e := match[d.uid]) is not None and c.precedes(d.uid, e):
-            return VFresh(d.uid)
+            yield VFresh(d.uid)
+            break
     consumer = {e: d for d, e in match.items() if e is not None}
-    return _first_vord(c, consumer) or _first_vwit(c, consumer)
+    if (v := _first_vord(c, consumer)) is not None:
+        yield v
+    if (v := _first_vwit(c, consumer)) is not None:
+        yield v
+
+
+def detect_all(c: History) -> list[Violation]:
+    """Every aspect behind a verdict's evidence: the aspects that the
+    first candidate match of the drop-all-pending completion breaks, or,
+    when that completion has no candidate match, its VFresh and VRepet.
+    On a VIOLATION verdict the first entry is the verdict's violation."""
+    d = c.remove_pending()
+    match = next(candidate_matches(d.events), None)
+    if match is None:
+        return [v for v in (detect_vfresh(d), detect_vrepet(d)) if v is not None]
+    return list(_match_violations(d, match))
 
 
 def _undominated_completions(c: History) -> Iterator[History]:
@@ -694,7 +709,7 @@ def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
 
     A history is linearizable when some completion is, and a complete
     history is its own only completion.  One loop takes every candidate
-    match of every undominated completion through ``_match_violation``.
+    match of every undominated completion through ``_match_violations``.
     The first match that breaks no aspect is a witness, and the verdict
     carries the linearization built from it (unless build_witness is
     off).  Otherwise the verdict carries the first violation seen, which
@@ -769,7 +784,7 @@ def check_linearizable(c: History, *, build_witness: bool = True) -> Verdict:
                 f"and more remain: {deqs} pending dequeues, {values} distinct enqueued values"))
         try:
             for match in candidate_matches(comp.events, DEFAULT_MATCH_BOUND):
-                found = _match_violation(comp, match)
+                found = next(_match_violations(comp, match), None)
                 if found is None:
                     # the witness's only precondition, which
                     # construct_linearization does not check again

@@ -75,12 +75,10 @@ def cmd_check(args) -> int:
         else:
             lines.append(f"indeterminate: {verdict.reason}")
     if args.all and verdict.status == VIOLATION:
-        # list every violation of the completion that drops pending events
-        whole = c.remove_pending()
-        if whole.is_differentiated:
-            for v in detect_all(whole):
-                lines.append(v.summary() if args.format == "lines"
-                             else f"  also: {v.summary()}")
+        # the other aspects the verdict's own match breaks; the first
+        # entry is the verdict's violation, printed above
+        for v in detect_all(c)[1:]:
+            lines.append(v.summary() if args.format == "lines" else f"  also: {v.summary()}")
     print("\n".join(lines))
     if verdict.status == LINEARIZABLE:
         return EXIT_OK
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the aspect detectors on a history file")
     p.add_argument("path", help="history file, or - for stdin")
     p.add_argument("--all", action="store_true",
-                   help="list every violation of the pending-dropped completion")
+                   help="also list the other aspects that the violation's match breaks")
     p.add_argument("--witness", action="store_true",
                    help="print a linearization witness when linearizable")
     add_format(p)

@@ -12,6 +12,7 @@ value-respecting ones, which the checker tests one by one.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator
 
 from .history import NULL, Event, HistoryError, Value
@@ -125,9 +126,19 @@ def candidate_matches(events: Iterable[Event],
     """Every value-respecting injective match of the dequeues among
     ``events`` to its enqueues, NULL dequeues to bottom.
 
-    When every value is enqueued at most once this yields at most the
-    single value-derived match.  Raises SearchBoundExceeded after
-    ``bound`` full candidates.
+    When some value is dequeued more often than it is enqueued there is
+    none, and the search is skipped.  When no value is enqueued twice
+    there is at most the single value-derived match, and the search stops
+    once it is yielded.  Raises SearchBoundExceeded after ``bound`` full
+    candidates.
+
+    The bound caps the work, not only the output.  Once the counts pass,
+    the dequeues and the enqueues of each value form a complete bipartite
+    graph with no more dequeues than enqueues, so every partial match
+    extends to a full one and no branch of the search dead-ends.  Between
+    two candidates the search moves each of the D dequeues at most twice,
+    once back and once forward, so it takes about 2·D moves per candidate
+    it yields.
     """
     events = tuple(events)
     deqs = [d for d in events if d.is_deq and d.value is not NULL]
@@ -136,6 +147,9 @@ def candidate_matches(events: Iterable[Event],
     for e in events:
         if e.is_enq:
             by_value.setdefault(e.value, []).append(e.uid)
+    if any(n > len(by_value.get(v, ())) for v, n in Counter(d.value for d in deqs).items()):
+        return
+    unique = all(len(es) == 1 for es in by_value.values())
     used: set[int] = set()
     count = 0
     # one iterator per assigned dequeue, over the enqueues it may take
@@ -146,8 +160,10 @@ def candidate_matches(events: Iterable[Event],
             if count > bound:
                 raise SearchBoundExceeded(f"more than {bound} candidate matches")
             yield dict(acc)
+            if unique:
+                return
         else:
-            stack.append(iter(by_value.get(deqs[len(stack)].value, ())))
+            stack.append(iter(by_value[deqs[len(stack)].value]))
         # move the deepest dequeue to its next free enqueue, backtracking
         # past the dequeues that have none left
         while stack:
@@ -162,5 +178,3 @@ def candidate_matches(events: Iterable[Event],
             stack.pop()
         else:
             return
-
-

@@ -26,7 +26,7 @@ from qlin.checker import (
     VOrd,
     VRepet,
     VWit,
-    _match_violation,
+    _match_violations,
     _total_enq_order,
     _undominated_completions,
     brute_force_linearizable,
@@ -162,15 +162,23 @@ def test_vwit_absent_when_enqueue_overlaps_window():
 
 
 def test_violation_priority_and_detect_all():
-    # vfresh and vwit both present; the verdict reports the first kind
+    # the fresh value leaves no candidate match, so only VFresh and
+    # VRepet are listed; the NULL dequeue's VWit is read through a match
     c = h(
         "inv 0 enq 1\nres 0 enq\n"
         "inv 1 deq\nres 1 deq 2\n"
         "inv 2 deq\nres 2 deq null"
     )
     kinds = [v.kind for v in detect_all(c)]
-    assert kinds == ["vfresh", "vwit"]
+    assert kinds == ["vfresh"]
     assert check_linearizable(c).violation.kind == "vfresh"
+    # the one match breaks VOrd and VWit; the verdict reports the first
+    c = h(
+        "inv 0 enq 1\nres 0 enq\ninv 1 enq 2\nres 1 enq\n"
+        "inv 2 deq\nres 2 deq 2\ninv 3 deq\nres 3 deq null"
+    )
+    assert detect_all(c) == [VOrd(e1=0, e2=1, d2=2), VWit(d=3, alive=(0,))]
+    assert check_linearizable(c).violation == detect_all(c)[0]
 
 
 def test_detectors_none_on_linearizable():
@@ -230,19 +238,19 @@ def test_check_safe_clauses():
 def test_match_violation_clauses():
     # no-future-take is VFresh and fifo is VOrd, read through the match
     c = h("inv 0 deq\nres 0 deq 1\ninv 1 enq 1\nres 1 enq")
-    assert _match_violation(c, {0: 1}) == VFresh(d=0)
+    assert next(_match_violations(c, {0: 1}), None) == VFresh(d=0)
     c2 = h(
         "inv 0 enq 1\nres 0 enq\ninv 1 enq 2\nres 1 enq\n"
         "inv 2 deq\nres 2 deq 2"
     )
-    assert _match_violation(c2, {2: 1}) == VOrd(e1=0, e2=1, d2=2)
+    assert next(_match_violations(c2, {2: 1}), None) == VOrd(e1=0, e2=1, d2=2)
     # both dequeues precede the enqueue they take from; the evidence is
     # the first one invoked, whatever order the match lists them in
     c3 = h(
         "inv 2 deq\nres 2 deq 1\ninv 3 deq\nres 3 deq 2\n"
         "inv 0 enq 1\nres 0 enq\ninv 1 enq 2\nres 1 enq"
     )
-    assert _match_violation(c3, {3: 1, 2: 0}) == VFresh(d=2)
+    assert next(_match_violations(c3, {3: 1, 2: 0}), None) == VFresh(d=2)
     assert check_linearizable(c3).violation == VFresh(d=2)
 
 
@@ -253,7 +261,7 @@ def test_compute_bad_undrainable_enqueues():
     # enq(1) finished before the null deq started, never dequeued: bad
     c = h("inv 0 enq 1\nres 0 enq\ninv 1 deq\nres 1 deq null")
     assert compute_bad(c, {1: None}, 1) == {0}
-    assert _match_violation(c, {1: None}) == VWit(d=1, alive=(0,))
+    assert next(_match_violations(c, {1: None}), None) == VWit(d=1, alive=(0,))
 
 
 def test_compute_bad_empty_when_drainable():
@@ -262,7 +270,7 @@ def test_compute_bad_empty_when_drainable():
         "inv 2 deq\nres 2 deq null"
     )
     assert compute_bad(c, {1: 0, 2: None}, 2) == frozenset()
-    assert _match_violation(c, {1: 0, 2: None}) is None
+    assert next(_match_violations(c, {1: 0, 2: None}), None) is None
 
 
 def test_bad_set_propagates_through_chaining():
@@ -500,7 +508,7 @@ def test_sweeps_match_reference_on_canonical_histories(ne, nd):
                         or reference_check_ordered(c, match) is not None):
                     continue
                 assert _total_enq_order(c, match) == reference_total_enq_order(c, match)
-                if _match_violation(c, match) is None:
+                if next(_match_violations(c, match), None) is None:
                     assert_witness_matches_reference(c, match)
 
 
@@ -564,7 +572,7 @@ def test_match_checks_read_the_detectors_exhaustively():
                 for match in candidate_matches(c.events):
                     if check_safe(c, match) is not None:
                         continue
-                    v = _match_violation(c, match)
+                    v = next(_match_violations(c, match), None)
                     clause = reference_check_ordered(c, match)
                     if clause is not None:
                         assert v.kind == CLAUSE_KINDS[clause]
@@ -1095,7 +1103,8 @@ def random_pending_history(seed):
 def test_every_violation_names_its_evidence():
     """Every VIOLATION carries the violation of the first candidate match
     of its drop-all-pending completion, or, when that completion has no
-    candidate, the VFresh or VRepet that explains why."""
+    candidate, the VFresh or VRepet that explains why; detect_all lists
+    it first."""
     repeated = 0
     pool = all_equal_values() + [random_pending_history(seed) for seed in range(10_000)]
     for c in pool:
@@ -1107,8 +1116,9 @@ def test_every_violation_names_its_evidence():
         d = c.remove_pending()
         first = next(candidate_matches(d.events), None)
         expected = (detect_vfresh(d) or detect_vrepet(d) if first is None
-                    else _match_violation(d, first))
+                    else next(_match_violations(d, first), None))
         assert v.violation == expected, c.serialize()
+        assert detect_all(c)[0] == expected, c.serialize()
     assert repeated > 1_000
 
 

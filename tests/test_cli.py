@@ -33,6 +33,14 @@ MULTI = (
     "inv 0 enq 1\nres 0 enq\ninv 1 enq 2\nres 1 enq\n"
     "inv 2 deq\nres 2 deq 2\ninv 3 deq\nres 3 deq 5\n"
 )
+VORD_VWIT = (
+    "inv 0 enq 1\nres 0 enq\ninv 1 enq 2\nres 1 enq\n"
+    "inv 2 deq\nres 2 deq 2\ninv 3 deq\nres 3 deq null\n"
+)
+REPEATED = (
+    "inv 0 enq 5\nres 0 enq\ninv 1 enq 5\nres 1 enq\ninv 2 enq 6\nres 2 enq\n"
+    "inv 3 deq\nres 3 deq 6\ninv 4 deq\nres 4 deq null\n"
+)
 
 
 @pytest.fixture
@@ -87,16 +95,18 @@ def test_check_violation_lines(capsys, hist_file):
 
 
 def test_check_all_lists_every_detector_hit(capsys, hist_file):
+    # the fresh value leaves no candidate match to read VOrd through
     code, out, _ = run(capsys, ["check", hist_file(MULTI), "--all"])
     assert code == 1
-    assert out == (
-        "violation: vfresh d=3\n"
-        "  also: vfresh d=3\n"
-        "  also: vord e1=0 e2=1 d2=2\n"
-    )
+    assert out == "violation: vfresh d=3\n"
     code, out, _ = run(capsys, ["check", hist_file(MULTI), "--all", "--format", "lines"])
     assert code == 1
-    assert out == "VIOLATION vfresh d=3\nvfresh d=3\nvord e1=0 e2=1 d2=2\n"
+    assert out == "VIOLATION vfresh d=3\n"
+    # the verdict's match also breaks VWit, repeated values or not
+    for text, want in [(VORD_VWIT, "vord e1=0 e2=1 d2=2\n  also: vwit d=3 alive=0\n"),
+                       (REPEATED, "vord e1=0 e2=2 d2=3\n  also: vwit d=4 alive=0\n")]:
+        code, out, _ = run(capsys, ["check", hist_file(text), "--all"])
+        assert (code, out) == (1, f"violation: {want}")
 
 
 def test_check_reads_stdin(capsys, monkeypatch):
@@ -496,6 +506,25 @@ def test_no_command_reaches_the_interpreter(capsys, monkeypatch):
             monkeypatch.setattr(importlib.import_module(module), name, interpreter)
     for argv, before in zip(commands, normal):
         assert run(capsys, argv.split())[:2] == before, argv
+
+
+def test_no_check_reads_an_aspect_by_value(capsys, monkeypatch, hist_file):
+    # every check reads the aspects through candidate matches alone: with
+    # the value-keyed detectors and derive_match made to raise, wherever
+    # they are called from, each of these prints what it printed before
+    paths = [hist_file(text, f"h{i}.txt") for i, text in enumerate([LIN, VIO, VORD_VWIT,
+                                                                     REPEATED, MULTI])]
+    commands = [["check", path, *flags] for path in paths
+                for flags in ([], ["--all"], ["--witness"], ["--all", "--format", "lines"])]
+    normal = [run(capsys, argv)[:2] for argv in commands]
+
+    def by_value(*args, **kwargs):
+        raise AssertionError("a check read an aspect by value")
+
+    for name in ("detect_vord", "detect_vwit", "derive_match"):
+        monkeypatch.setattr(getattr(qlin.checker, name), "__code__", by_value.__code__)
+    for argv, before in zip(commands, normal):
+        assert run(capsys, argv)[:2] == before, argv
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,19 @@ length 4; the acceptance suite pushes the same comparison to length 6.
 
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qlin.checker import LINEARIZABLE, check_linearizable
 from qlin.history import NULL, Event, HistoryError, deq_inv, enq_inv
+from qlin import queuespec
 from qlin.queuespec import (
     REJECT,
     Behavior,
     SearchBoundExceeded,
+    candidate_matches,
     is_legal,
     replay,
 )
@@ -222,6 +225,62 @@ def test_duplicate_values_need_the_right_injection():
     mu = find_sequential_witness(b)
     # clause v forces FIFO pairing of the two copies
     assert mu == {2: 0, 3: 1}
+
+
+# ---- the cost of the candidate-match search ----
+
+
+def search_steps(run, budget=100_000):
+    """(result of run(), the lines run executed in qlin.queuespec), the
+    count of search steps; fails once the count passes budget, so a
+    search that blows up fails fast instead of hanging."""
+    steps = 0
+
+    def line(frame, event, arg):
+        nonlocal steps
+        if event == "line":
+            steps += 1
+            if steps > budget:
+                raise AssertionError(f"more than {budget} search steps")
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == queuespec.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, steps
+
+
+def test_no_candidate_family_is_refuted_by_counting():
+    # k sequential enq(2), one enq(1), k deq -> 2 and two deq -> 1: value
+    # 1 is dequeued more often than enqueued, so no candidate exists.
+    # Searching would try all k! matches of the 2s before each dead end;
+    # the count check yields nothing in steps linear in the history
+    k = 40
+    c = seq_history([E(2)] * k + [E(1)] + [D(2)] * k + [D(1)] * 2)
+    verdict, steps = search_steps(lambda: check_linearizable(c))
+    assert verdict.summary() == "VIOLATION vrepet d=81 d2=82"
+    assert steps < 20 * len(c.events)
+
+
+def test_search_stops_after_the_only_match():
+    # distinct values leave one match; resuming the search after it costs
+    # the same few steps at 200 dequeues as at 10, where backtracking
+    # through every dequeue would cost steps in proportion to them
+    def resume_after_the_only_match(n):
+        gen = candidate_matches(seq_history([E(v) for v in range(n)]
+                                            + [D(v) for v in range(n)]).events)
+        assert next(gen) == {n + v: v for v in range(n)}
+        rest, steps = search_steps(lambda: list(gen))
+        assert rest == []
+        return steps
+
+    assert resume_after_the_only_match(200) == resume_after_the_only_match(10)
 
 
 # ---- canonical behaviors ----

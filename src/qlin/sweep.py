@@ -36,19 +36,29 @@ some state is needed, and returns the tokens that schedule emits too:
 the divergence harnesses read their counterexample histories off them.
 
 Two walks visit the canonical states.  ``count_schedules`` counts
-schedules and serves ``sweep_config``.  ``reachable_states`` keeps
-only a visited set and whether some run stops at the loop bound, which
-is all the divergence harnesses in explorer read.
+schedules; ``sweep_config`` runs it on the configuration with its
+enqueue values erased (every enqueuer enqueues one value), which
+counts the same schedules over far fewer states: the queue moves values
+but never compares them (Wolper's data independence), so no plain
+transition and no endpoint status reads which value a slot or result
+holds, only whether it holds one, and all enqueuers then form one
+symmetry group.  ``reachable_states`` keeps only a visited set and
+whether some run stops at the loop bound, which is all the divergence
+harnesses in explorer read; they compare values, so they walk the real
+ones.
 
 The sweep produces
   - exact counts of maximal schedules by endpoint status, computed by
     dynamic programming in one iterative post-order walk over the
-    canonical states;
+    canonical states of the value-erased configuration;
   - a purity verdict for every reachable (shared state, pending dequeue
     frame) pair, from solo runs of the dequeue with a fresh loop budget,
     memoized on exactly that projection with the loop counter cleared,
-    in one pass (``purity_scan``) over the states the count walk
-    visited;
+    in one pass (``purity_scan``) over the states in which history
+    collection first reached each pair; collection gates the enqueuers
+    into value order, and every other run is one of those with its
+    values renamed, so each verdict is recorded for every value renaming
+    of its pair too;
   - representative complete histories, at least one per isomorphism
     class, found by a breadth-first walk over (state, history prefix)
     nodes that goes one level at a time and expands each state once per
@@ -72,7 +82,8 @@ collection that keeps every distinct history.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import permutations
 
 from .history import NULL, Action, History, deq_inv, deq_res, enq_inv, enq_res
 from .hwmodel import (
@@ -242,7 +253,12 @@ class _Kernel:
         self.f_mask = (1 << self.f_bits) - 1
         # the fields the transitions rewrite; uid and op stay put
         self.low_mask = (1 << self.uid_sh) - 1
+        # what a dequeue's solo run reads: the shared fields, and its
+        # frame but for the loop counter
+        self.shared_mask = (1 << self.frames_sh) - 1
+        self.fresh_mask = ~(self.it_mask << self.it_sh)
         self.shifts = tuple(self.frames_sh + self.f_bits * t for t in range(self.n))
+        self.deq_shifts = tuple((t, sh) for t, sh in enumerate(self.shifts) if not self.is_enq[t])
         # what successors reads, unpacked in one step per call
         self.layout = (
             self.shifts, self.low_mask, slot_sh, (1 << slot_w) - 1, rng_sh,
@@ -277,6 +293,55 @@ class _Kernel:
             if not any(set(g) & set(self.enq_tids) for g in groups):
                 groups.append(self.enq_tids)
         return tuple(groups)
+
+    def pending_dequeues(self, state: int) -> list:
+        """(pair, tid) for each dequeue pending in state, where pair is
+        what a solo run of tid with a fresh loop budget reads: the
+        shared fields (back, slots, scratch) and tid's frame with its
+        loop counter cleared."""
+        shared = state & self.shared_mask
+        f_mask, fresh_mask = self.f_mask, self.fresh_mask
+        return [((shared, f & fresh_mask), tid) for tid, sh in self.deq_shifts
+                if (f := (state >> sh) & f_mask) & 0x7 not in (_IDLE, _DONE)]
+
+    def value_renamings(self) -> tuple[tuple[int, ...], ...]:
+        """Renamings of the value indices, each mapping index v to its
+        entry v (0, NULL, to itself), such that the states history
+        collection reaches, renamed by each, give every reachable state
+        up to swapping identical threads.
+
+        All permutations when collection gates the enqueuers into value
+        order: a run whose enqueuers invoke in another order is a gated
+        run with its values renamed and its enqueuer threads swapped.
+        Otherwise, with one enqueuer or a value enqueued twice, only the
+        identity.
+        """
+        k = len(self.values)
+        if self.enq_tids not in self.emit_groups():
+            return (tuple(range(k + 1)),)
+        return tuple((0,) + p for p in permutations(range(1, k + 1)))
+
+    def rename(self, state: int, renaming) -> int:
+        """The state a run reaches when renamed by renaming (a tuple from
+        value_renamings): every slot and result renamed, and each
+        enqueuer's frame moved to the enqueuer of its renamed value."""
+        mask, w = self.item_mask, self.item_w
+        for i in range(self.cap):
+            ish = self.items_sh + w * i
+            held = (state >> ish) & mask
+            state = (state & ~(mask << ish)) | (renaming[held] << ish)
+        frames = []
+        for sh in self.shifts:
+            f = (state >> sh) & self.f_mask
+            held = (f >> self.res_sh) & mask
+            frames.append((f & ~(mask << self.res_sh)) | (renaming[held] << self.res_sh))
+        enqueuer_of = {self.progs[t][0]: t for t in self.enq_tids}
+        for v, t in enqueuer_of.items():
+            if renaming[v] != v:
+                frames[enqueuer_of[renaming[v]]] = (state >> self.shifts[t]) & self.f_mask
+        for sh, f in zip(self.shifts, frames):
+            state = (state & ~(self.f_mask << sh)) | (f << sh)
+        return state
 
     # -- field helpers ----------------------------------------------------
 
@@ -647,6 +712,13 @@ def count_schedules(kernel: _Kernel):
     threads bijects schedules and preserves endpoint status.  The loop
     bound makes the state graph acyclic, so a post-order walk with an
     explicit stack sums each state's counts from its successors'.
+
+    sweep_config passes the kernel of its configuration with every
+    enqueuer enqueuing one value.  The counts are the same, since a
+    plain transition or endpoint status tests a slot or result against
+    NULL and nothing else, and the walk is shorter: the enqueuers form
+    one group, so states that differ only in which value sits where
+    fold into one.
     """
     successors, canon_step = kernel.successors, kernel.canon_step
     memo: dict[int, tuple] = {}
@@ -699,7 +771,7 @@ def reachable_states(kernel: _Kernel):
 
 
 def purity_scan(kernel: _Kernel, states):
-    """Purity-check every pending dequeue in the given canonical states.
+    """Purity-check every pending dequeue in the given states.
 
     A check runs the dequeue alone from its state with a fresh loop
     budget (its iteration counter cleared).  The verdict is TERMINATES
@@ -707,26 +779,30 @@ def purity_scan(kernel: _Kernel, states):
     blocks but none blocks after changing the shared state (back,
     slots, scratch), VIOLATION when one does.
 
-    Over the states count_schedules visited, this covers every reachable
-    (shared state, dequeue frame) pair up to permuting interchangeable
-    threads; the pair, with the counter cleared, fully determines the
-    verdict, which is memoized on it.
+    The (shared state, dequeue frame) pair, with the counter cleared,
+    fully determines the verdict, which is memoized on it
+    (kernel.pending_dequeues).  A verdict also holds for the pair
+    renamed by each of kernel.value_renamings(), since renaming values
+    maps solo runs to solo runs, so it is recorded for those pairs at
+    once.  Over the states collect_histories hands back, or any states
+    holding every reachable pair up to those renamings, this covers
+    every reachable pair.
+
+    Returns the count of pairs per verdict and one (state, tid) per
+    VIOLATION pair: a state holding the pair, renamed from the scanned
+    state that held its original, and the dequeuer whose frame it is.
     """
     successors, shifts, f_mask = kernel.successors, kernel.shifts, kernel.f_mask
+    shared_mask = kernel.shared_mask
     memo: dict = {}
     outcomes: Counter = Counter()
     bad: list = []
-    shared_mask = (1 << kernel.frames_sh) - 1
-    fresh_mask = ~(kernel.it_mask << kernel.it_sh)
-    deq_tids = [t for t in range(kernel.n) if not kernel.is_enq[t]]
+    renamings = kernel.value_renamings()
     for state in states:
-        shared = state & shared_mask
-        for tid in deq_tids:
-            sh = shifts[tid]
-            f = (state >> sh) & f_mask
-            fresh = f & fresh_mask
-            if (f & 0x7) in (_IDLE, _DONE) or (shared, fresh) in memo:
+        for (shared, fresh), tid in kernel.pending_dequeues(state):
+            if (shared, fresh) in memo:
                 continue
+            sh = shifts[tid]
             start = (state & ~(f_mask << sh)) | (fresh << sh)
             verdict = "TERMINATES"
             seen = {start}
@@ -745,16 +821,24 @@ def purity_scan(kernel: _Kernel, states):
                     if ns not in seen:
                         seen.add(ns)
                         stack.append(ns)
-            memo[shared, fresh] = verdict
-            outcomes[verdict] += 1
-            if verdict == "VIOLATION":
-                bad.append((state, tid))
+            for renaming in renamings:
+                renamed = kernel.rename(start, renaming)
+                key = (renamed & shared_mask, (renamed >> sh) & f_mask)
+                if key in memo:
+                    continue  # another renaming gave this pair
+                memo[key] = verdict
+                outcomes[verdict] += 1
+                if verdict == "VIOLATION":
+                    bad.append((kernel.rename(state, renaming), tid))
     return outcomes, bad
 
 
 def collect_histories(kernel: _Kernel):
     """Representative complete token sequences, at least one per
-    isomorphism class, and the number of nodes the walk visited.
+    isomorphism class, the number of nodes the walk visited, and for
+    every pending-dequeue pair (kernel.pending_dequeues) in the states
+    it reached, the state it first reached the pair in: a list in the
+    order the walk reached them.
 
     A node is a state and a history prefix.  A prefix is a chain of
     closed runs and an open run, where a run is a maximal stretch of
@@ -773,6 +857,13 @@ def collect_histories(kernel: _Kernel):
     through them; extending a prefix by a token is one memo lookup.  A
     node's key in the visited set is its prefix id shifted past the
     state's bits, so the set holds single integers.
+
+    The states reached are those of every run whose enqueuers invoke in
+    value order and whose identical threads invoke in thread order, and
+    purity_scan reads the pairs of every other run off theirs by
+    renaming values.  A level's states are looked up as the walk
+    reaches them and none is kept past its level unless it holds a new
+    pair, so the walk's peak memory is that of its visited set.
     """
     gate_groups = kernel.emit_groups()
 
@@ -818,8 +909,13 @@ def collect_histories(kernel: _Kernel):
     complete: set[tuple] = set()
     successors, classify = kernel.successors, kernel.classify
     seen = {init}  # key = prefix id << state_bits | state
+    pending = kernel.pending_dequeues
+    firsts: dict[tuple, int] = {}  # pending-dequeue pair -> first state holding it
     level: dict[int, list[int]] = {init: [0]}
     while level:
+        for state in level:
+            for pair, _ in pending(state):
+                firsts.setdefault(pair, state)
         following: defaultdict[int, list[int]] = defaultdict(list)
         for state, pids in level.items():
             succs = successors(state, gate_groups)
@@ -837,7 +933,7 @@ def collect_histories(kernel: _Kernel):
                         seen.add(key)
                         following[ns].append(npid)
         level = following
-    return complete, len(seen)
+    return complete, len(seen), list(dict.fromkeys(firsts.values()))
 
 
 def sweep_config(config: Config, *, oracle: bool = False,
@@ -845,13 +941,16 @@ def sweep_config(config: Config, *, oracle: bool = False,
                  quotient: bool = True) -> SweepReport:
     """Full exhaustive sweep of one plain configuration.
 
-    Counts every maximal schedule, checks the representative complete
-    histories (at least one per isomorphism class, which cover the rest;
-    see module docstring) with the aspect detectors and optionally the
-    brute-force oracle, and optionally purity-checks every reachable
-    pending dequeue.  Violations and impure dequeues carry a replayable
-    schedule.  ``quotient`` accepts only True; the exact collection of
-    every distinct history is the test suite's reference walk.
+    Counts every maximal schedule on the configuration with its enqueue
+    values erased, so ``canonical_states`` counts that walk's states;
+    checks the representative complete histories (at least one per
+    isomorphism class, which cover the rest; see module docstring) with
+    the aspect detectors and optionally the brute-force oracle; and
+    optionally purity-checks every reachable pending dequeue, over
+    states history collection reached.  Violations and impure dequeues
+    carry a replayable schedule.  ``quotient`` accepts only True; the
+    exact collection of every distinct history is the test suite's
+    reference walk.
 
     Choice threads and prophecy dequeues raise SweepScopeError: history
     collection renames values, which is unsound once a transition
@@ -867,16 +966,18 @@ def sweep_config(config: Config, *, oracle: bool = False,
     kernel = _Kernel(config)
     if kernel.ranked:
         raise SweepScopeError("sweep_config handles plain enq/deq threads only")
-    counts, states = count_schedules(kernel)
-    canonical_states = len(states)
+    erased = replace(config, threads=tuple(
+        EnqOp(1) if isinstance(op, EnqOp) else op for op in config.threads))
+    counts, counted = count_schedules(_Kernel(erased))
+    canonical_states = len(counted)
+    del counted  # collection's peak memory comes on top otherwise
+
+    complete, nodes, states = collect_histories(kernel)
     purity_outcomes: Counter = Counter()
     purity_bad: list = []
     if check_purity:
         purity_outcomes, purity_bad = purity_scan(kernel, states)
-    del states  # collection's peak memory comes on top otherwise
     impure = tuple(_impurity(kernel, state, tid) for state, tid in purity_bad)
-
-    complete, nodes = collect_histories(kernel)
 
     violations = []
     oracle_checked = 0
@@ -911,9 +1012,10 @@ def sweep_config(config: Config, *, oracle: bool = False,
 
 
 def _impurity(kernel: _Kernel, state: int, tid: int) -> SweepImpurity:
-    """Evidence for an impure dequeue found in canonical state: the
-    first raw state of that orbit and the thread holding its frame."""
-    schedule, _, raw = first_schedule(kernel, lambda s: kernel.canon(s) == state)
+    """Evidence for an impure dequeue of thread tid in state: the first
+    raw state of its orbit and the thread holding tid's frame there."""
+    target = kernel.canon(state)
+    schedule, _, raw = first_schedule(kernel, lambda s: kernel.canon(s) == target)
     frame = kernel.frame(state, tid)
     group = next((g for g in kernel.sym_groups if tid in g), (tid,))
     return SweepImpurity(next(t for t in group if kernel.frame(raw, t) == frame), schedule)

@@ -32,6 +32,11 @@ under the history quotient.  ``reference_collect_histories`` walks
 history collection node by node; without ``quotient`` it is the exact
 collection of every distinct complete history, which only the tests
 run and which the quotient collection is checked against.
+``erased_canonical_states`` counts, on the readable model, the states
+the count walk visits once every enqueuer enqueues one value, and
+``gated_reachable_states`` is the plain walk over the packed states of
+runs whose enqueuers invoke in value order, the states history
+collection and the purity check read.
 
 The checkers of the source paper's reformulation lemmas are not
 references for product code; they live in ``lemmas.py``, and
@@ -800,6 +805,65 @@ def plain_config(n_enq, n_deq, *, mutant="none", loop_bound=3, capacity=None):
     threads = tuple(EnqOp(i + 1) for i in range(n_enq)) + tuple(DeqOp() for _ in range(n_deq))
     cap = capacity if capacity is not None else max(1, n_enq)
     return Config(threads, capacity=cap, loop_bound=loop_bound, mutant=mutant)
+
+
+def erase_values(config: Config) -> Config:
+    """config with every enqueuer enqueuing the value 1."""
+    return replace(config, threads=tuple(
+        EnqOp(1) if isinstance(op, EnqOp) else op for op in config.threads))
+
+
+def erased_canonical_states(config: Config) -> int:
+    """Number of states the value-erased count walk visits, from the
+    readable model: every state of the value-erased configuration,
+    reached breadth-first, counted up to permuting the frames of
+    threads with the same declared operation.
+
+    A plain configuration's packed state keeps no invocation rank, so
+    every invoked frame's uid is set to 0 as the walk goes.  That
+    changes no successor: a transition reads only whether uid is set,
+    and writes it only into the actions.  Two states then lie in one
+    orbit exactly when each group of identical threads holds the same
+    multiset of frames.
+    """
+    erased = erase_values(config)
+    groups: dict = {}
+    for tid, op in enumerate(erased.threads):
+        groups.setdefault(op, []).append(tid)
+
+    def unranked(state: HWState) -> HWState:
+        return replace(state, frames=tuple(
+            f if f.uid is None else replace(f, uid=0) for f in state.frames))
+
+    init = hw_init(erased)
+    seen = {init}
+    queue = deque([init])
+    while queue:
+        for succ in _expand(erased, queue.popleft()):
+            ns = unranked(succ.state)
+            if ns not in seen:
+                seen.add(ns)
+                queue.append(ns)
+    return len({
+        (s.back, s.items, s.scratch,
+         tuple(frozenset(Counter(s.frames[t] for t in tids).items()) for tids in groups.values()))
+        for s in seen
+    })
+
+
+def gated_reachable_states(kernel: _Kernel) -> set[int]:
+    """Every raw packed state a run reaches whose emit groups invoke in
+    member order: a depth-first walk with a visited set."""
+    gate_groups = kernel.emit_groups()
+    init = kernel.init_state()
+    seen = {init}
+    stack = [init]
+    while stack:
+        for _, _, _, ns in kernel.successors(stack.pop(), gate_groups):
+            if ns not in seen:
+                seen.add(ns)
+                stack.append(ns)
+    return seen
 
 
 def _expand(config: Config, state: HWState) -> list:

@@ -379,13 +379,13 @@ def test_explore_dirty_spin_purity_fails(capsys):
     assert out == (
         "explored 46 schedules, 2 representative histories (at least one per isomorphism class): "
         "7 purity violation(s)\n"
-        + evidence + "  schedule: 1:D1 1:D1 1:D1 0:E1\n"
-        + evidence + "  schedule: 1:D1 1:D1 0:E1 1:D1 1:D2\n"
-        + evidence + "  schedule: 1:D1 1:D1 0:E1 1:D1\n"
-        + evidence + "  schedule: 1:D1 0:E1 1:D1 1:D2 1:D1 1:D2\n"
-        + evidence + "  schedule: 1:D1 0:E1 1:D1 1:D2 1:D1\n"
-        + evidence + "  schedule: 0:E1 1:D1 1:D2 1:D1 1:D2 1:D1 1:D2\n"
+        + evidence + "  schedule: 0:E1 1:D1\n"
+        + evidence + "  schedule: 1:D1 0:E1\n"
+        + evidence + "  schedule: 0:E1 1:D1 1:D2\n"
+        + evidence + "  schedule: 0:E1 1:D1 1:D2 1:D1\n"
+        + evidence + "  schedule: 0:E1 1:D1 1:D2 1:D1 1:D2\n"
         + evidence + "  schedule: 0:E1 1:D1 1:D2 1:D1 1:D2 1:D1\n"
+        + evidence + "  schedule: 0:E1 1:D1 1:D2 1:D1 1:D2 1:D1 1:D2\n"
     )
     code, out, _ = run(capsys, argv + ["--purity", "--format", "lines"])
     assert code == 1

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from qlin import sweep
 from qlin.explorer import induce_history, replay_schedule, vord_config, vrepet_config
 from qlin.history import NULL
 from qlin.hwmodel import (
@@ -29,6 +30,7 @@ from qlin.hwmodel import (
 )
 from qlin.sweep import (
     SweepScopeError,
+    _impurity,
     _Kernel,
     _T_EINV,
     collect_histories,
@@ -45,8 +47,12 @@ from support import (
     check_configuration,
     count_traces,
     enumerate_traces,
+    erase_values,
+    erased_canonical_states,
+    gated_reachable_states,
     isomorphic,
     plain_config,
+    purely_blocking_check,
     purity_sweep,
     reference_collect_histories,
 )
@@ -237,7 +243,7 @@ COLLECT_CONFIGS = [p for p in CANON_CONFIGS if not _Kernel(p.values[0]).ranked] 
     "config", [pytest.param(*p.values, id=f"quotient-{p.id}") for p in COLLECT_CONFIGS])
 def test_collect_matches_the_reference_walk(config):
     kernel = _Kernel(config)
-    assert collect_histories(kernel) == reference_collect_histories(kernel, quotient=True)
+    assert collect_histories(kernel)[:2] == reference_collect_histories(kernel, quotient=True)
 
 
 @pytest.mark.parametrize("cell, expanded, nodes", [
@@ -260,7 +266,7 @@ def test_collect_expands_each_state_once_per_level(monkeypatch, cell, expanded, 
         return real(state, gate_groups)
 
     monkeypatch.setattr(kernel, "successors", counting)
-    _, got_nodes = collect_histories(kernel)
+    _, got_nodes, _ = collect_histories(kernel)
     assert got_nodes == nodes
     assert len(calls) == expanded
 
@@ -308,6 +314,123 @@ def test_purity_scan_agrees_with_reference(config):
 
 
 # ---------------------------------------------------------------------------
+# value erasure: sweep_config counts on the value-erased kernel and reads
+# purity off the collection walk; the real-valued count walk is the
+# reference for both
+
+
+ERASURE_CONFIGS = CROSS_CONFIGS + COLLECT_CONFIGS
+
+
+@pytest.mark.parametrize("config", ERASURE_CONFIGS)
+def test_erased_counts_match_the_real_count_walk(config):
+    erased = _Kernel(erase_values(config))
+    assert len(erased.values) == (1 if any(erased.is_enq) else 0)
+    assert count_schedules(erased)[0] == count_schedules(_Kernel(config))[0]
+
+
+@pytest.mark.parametrize("config", ERASURE_CONFIGS + [
+    pytest.param(plain_config(2, 1, mutant=MUTANT_DIRTY_SPIN), id="dirty-spin-2+1"),
+])
+def test_purity_over_collected_states_matches_the_count_walk(monkeypatch, config):
+    kernel = _Kernel(config)
+    k = len(kernel.values)
+    renamings = kernel.value_renamings()
+    if k < sum(kernel.is_enq):
+        # a value enqueued twice: renaming values is no symmetry
+        assert renamings == (tuple(range(k + 1)),)
+    got, got_bad = purity_scan(kernel, collect_histories(kernel)[2])
+    # the count walk reaches every state, so it needs no renaming
+    reference = _Kernel(config)
+    monkeypatch.setattr(reference, "value_renamings", lambda: (tuple(range(k + 1)),))
+    want, want_bad = purity_scan(reference, count_schedules(reference)[1])
+    assert got == want
+    assert len(got_bad) == len(want_bad) == want["VIOLATION"]
+
+
+def test_renaming_adds_the_pairs_gating_leaves_out(monkeypatch):
+    # collection gates the enqueuers into value order, so without the
+    # renamings its states miss purity pairs
+    kernel = _Kernel(plain_config(2, 1))
+    states = collect_histories(kernel)[2]
+    full, _ = purity_scan(kernel, states)
+    monkeypatch.setattr(kernel, "value_renamings", lambda: ((0, 1, 2),))
+    gated, _ = purity_scan(kernel, states)
+    assert dict(full) == {"PURE": 7, "TERMINATES": 36}
+    assert sum(gated.values()) < sum(full.values())
+
+
+def test_impurity_evidence_replays_from_renamed_states():
+    # one evidence entry per VIOLATION pair, whose state for a renamed
+    # pair is the renamed state: from every renaming of an impure state,
+    # the schedule parks the named thread where its solo run on the
+    # readable model is impure
+    config = plain_config(2, 1, mutant=MUTANT_DIRTY_SPIN)
+    kernel = _Kernel(config)
+    r = sweep_config(config, check_purity=True)
+    assert r.purity_violations == r.purity_outcomes["VIOLATION"] > 0
+    _, bad = purity_scan(kernel, collect_histories(kernel)[2])
+    found = list(r.impure)
+    for state, tid in bad:
+        found.extend(_impurity(kernel, kernel.rename(state, renaming), tid)
+                     for renaming in kernel.value_renamings()[1:])
+    assert len(found) == 2 * len(r.impure)
+    for imp in found:
+        trace = replay_schedule(config, imp.schedule)
+        assert purely_blocking_check(config, trace.final, imp.tid) == "VIOLATION"
+
+
+@pytest.mark.parametrize("config", ERASURE_CONFIGS)
+def test_renamed_gated_states_are_the_reachable_states(config):
+    # every run is a gated run with its values renamed and its enqueuer
+    # and identical threads swapped
+    kernel = _Kernel(config)
+    renamed = {kernel.canon(kernel.rename(state, renaming))
+               for state in gated_reachable_states(kernel)
+               for renaming in kernel.value_renamings()}
+    assert renamed == set(count_schedules(kernel)[1])
+
+
+@pytest.mark.parametrize("config", ERASURE_CONFIGS)
+def test_collected_states_hold_every_gated_pair(config):
+    # collection hands back gated states, one per pending-dequeue pair
+    # it reached first there, and together they hold every gated pair
+    kernel = _Kernel(config)
+    _, _, states = collect_histories(kernel)
+    gated = gated_reachable_states(kernel)
+
+    def pairs(found):
+        return {pair for state in found for pair, _ in kernel.pending_dequeues(state)}
+
+    assert set(states) <= gated
+    assert pairs(states) == pairs(gated)
+    assert len(set(states)) == len(states) <= len(pairs(states))
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(plain_config(2, 1), id="2enq-1deq"),
+    pytest.param(plain_config(3, 1, mutant=MUTANT_NONATOMIC_ENQ), id="nonatomic-3+1"),
+    pytest.param(Config((EnqOp(1), EnqOp(1), EnqOp(2), DeqOp()), capacity=3, loop_bound=2),
+                 id="repeated-value"),
+])
+def test_sweep_config_counts_once_on_the_erased_kernel(monkeypatch, config):
+    real = sweep.count_schedules
+    kernels = []
+
+    def counting(kernel):
+        kernels.append(kernel)
+        return real(kernel)
+
+    monkeypatch.setattr(sweep, "count_schedules", counting)
+    r = sweep_config(config, check_purity=True)
+    assert len(kernels) == 1
+    (kernel,) = kernels
+    assert len(kernel.values) == 1
+    assert kernel.sym_groups[0] == tuple(t for t in range(kernel.n) if kernel.is_enq[t])
+    assert r.trace_counts == count_schedules(_Kernel(config))[0]
+
+
+# ---------------------------------------------------------------------------
 # isomorphism quotient
 
 
@@ -315,7 +438,7 @@ def test_purity_scan_agrees_with_reference(config):
 def test_quotient_is_canonical_image_of_exact(config):
     kernel = _Kernel(config)
     exact, _ = reference_collect_histories(kernel, quotient=False)
-    quot, _ = collect_histories(kernel)
+    quot, _, _ = collect_histories(kernel)
     assert {canonicalize_tokens(kernel, t) for t in exact} == quot
 
 
@@ -323,7 +446,7 @@ def test_quotient_is_canonical_image_of_exact(config):
 def test_quotient_matches_semantic_classes(config):
     kernel = _Kernel(config)
     exact, _ = reference_collect_histories(kernel, quotient=False)
-    quot, _ = collect_histories(kernel)
+    quot, _, _ = collect_histories(kernel)
     exact_hs = [kernel.tokens_to_history(t) for t in exact]
     quot_hs = [kernel.tokens_to_history(t) for t in quot]
     if len(kernel.values) == sum(kernel.is_enq):
@@ -348,7 +471,7 @@ def test_quotient_matches_semantic_classes(config):
 
 def test_canonical_form_refuses_repeated_values():
     kernel = _Kernel(Config((EnqOp(5), EnqOp(5), DeqOp()), capacity=2, loop_bound=3))
-    tokens, _ = collect_histories(kernel)
+    tokens, _, _ = collect_histories(kernel)
     with pytest.raises(ValueError):
         canonical_form(kernel.tokens_to_history(min(tokens)))
 
@@ -365,7 +488,7 @@ def test_quotient_sizes_at_small_scale():
     ]:
         kernel = _Kernel(config)
         exact, exact_nodes = reference_collect_histories(kernel, quotient=False)
-        quot, quot_nodes = collect_histories(kernel)
+        quot, quot_nodes, _ = collect_histories(kernel)
         sizes[key] = (len(exact), exact_nodes, len(quot), quot_nodes)
     assert sizes == {
         "1+1": (5, 53, 2, 32),
@@ -431,10 +554,12 @@ def test_starved_dequeues_never_complete():
     r = sweep_config(plain_config(1, 2))
     assert r.distinct_complete == 0
     assert dict(r.trace_counts) == {"BOUND_HIT": 87870}
-    big = sweep_config(plain_config(2, 3, loop_bound=2))
+    config = plain_config(2, 3, loop_bound=2)
+    big = sweep_config(config)
     assert big.distinct_complete == 0
     assert dict(big.trace_counts) == {"BOUND_HIT": 1131613866168}
-    assert big.canonical_states == 5614
+    # the value-erased count walk's states; 5,614 with the real values
+    assert big.canonical_states == erased_canonical_states(config) == 2476
 
 
 def test_deep_state_graph_leaves_the_recursion_limit_alone():
@@ -482,11 +607,13 @@ def test_skip_slot_zero_quotient_report():
 
 
 def test_nonatomic_clean_at_two_enqueuers():
-    r = sweep_config(plain_config(2, 1, mutant=MUTANT_NONATOMIC_ENQ))
+    config = plain_config(2, 1, mutant=MUTANT_NONATOMIC_ENQ)
+    r = sweep_config(config)
     assert r.clean
     assert r.distinct_complete == 14
     assert dict(r.trace_counts) == {"COMPLETE": 84780, "BOUND_HIT": 5140}
-    assert r.canonical_states == 633
+    # the value-erased count walk's states; 633 with the real values
+    assert r.canonical_states == erased_canonical_states(config) == 295
 
 
 def test_purity_outcome_counts():

@@ -12,7 +12,7 @@ value-respecting ones, which the checker tests one by one.
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import count
 from typing import Iterable, Iterator
 
 from .history import NULL, Event, HistoryError, Value
@@ -126,55 +126,50 @@ def candidate_matches(events: Iterable[Event],
     """Every value-respecting injective match of the dequeues among
     ``events`` to its enqueues, NULL dequeues to bottom.
 
-    When some value is dequeued more often than it is enqueued there is
-    none, and the search is skipped.  When no value is enqueued twice
-    there is at most the single value-derived match, and the search stops
-    once it is yielded.  Raises SearchBoundExceeded after ``bound`` full
-    candidates.
+    A dequeue takes an enqueue of its own value, so a match is one
+    injective map per value, each chosen apart from the others.  A
+    value's map is read off one digit per dequeue, in invocation order:
+    the digit picks among the enqueues of the value, in invocation order,
+    that its earlier dequeues left.  So a digit's radix is the number
+    left, and it does not depend on the other digits.  When some value is
+    dequeued more often than it is enqueued, some radix is 0 and there is
+    no match.  NULL dequeues and the digits of radix 1 (the values
+    enqueued once among them) are fixed; the others turn like an
+    odometer, the last dequeue's fastest.  So the first match gives each
+    value's dequeues, in invocation order, its first enqueues.  Raises
+    SearchBoundExceeded after ``bound`` full candidates.
 
-    The bound caps the work, not only the output.  Once the counts pass,
-    the dequeues and the enqueues of each value form a complete bipartite
-    graph with no more dequeues than enqueues, so every partial match
-    extends to a full one and no branch of the search dead-ends.  Between
-    two candidates the search moves each of the D dequeues at most twice,
-    once back and once forward, so it takes about 2·D moves per candidate
-    it yields.
+    The bound caps the work, not only the output: every turn gives a
+    match, and holds no more than the digits and the enqueues.
     """
-    events = tuple(events)
-    deqs = [d for d in events if d.is_deq and d.value is not NULL]
-    acc: Match = {d.uid: None for d in events if d.is_deq and d.value is NULL}
-    by_value: dict[Value, list[int]] = {}
+    nulls: Match = {}
+    deqs: list[Event] = []  # every other dequeue, in invocation order
+    enqs: dict[Value, list[int]] = {}
     for e in events:
         if e.is_enq:
-            by_value.setdefault(e.value, []).append(e.uid)
-    if any(n > len(by_value.get(v, ())) for v, n in Counter(d.value for d in deqs).items()):
-        return
-    unique = all(len(es) == 1 for es in by_value.values())
-    used: set[int] = set()
-    count = 0
-    # one iterator per assigned dequeue, over the enqueues it may take
-    stack: list[Iterator[int]] = []
-    while True:
-        if len(stack) == len(deqs):
-            count += 1
-            if count > bound:
-                raise SearchBoundExceeded(f"more than {bound} candidate matches")
-            yield dict(acc)
-            if unique:
-                return
+            enqs.setdefault(e.value, []).append(e.uid)
+        elif e.value is NULL:
+            nulls[e.uid] = None
         else:
-            stack.append(iter(by_value[deqs[len(stack)].value]))
-        # move the deepest dequeue to its next free enqueue, backtracking
-        # past the dequeues that have none left
-        while stack:
-            d = deqs[len(stack) - 1].uid
-            if d in acc:
-                used.remove(acc.pop(d))
-            euid = next((e for e in stack[-1] if e not in used), None)
-            if euid is not None:
-                acc[d] = euid
-                used.add(euid)
+            deqs.append(e)
+    radix: list[int] = []
+    left = {v: len(es) for v, es in enqs.items()}
+    for d in deqs:
+        radix.append(left.get(d.value, 0))
+        left[d.value] = radix[-1] - 1
+    if 0 in radix:
+        return
+    digits = [0] * len(deqs)
+    turning = [i for i, r in enumerate(radix) if r > 1]
+    for n in count(1):
+        if n > bound:
+            raise SearchBoundExceeded(f"more than {bound} candidate matches")
+        free = {v: list(es) for v, es in enqs.items()}
+        yield {**nulls, **{d.uid: free[d.value].pop(k) for d, k in zip(deqs, digits)}}
+        for i in reversed(turning):
+            digits[i] += 1
+            if digits[i] < radix[i]:
                 break
-            stack.pop()
+            digits[i] = 0  # run out: start over, and turn the next slower digit
         else:
             return

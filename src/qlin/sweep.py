@@ -324,9 +324,11 @@ class _Kernel:
     def rename(self, state: int, renaming) -> int:
         """The state a run reaches when renamed by renaming (a tuple from
         value_renamings): every slot and result renamed, and each
-        enqueuer's frame moved to the enqueuer of its renamed value."""
+        enqueuer's frame moved to the enqueuer of its renamed value.
+        Only the slots below back can hold a value, since an enqueue
+        writes only the slot it claimed below back."""
         mask, w = self.item_mask, self.item_w
-        for i in range(self.cap):
+        for i in range(state & self.back_mask):
             ish = self.items_sh + w * i
             held = (state >> ish) & mask
             state = (state & ~(mask << ish)) | (renaming[held] << ish)

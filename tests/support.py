@@ -45,9 +45,10 @@ references for product code; they live in ``lemmas.py``, and
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from itertools import permutations
+from itertools import permutations, product
 
 from qlin.checker import (
     INDETERMINATE,
@@ -602,7 +603,27 @@ def reference_detect_vwit(c: History) -> VWit | None:
 # consumer of each enqueue from the match or from the values.
 # ``reference_detect_first`` runs the four value-keyed detectors in
 # turn, the evidence the product reads through a differentiated
-# history's one match.
+# history's one match.  ``reference_candidate_matches`` forms every
+# combination of per-dequeue choices and keeps the injective ones, the
+# reference for the product's odometer over one digit per dequeue.
+
+
+def reference_candidate_matches(events) -> list[Match]:
+    """Every value-respecting injective match of the dequeues among
+    events: each dequeue chooses an enqueue of its value (bottom for
+    NULL), every combination of choices is formed, and the ones that
+    give an enqueue to two dequeues are dropped."""
+    events = list(events)
+    enqs = [e for e in events if e.is_enq]
+    deqs = [d.uid for d in events if d.is_deq]
+    choices = [[None] if d.value is NULL else [e.uid for e in enqs if e.value == d.value]
+               for d in events if d.is_deq]
+    out = []
+    for pick in product(*choices):
+        taken = [e for e in pick if e is not None]
+        if len(taken) == len(set(taken)):
+            out.append(dict(zip(deqs, pick)))
+    return out
 
 
 def check_safe(c: History, match: Match) -> str | None:
@@ -1397,3 +1418,33 @@ def reference_divergence_vord(k: int = 0, *,
         invariant_ok=None if not check_invariant else "slot-invariant" not in failures,
         invariant_example=inv_example,
     )
+
+
+# ---- cost as executed lines ----
+
+
+def traced_lines(path: str, run, budget: float = float("inf")):
+    """(result of run(), the lines run executed in the source file at
+    path).  A count of lines, unlike a timer, does not move with the
+    machine's load; it fails once it passes budget, so a run that blows
+    up fails fast instead of hanging."""
+    lines = 0
+
+    def line(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > budget:
+                raise AssertionError(f"more than {budget} lines")
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == path else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, lines

@@ -75,6 +75,7 @@ from support import (
     overlapping_history,
     pinned_history,
     pwit_prime,
+    reference_candidate_matches,
     reference_check_linearizable,
     reference_check_ordered,
     reference_compute_bad,
@@ -83,6 +84,7 @@ from support import (
     reference_detect_vord,
     reference_detect_vwit,
     reference_total_enq_order,
+    seq_history,
 )
 
 
@@ -218,6 +220,16 @@ def test_candidate_matches_duplicates():
     assert got == [{2: 0}, {2: 1}]
     with pytest.raises(SearchBoundExceeded):
         list(candidate_matches(c.events, bound=1))
+    # two interleaved repeated values: 5 is enqueued by 0, 2 and 4 and
+    # dequeued by 5 and 7, 6 is enqueued by 1 and 3 and dequeued by 6.
+    # Each dequeue's digit turns through the enqueues of its value that
+    # the earlier dequeues left, in invocation order, the last dequeue's
+    # fastest: 6 turns between two picks of 7, and 7 has only two picks
+    c = seq_history([("enq", 5), ("enq", 6), ("enq", 5), ("enq", 6), ("enq", 5),
+                     ("deq", 5), ("deq", 6), ("deq", 5)])
+    got = [(m[5], m[6], m[7]) for m in candidate_matches(c.events)]
+    assert got == [(0, 1, 2), (0, 1, 4), (0, 3, 2), (0, 3, 4), (2, 1, 0), (2, 1, 4),
+                   (2, 3, 0), (2, 3, 4), (4, 1, 0), (4, 1, 2), (4, 3, 0), (4, 3, 2)]
 
 
 def test_check_safe_clauses():
@@ -1120,6 +1132,33 @@ def test_every_violation_names_its_evidence():
         assert v.violation == expected, c.serialize()
         assert detect_all(c)[0] == expected, c.serialize()
     assert repeated > 1_000
+
+
+def test_candidate_matches_agree_with_reference():
+    """On the all-equal-values pool and the drop-all-pending completions
+    of 2,000 seeded merged-value histories, candidate_matches yields
+    each of the reference's matches once and nothing else, and its first
+    gives each value's dequeues, in invocation order, that value's first
+    enqueues, in invocation order."""
+    def as_set(matches):
+        return {tuple(sorted(m.items())) for m in matches}
+
+    several = 0
+    pool = all_equal_values() + [random_pending_history(seed).remove_pending()
+                                 for seed in range(2_000)]
+    for c in pool:
+        got = list(candidate_matches(c.events))
+        assert len(got) == len(as_set(got)), c.serialize()
+        assert as_set(got) == as_set(reference_candidate_matches(c.events)), c.serialize()
+        several += len(got) > 1
+        if got:
+            unused: dict = {}  # value -> its enqueues, in invocation order
+            for e in c.events:
+                if e.is_enq:
+                    unused.setdefault(e.value, []).append(e.uid)
+            assert got[0] == {d.uid: None if d.value is NULL else unused[d.value].pop(0)
+                              for d in c.events if d.is_deq}, c.serialize()
+    assert several > 300
 
 
 # ---- the oracle itself ----

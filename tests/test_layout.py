@@ -103,11 +103,28 @@ def unused_definitions(package: dict[str, str], outside: list[str]) -> set[tuple
     return {(d[0], ".".join(d[1:])) for d in unused if len(d) == 2 or d[:2] not in unused}
 
 
+def _package() -> dict[str, str]:
+    return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+            if p.name != "__init__.py"}
+
+
 def test_nothing_in_the_package_is_used_only_by_tests():
-    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
-               if p.name != "__init__.py"}
     outside = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
-    assert unused_definitions(package, outside) == set()
+    assert unused_definitions(_package(), outside) == set()
+
+
+def test_only_the_benchmark_keeps_these_alive():
+    # the definitions that only the benchmark in bench/ uses: new
+    # bench-only code fails here, and a name the benchmark stops using
+    # fails the test above
+    assert unused_definitions(_package(), []) == {
+        ("checker", "derive_match"), ("checker", "detect_vord"), ("checker", "detect_vwit"),
+        ("explorer", "ExecutionTrace"), ("explorer", "induce_history"),
+        ("explorer", "replay_schedule"),
+        ("history", "History.is_differentiated"),
+        ("hwmodel", "HWState.all_done"), ("hwmodel", "classify_endpoint"),
+        ("hwmodel", "hw_init"),
+    }
 
 
 def test_guard_flags_helpers_of_unused_helpers():

@@ -6,7 +6,7 @@ length 4; the acceptance suite pushes the same comparison to length 6.
 
 import pickle
 import random
-import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,7 +35,7 @@ from lemmas import (
     obs_equiv,
     to_history,
 )
-from support import atomic_queue_history, behavior_seqs, seq_history, simple_legal
+from support import atomic_queue_history, behavior_seqs, seq_history, simple_legal, traced_lines
 
 
 def beh(*seq):
@@ -234,26 +234,7 @@ def search_steps(run, budget=100_000):
     """(result of run(), the lines run executed in qlin.queuespec), the
     count of search steps; fails once the count passes budget, so a
     search that blows up fails fast instead of hanging."""
-    steps = 0
-
-    def line(frame, event, arg):
-        nonlocal steps
-        if event == "line":
-            steps += 1
-            if steps > budget:
-                raise AssertionError(f"more than {budget} search steps")
-        return line
-
-    def call(frame, event, arg):
-        return line if frame.f_code.co_filename == queuespec.__file__ else None
-
-    previous = sys.gettrace()
-    sys.settrace(call)
-    try:
-        result = run()
-    finally:
-        sys.settrace(previous)
-    return result, steps
+    return traced_lines(queuespec.__file__, run, budget)
 
 
 def test_no_candidate_family_is_refuted_by_counting():
@@ -281,6 +262,22 @@ def test_search_stops_after_the_only_match():
         return steps
 
     assert resume_after_the_only_match(200) == resume_after_the_only_match(10)
+
+
+def test_first_match_lists_no_map_ahead_of_its_turn():
+    # 20 values, each enqueued 8 times, then each dequeued 8 times: every
+    # value has 8! maps, and listing them all before the first match
+    # would hold about 100 MB
+    c = seq_history([E(v) for v in range(20) for _ in range(8)]
+                    + [D(v) for v in range(20) for _ in range(8)])
+    tracemalloc.start()
+    try:
+        first = next(candidate_matches(c.events))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == {160 + i: i for i in range(160)}
+    assert peak < 4_000_000
 
 
 # ---- canonical behaviors ----

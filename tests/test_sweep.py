@@ -55,6 +55,7 @@ from support import (
     purely_blocking_check,
     purity_sweep,
     reference_collect_histories,
+    traced_lines,
 )
 
 
@@ -389,6 +390,33 @@ def test_renamed_gated_states_are_the_reachable_states(config):
                for state in gated_reachable_states(kernel)
                for renaming in kernel.value_renamings()}
     assert renamed == set(count_schedules(kernel)[1])
+
+
+@pytest.mark.parametrize("config", CANON_CONFIGS + [
+    pytest.param(plain_config(2, 1, mutant=MUTANT_NONATOMIC_ENQ), id="nonatomic-enq"),
+    pytest.param(plain_config(2, 1, mutant=MUTANT_DIRTY_SPIN), id="dirty-spin"),
+])
+def test_no_slot_at_or_above_back_holds_a_value(config):
+    # an enqueue writes only the slot it claimed below back, which is
+    # why rename reads no slot at or above back.  nonatomic_enq claims
+    # the slot at back before it moves back past it, and writes it after
+    kernel = _Kernel(config)
+    for state in reachable_states(kernel)[0]:
+        back = state & kernel.back_mask
+        assert all((state >> (kernel.items_sh + kernel.item_w * i)) & kernel.item_mask == 0
+                   for i in range(back, kernel.cap)), state
+
+
+def test_purity_sweep_lines_do_not_grow_with_capacity():
+    # a 2+1 run claims no slot past the second, so its purity sweep runs
+    # the same lines of sweep.py at capacity 4 as at capacity 10,000
+    def run(capacity):
+        config = plain_config(2, 1, capacity=capacity)
+        return traced_lines(sweep.__file__, lambda: sweep_config(config, check_purity=True))
+
+    (small, small_lines), (large, large_lines) = run(4), run(10_000)
+    assert small_lines == large_lines
+    assert small.purity_outcomes == large.purity_outcomes
 
 
 @pytest.mark.parametrize("config", ERASURE_CONFIGS)

@@ -603,16 +603,17 @@ def _undominated_completions(c: History) -> Iterator[History]:
     prefixes reaches every admissible assignment, and the enumeration
     stops at the first k that admits none.
 
-    Rule 7 is prefix-closed through rule 4.  Say v is open (returned
-    fewer times than enqueued) when u is assigned, and every enqueue of
-    v precedes every enqueue of u.  Only assigning v after u could close
-    v, and rule 4 forbids that.  So u is admissible when its first
-    invocation comes before the least last_res over the open values; a
-    stack beside rule 4's keeps that bound, and a rescan updates it only
-    when a budget reaches 0.  The values that completed dequeues return
-    are checked at the leaf, against the values still open there.  That
-    filter drops a full assignment, but k still counts as admitting it:
-    a completion refuted at k may be completed at k + 1.
+    Rule 7 is one count: owed(bar) is the number of copies not yet
+    returned of the values whose enqueues all respond before bar, a
+    prefix of the values sorted by last_res.  A value u is tried only
+    when owed(first_inv[u]) is 0, since a copy still owed then could
+    only be assigned after u, which rule 4 forbids; budgets only fall, so
+    the same test keeps rule 4.  The values completed dequeues return
+    need owed(done_bar) to reach 0 by the full assignment, and each
+    dequeue left pays at most one copy, so a branch stops at any depth
+    once owed(done_bar) exceeds the dequeues left.  A stopped branch
+    still counts as found, as a full assignment does: a completion
+    refuted at k may be completed at k + 1, with one more dequeue to pay.
 
     Rule 6 gives a block of interchangeable dequeues its values in
     non-decreasing last_res order.  Sorting by value instead would be a
@@ -654,9 +655,10 @@ def _undominated_completions(c: History) -> Iterator[History]:
     # rule 7 for the values completed dequeues return
     done_bar = max((first_inv[v] for v in completed_deqs if v in first_inv), default=-1)
 
-    def least_open() -> int:
-        """The least last_res of a value returned fewer times than enqueued."""
-        return next((last_res[v] for v in order if budget[v] > 0), end)
+    def owed(bar: int) -> int:
+        """The copies not yet returned of the values whose enqueues all
+        respond before bar."""
+        return sum(budget[v] for v in order[:bisect_left(order, bar, key=last_res.__getitem__)])
 
     def completion(assigned: list[Value]) -> History:
         returned = set(completed_deqs).union(assigned)
@@ -667,39 +669,33 @@ def _undominated_completions(c: History) -> Iterator[History]:
                             [enq_res(e.uid) if e.is_enq else deq_res(e.uid, result[e.uid])
                              for e in pending if e.uid in keep])
 
-    low = least_open()
-    if done_bar < low and any(e.is_enq and e.value in completed_deqs for e in pending):
+    if not owed(done_bar) and any(e.is_enq and e.value in completed_deqs for e in pending):
         yield completion([])  # k = 0 differs from drop-all by rule 5
     for k in range(1, len(deqs) + 1):
         found = False
         chosen: list[Value] = []
-        bars = [-1]  # bars[i]: the latest first_inv among chosen[:i]
-        lows = [low]  # lows[i]: least_open() once chosen[:i] is assigned
         stack = [iter(order)]
         while stack:
             for v in stack[-1]:
-                if budget[v] > 0 and last_res[v] > bars[-1] and first_inv[v] < lows[-1]:
+                if budget[v] > 0 and not owed(first_inv[v]):
                     break
             else:
                 stack.pop()
                 if chosen:
                     budget[chosen.pop()] += 1
-                    bars.pop()
-                    lows.pop()
                 continue
             chosen.append(v)
             budget[v] -= 1
-            bars.append(max(bars[-1], first_inv[v]))
-            lows.append(least_open() if not budget[v] and last_res[v] == lows[-1] else lows[-1])
-            if len(chosen) < k:
-                # rule 6: a dequeue in the block of the last one takes no
-                # value ranked below the last one's
-                stack.append(iter(order[order.index(v) if joins[len(chosen)] else 0:]))
-                continue
-            found = True
-            if done_bar < lows[-1]:
+            left = k - len(chosen)
+            if owed(done_bar) <= left:
+                if left:
+                    # rule 6: a dequeue in the block of the last one takes
+                    # no value ranked below the last one's
+                    stack.append(iter(order[order.index(v) if joins[len(chosen)] else 0:]))
+                    continue
                 yield completion(chosen)
-            stack.append(iter(()))  # a full assignment extends no further
+            found = True
+            stack.append(iter(()))  # a full or stopped assignment extends no further
         if not found:
             return
 

@@ -17,7 +17,8 @@ by construction, and ``reference_detect_first``, the four detectors run
 in turn.  ``reference_check_linearizable`` decides a history
 with pending operations through every one of its completions, the
 reference for the checker's dominance pruning, which ``pinned_history``
-stresses.
+stresses; ``reference_undominated_completions`` states each rule of that
+pruning as a predicate on one completion.
 
 The last sections are the reference exploration of queue-machine
 configurations on the readable model in ``qlin.hwmodel``: trace
@@ -103,7 +104,7 @@ from qlin.hwmodel import (
 from qlin.queuespec import Behavior, is_legal
 from qlin.sweep import _is_inv, _Kernel
 
-from lemmas import after_set, before_set, compute_bad, enq_order, uids
+from lemmas import after_set, before_set, compute_bad, enq_order, interchangeable_blocks, uids
 
 ENQ, DEQ = "enq", "deq"
 
@@ -720,6 +721,51 @@ def reference_check_linearizable(c: History, *, build_witness: bool = True) -> V
     return first
 
 
+def reference_undominated_completions(c: History) -> list[History]:
+    """The completions of c that rules 1-7 of check_linearizable keep,
+    each rule a predicate on one completion History.completions yields,
+    in the order of the checker's walk: the drop-all-pending completion
+    first, then by the number k of pending dequeues kept, then by the
+    rank of each kept dequeue's value in last_res order.  A complete
+    history is its own only completion."""
+    if c.is_complete:
+        return [c]
+    end = len(c.actions)
+    inv = {a.uid: i for i, a in enumerate(c.actions) if a.kind == "inv"}
+    res = {a.uid: i for i, a in enumerate(c.actions) if a.kind == "res"}
+    enqs = [e for e in c.events if e.is_enq]
+    copies = Counter(e.value for e in enqs)
+    first_inv = {v: min(inv[e.uid] for e in enqs if e.value == v) for v in copies}
+    last_res = {v: max(res.get(e.uid, end) for e in enqs if e.value == v) for v in copies}
+    ranked = sorted(copies, key=lambda v: (last_res[v], first_inv[v]))
+    rank = {v: i for i, v in enumerate(ranked)}
+    deqs = sorted((e.uid for e in c.events if e.is_deq and e.pending), key=inv.__getitem__)
+    blocks = interchangeable_blocks(c)
+    kept_rules = []
+    for comp in c.completions():
+        result = {e.uid: e.value for e in comp.events if e.is_deq}
+        present = {e.uid for e in comp.events}
+        kept = [d for d in deqs if d in present]
+        values = [result[d] for d in kept]
+        returned = Counter(result.values())
+        if (NULL not in values  # rule 1
+                # rule 2: a completed dequeue may overdraw a value no kept one takes
+                and all(returned[v] <= copies[v] for v in values)
+                and kept == deqs[:len(kept)]  # rule 3
+                and not any(last_res[values[j]] < first_inv[values[i]]  # rule 4
+                            for j in range(len(values)) for i in range(j))
+                and all((e.uid in present) == (returned[e.value] > 0)  # rule 5
+                        for e in enqs if e.pending)
+                and all(rank[result[a]] <= rank[result[b]]  # rule 6
+                        for block in blocks for a, b in zip(block, block[1:]) if b in present)
+                # rule 7, for each returned u that has an enqueue
+                and all(returned[v] >= copies[v] for u in returned if u in copies
+                        for v in copies if last_res[v] < first_inv[u])):
+            kept_rules.append(((len(kept), [rank[v] for v in values]), comp))
+    first = c.remove_pending()
+    return [first] + [comp for _, comp in sorted(kept_rules, key=lambda kc: kc[0]) if comp != first]
+
+
 def pinned_history(p: int) -> History:
     """8 completed enqueues of 1..8, then p pending dequeues overlapping
     one NULL dequeue.  Linearizable exactly when p >= 8: the NULL needs
@@ -740,6 +786,19 @@ def overlapping_history(n: int, p: int) -> History:
     lines = [f"inv {u} enq {u + 1}" for u in range(n)] + [f"res {u} enq" for u in range(n)]
     lines += [f"inv {n + j} deq" for j in range(p)]
     lines += [f"inv {n + p} deq", f"res {n + p} deq null"]
+    return parse_history("\n".join(lines))
+
+
+def late_value_history(n: int, p: int) -> History:
+    """G(n, p): F(n, p) with the NULL dequeue replaced by a completed
+    enq(n + 1) and then a completed dequeue returning n + 1.  A VOrd
+    violation whenever p < n: every enqueue of 1..n precedes enq(n + 1),
+    so every value leaves before n + 1, and only the pending dequeues can
+    take them."""
+    lines = [f"inv {u} enq {u + 1}" for u in range(n)] + [f"res {u} enq" for u in range(n)]
+    lines += [f"inv {n + j} deq" for j in range(p)]
+    lines += [f"inv {n + p} enq {n + 1}", f"res {n + p} enq",
+              f"inv {n + p + 1} deq", f"res {n + p + 1} deq {n + 1}"]
     return parse_history("\n".join(lines))
 
 

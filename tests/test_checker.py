@@ -72,6 +72,7 @@ from support import (
     canonical_histories,
     check_safe,
     isomorphic,
+    late_value_history,
     overlapping_history,
     pinned_history,
     pwit_prime,
@@ -84,7 +85,9 @@ from support import (
     reference_detect_vord,
     reference_detect_vwit,
     reference_total_enq_order,
+    reference_undominated_completions,
     seq_history,
+    traced_lines,
 )
 
 
@@ -1010,6 +1013,74 @@ def test_completion_bound(monkeypatch):
     assert check_linearizable(h(SECOND_ONE)).status == INDETERMINATE
 
 
+@pytest.mark.parametrize("n, budget", [(16, 200_000), (32, 200_000), (64, 1_000_000)])
+def test_late_value_family_is_one_completion(n, budget):
+    # G(n, n - 1): enq(n + 1) follows every other enqueue, so its
+    # completed dequeue owes n copies, and n - 1 pending dequeues can pay
+    # at most n - 1 of them.  Each branch stops at once, so only the
+    # drop-all completion is left, within a budget of executed lines
+    # that a walk over every value subset passes fast
+    c = late_value_history(n, n - 1)
+    (count, v), _ = traced_lines(checker.__file__, lambda: (
+        sum(1 for _ in _undominated_completions(c)), check_linearizable(c)), budget)
+    assert count == 1
+    assert v.summary() == f"VIOLATION vord e1=0 e2={2 * n - 1} d2={2 * n}"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_late_value_family_agrees_with_oracle(n):
+    c = late_value_history(n, n - 1)
+    assert check_linearizable(c).status == VIOLATION
+    assert not brute_force_linearizable(c)
+
+
+def undominated_pool():
+    """Seeded histories with pending calls: merged-value generate_history
+    runs of 1-4 enqueues and 1-4 dequeues, values in 1-3, each response
+    dropped with probability 0.35, at most 5 pending; and atomic-queue
+    runs of 8-30 actions, each response dropped with probability 0.15,
+    at most 4 pending and 8 values."""
+    for seed in range(3_000):
+        rng = random.Random(seed)
+        n_enq, n_deq = rng.randint(1, 4), rng.randint(1, 4)
+        c = generate_history(seed, n_enq, n_deq)
+        c = with_values_merged(c, {v: rng.randint(1, 3) for v in range(1, n_enq + 1)})
+        c = without_responses(c, rng, 0.35)
+        if sum(e.pending for e in c.events) <= 5:
+            yield c
+    for seed in range(3_000):
+        rng = random.Random(seed)
+        c = atomic_queue_history(rng, rng.randint(8, 30), null_window=seed % 2 == 1)
+        c = without_responses(c, rng, 0.15)
+        if sum(e.pending for e in c.events) <= 4 and len(set(c.enq_values())) <= 8:
+            yield c
+
+
+def test_undominated_completions_agree_with_reference():
+    """The walk yields exactly the completions that rules 1-7, each
+    checked on its own completion, keep, in the same order."""
+    n = 0
+    for n, c in enumerate(undominated_pool(), start=1):
+        assert list(_undominated_completions(c)) == reference_undominated_completions(c), \
+            c.serialize()
+    assert n > 5_000
+
+
+def test_a_stopped_branch_does_not_end_the_walk():
+    # values 1-4 are all enqueued before enq(6), so the completed
+    # deq -> 6 owes one copy of each, and only the pending dequeues can
+    # pay them: every branch of k = 1..3 stops before its full
+    # assignment, and a walk that ended there would miss the witness at
+    # k = 4
+    rng = random.Random(2196)
+    c = atomic_queue_history(rng, rng.randint(8, 60), null_window=True)
+    c = without_responses(c, rng, 0.15)
+    assert (len(c.actions), sum(e.pending for e in c.events)) == (23, 5)
+    assert c.actions[-1].serialize() == "res 4 deq null"
+    assert check_linearizable(c).status == LINEARIZABLE
+    assert brute_force_linearizable(c)
+
+
 def test_seeded_truncations_agree_with_oracle():
     """200 generated 3+3 histories, each with a seeded set of responses
     dropped, enqueue responses among them, so pending enqueues are
@@ -1017,9 +1088,7 @@ def test_seeded_truncations_agree_with_oracle():
     pending_enqs = 0
     for seed in range(200):
         c = generate_history(seed, 3, 3)
-        rng = random.Random(seed)
-        drop = {u for u in uids(c) if rng.random() < 0.4}
-        sub = History(a for a in c.actions if not (a.kind == "res" and a.uid in drop))
+        sub = without_responses(c, random.Random(seed), 0.4)
         pending_enqs += sum(e.is_enq and e.pending for e in sub.events)
         v = check_linearizable(sub)
         assert v.status != INDETERMINATE
@@ -1108,7 +1177,12 @@ def random_pending_history(seed):
     n_enq = rng.randint(1, calls - 1)
     c = generate_history(seed, n_enq, calls - n_enq)
     c = with_values_merged(c, {v: rng.randint(1, 3) for v in range(1, n_enq + 1)})
-    drop = {u for u in uids(c) if rng.random() < 0.2}
+    return without_responses(c, rng, 0.2)
+
+
+def without_responses(c, rng, p):
+    """c with the response of each call dropped with probability p."""
+    drop = {u for u in uids(c) if rng.random() < p}
     return History(a for a in c.actions if not (a.kind == "res" and a.uid in drop))
 
 

@@ -36,29 +36,32 @@ some state is needed, and returns the tokens that schedule emits too:
 the divergence harnesses read their counterexample histories off them.
 
 Two walks visit the canonical states.  ``count_schedules`` counts
-schedules; ``sweep_config`` runs it on the configuration with its
-enqueue values erased (every enqueuer enqueues one value), which
-counts the same schedules over far fewer states: the queue moves values
-but never compares them (Wolper's data independence), so no plain
-transition and no endpoint status reads which value a slot or result
-holds, only whether it holds one, and all enqueuers then form one
-symmetry group.  ``reachable_states`` keeps only a visited set and
-whether some run stops at the loop bound, which is all the divergence
-harnesses in explorer read; they compare values, so they walk the real
-ones.
+schedules; ``sweep_config`` runs it on the stamped kernel of the
+configuration with its enqueue values erased (every enqueuer enqueues
+one value, and writes its invocation rank among the enqueuers in its
+place), which counts the same schedules over far fewer states: the
+queue moves values but never compares them (Wolper's data
+independence), so no plain transition and no endpoint status reads
+which value a slot or result holds, only whether it holds one, and all
+enqueuers then form one symmetry group.  The ranks still tell which
+enqueuer's value sits where, so the purity check reads every pending
+dequeue off the same states.  ``reachable_states`` keeps only a visited
+set and whether some run stops at the loop bound, which is all the
+divergence harnesses in explorer read; they compare values, so they
+walk the real ones.
 
 The sweep produces
   - exact counts of maximal schedules by endpoint status, computed by
     dynamic programming in one iterative post-order walk over the
-    canonical states of the value-erased configuration;
+    canonical states of the stamped, value-erased configuration;
   - a purity verdict for every reachable (shared state, pending dequeue
     frame) pair, from solo runs of the dequeue with a fresh loop budget,
     memoized on exactly that projection with the loop counter cleared,
-    in one pass (``purity_scan``) over the states in which history
-    collection first reached each pair; collection gates the enqueuers
-    into value order, and every other run is one of those with its
-    values renamed, so each verdict is recorded for every value renaming
-    of its pair too;
+    in one pass (``purity_scan``) over the count walk's states; each
+    verdict is recorded for every real pair its stamped pair stands
+    for, one per injective map of its stamps to the enqueuers, and an
+    impure pair's evidence is the first raw state holding it in a
+    breadth-first walk;
   - representative complete histories, at least one per isomorphism
     class, found by a breadth-first walk over (state, history prefix)
     nodes that goes one level at a time and expands each state once per
@@ -186,9 +189,17 @@ class _Kernel:
     else its 1-based menu entry; both are zero-width unless the
     configuration has choice threads or prophecy dequeues, so plain
     configurations keep thread identity out of the state.
+
+    A stamped kernel, of a plain configuration with its enqueue values
+    erased, holds stamps instead of value indices: at E1 an enqueuer
+    stores 1 + the number of enqueuers already invoked, its invocation
+    rank among them, in its result field, which no enqueue otherwise
+    uses, and at E2 writes that stamp to its slot.  A stamped state
+    then tells which enqueuer's value sits where while every enqueuer
+    keeps one program, so they stay one symmetry group.
     """
 
-    def __init__(self, config: Config):
+    def __init__(self, config: Config, *, stamped: bool = False):
         threads = config.threads
         self.config = config
         self.n = len(threads)
@@ -223,13 +234,15 @@ class _Kernel:
         ]
         self.is_enq = [p is not None and p[0] > 0 for p in self.progs]
         self.ranked = any(p is None or p[1] is not None for p in self.progs)
+        self.stamped = stamped
 
         # field widths: back and rng + 1 hold 0..cap, slot 0..cap-1,
-        # iters 0..lb, slots and results 0..number of distinct values
+        # iters 0..lb, slots and results 0..number of distinct values,
+        # or of enqueuers when stamped
         back_w = self.cap.bit_length()
         slot_w = max(self.cap - 1, 0).bit_length()
         it_w = self.lb.bit_length()
-        value_w = len(self.values).bit_length()
+        value_w = (sum(self.is_enq) if stamped else len(self.values)).bit_length()
         uid_w = max(self.n - 1, 0).bit_length() if self.ranked else 0
         op_w = max((len(m) for m in self.menus if m), default=0).bit_length()
         # the scratch counter bounds the dequeuers' NULL swaps, at most cap
@@ -264,7 +277,7 @@ class _Kernel:
             self.shifts, self.low_mask, slot_sh, (1 << slot_w) - 1, rng_sh,
             self.back_mask, self.it_sh, self.it_mask, self.res_sh,
             self.items_sh, self.item_w, self.item_mask,
-            self.cap, self.lb, self.scan_start, self.progs, self.ranked,
+            self.cap, self.lb, self.scan_start, self.progs, self.ranked, stamped,
         )
 
         # threads with identical programs are interchangeable; the flag
@@ -304,51 +317,36 @@ class _Kernel:
         return [((shared, f & fresh_mask), tid) for tid, sh in self.deq_shifts
                 if (f := (state >> sh) & f_mask) & 0x7 not in (_IDLE, _DONE)]
 
-    def value_renamings(self) -> tuple[tuple[int, ...], ...]:
-        """Renamings of the value indices, each mapping index v to its
-        entry v (0, NULL, to itself), such that the states history
-        collection reaches, renamed by each, give every reachable state
-        up to swapping identical threads.
+    def real_pairs(self, pair, real: _Kernel):
+        """The pending-dequeue pairs of real, the kernel of the
+        configuration this stamped kernel erased, that a pair of this
+        kernel stands for, packed as real.pending_dequeues packs them.
 
-        All permutations when collection gates the enqueuers into value
-        order: a run whose enqueuers invoke in another order is a gated
-        run with its values renamed and its enqueuer threads swapped.
-        Otherwise, with one enqueuer or a value enqueued twice, only the
-        identity.
+        One per injective map from the stamps the pair holds (in the
+        slots below back, the only ones an enqueue writes, and in the
+        frame's result) to real's enqueuers, with each such cell given
+        the value of its enqueuer: the enqueuers differ in nothing but
+        their values and no transition reads those, so every map is the
+        rank order of some run.
         """
-        k = len(self.values)
-        if self.enq_tids not in self.emit_groups():
-            return (tuple(range(k + 1)),)
-        return tuple((0,) + p for p in permutations(range(1, k + 1)))
-
-    def rename(self, state: int, renaming) -> int:
-        """The state a run reaches when renamed by renaming (a tuple from
-        value_renamings): every slot and result renamed, and each
-        enqueuer's frame moved to the enqueuer of its renamed value.
-        Only the slots below back can hold a value, since an enqueue
-        writes only the slot it claimed below back."""
-        mask, w = self.item_mask, self.item_w
-        for i in range(state & self.back_mask):
-            ish = self.items_sh + w * i
-            held = (state >> ish) & mask
-            state = (state & ~(mask << ish)) | (renaming[held] << ish)
-        frames = []
-        for sh in self.shifts:
-            f = (state >> sh) & self.f_mask
-            held = (f >> self.res_sh) & mask
-            frames.append((f & ~(mask << self.res_sh)) | (renaming[held] << self.res_sh))
-        enqueuer_of = {self.progs[t][0]: t for t in self.enq_tids}
-        for v, t in enqueuer_of.items():
-            if renaming[v] != v:
-                frames[enqueuer_of[renaming[v]]] = (state >> self.shifts[t]) & self.f_mask
-        for sh, f in zip(self.shifts, frames):
-            state = (state & ~(self.f_mask << sh)) | (f << sh)
-        return state
+        shared, fresh = pair
+        w, mask = self.item_w, self.item_mask
+        cells = [(shared >> (self.items_sh + w * i)) & mask
+                 for i in range(shared & self.back_mask)]
+        res = (fresh >> self.res_sh) & mask
+        stamps = sorted({*cells, res} - {0})
+        scratch = (shared >> self.scratch_sh) & self.scratch_mask
+        base = (shared & self.back_mask) | (scratch << real.scratch_sh)
+        frame = fresh & ((1 << self.res_sh) - 1)
+        values = [real.progs[t][0] for t in real.enq_tids]
+        for picked in permutations(values, len(stamps)):
+            value_of = {0: 0, **dict(zip(stamps, picked))}
+            shared = base
+            for i, held in enumerate(cells):
+                shared |= value_of[held] << (real.items_sh + real.item_w * i)
+            yield shared, frame | (value_of[res] << real.res_sh)
 
     # -- field helpers ----------------------------------------------------
-
-    def frame(self, state: int, tid: int) -> int:
-        return (state >> self.shifts[tid]) & self.f_mask
 
     def init_state(self) -> int:
         return 0
@@ -444,7 +442,8 @@ class _Kernel:
         """
         out = []
         (shifts, low_mask, slot_sh, slot_mask, rng_sh, rng_mask, it_sh, it_mask,
-         res_sh, items_sh, item_w, item_mask, cap, lb, scan_start, progs, ranked) = self.layout
+         res_sh, items_sh, item_w, item_mask, cap, lb, scan_start, progs, ranked,
+         stamped) = self.layout
         back = state & self.back_mask
         gate: dict[int, int] = {}
         for tids in gate_groups:
@@ -486,15 +485,19 @@ class _Kernel:
                         ns = (base | (nf << sh)) + 1  # back += 1
                     if ranked:
                         ns |= self._rank(state) << (sh + self.uid_sh)
+                    if stamped:
+                        ns |= self._stamp(state) << (sh + res_sh)
                     out.append((tid, "E1", (_T_EINV, tid, vbits), ns))
                 elif pc == _E1B:
-                    nf = _E2 | (f & (slot_mask << slot_sh))
+                    # the claimed slot, and the stamp when stamped
+                    nf = _E2 | (f & ((slot_mask << slot_sh) | (item_mask << res_sh)))
                     ns = (base | (nf << sh)) + 1
                     out.append((tid, "E1b", None, ns))
                 elif pc == _E2:
                     slot = (f >> slot_sh) & slot_mask
                     ish = items_sh + item_w * slot
-                    ns = (base & ~(item_mask << ish)) | (vbits << ish)
+                    # an unstamped enqueuer's result field holds 0
+                    ns = (base & ~(item_mask << ish)) | ((f >> res_sh or vbits) << ish)
                     ns |= _RET << sh
                     out.append((tid, "E2", None, ns))
                 else:  # _RET
@@ -554,6 +557,10 @@ class _Kernel:
     def _rank(self, state: int) -> int:
         # invocation rank of the next operation: the threads already invoked
         return sum(1 for sh in self.shifts if (state >> sh) & 0x7 != _IDLE)
+
+    def _stamp(self, state: int) -> int:
+        # 1 + invocation rank of the next enqueue among the enqueuers
+        return 1 + sum(1 for t in self.enq_tids if (state >> self.shifts[t]) & 0x7 != _IDLE)
 
     def classify(self, state: int) -> str:
         all_done = True
@@ -669,41 +676,57 @@ class _Kernel:
                 return None
 
 
+def _breadth_first(kernel: _Kernel, stop) -> tuple[dict, int | None]:
+    """Raw states breadth-first until one satisfies stop: (the step
+    that first reached each state discovered, that state or None).
+
+    Threads and branches are expanded in hwmodel's order and each state
+    keeps the step that first reached it, so this is the order of a
+    breadth-first walk over hwmodel's states; stop sees every state in
+    that order, the initial one first.
+    """
+    init = kernel.init_state()
+    parents: dict[int, tuple | None] = {init: None}
+    if stop(init):
+        return parents, init
+    queue = deque([init])
+    while queue:
+        state = queue.popleft()
+        for tid, instr, token, ns in kernel.successors(state):
+            if ns not in parents:
+                parents[ns] = (state, f"{tid}:{instr}", token)
+                if stop(ns):
+                    return parents, ns
+                queue.append(ns)
+    return parents, None
+
+
+def _schedule_to(parents: dict, state: int) -> tuple[tuple[str, ...], tuple]:
+    """The schedule _breadth_first found to state, and its tokens."""
+    labels: list[str] = []
+    tokens: list[tuple] = []
+    while parents[state] is not None:
+        state, label, token = parents[state]
+        labels.append(label)
+        if token is not None:
+            tokens.append(token)
+    return tuple(reversed(labels)), tuple(reversed(tokens))
+
+
 def first_schedule(kernel: _Kernel, stop):
     """The first raw state, in breadth-first order, that satisfies stop,
     with the schedule that reaches it and the tokens that schedule
     emits: (schedule, tokens, state), or None when no reachable state
     does.
 
-    Threads and branches are expanded in hwmodel's order and each state
-    keeps the step that first reached it, so this is the schedule a
-    breadth-first walk over hwmodel's states finds.  The walk stops at
-    that state, so it holds only the states discovered before it.
+    This is the schedule a breadth-first walk over hwmodel's states
+    finds.  The walk stops at that state, so it holds only the states
+    discovered before it.
     """
-    init = kernel.init_state()
-    parents: dict[int, tuple | None] = {init: None}
-    queue = deque([init])
-    found = init if stop(init) else None
-    while found is None and queue:
-        state = queue.popleft()
-        for tid, instr, token, ns in kernel.successors(state):
-            if ns not in parents:
-                parents[ns] = (state, f"{tid}:{instr}", token)
-                if stop(ns):
-                    found = ns
-                    break
-                queue.append(ns)
+    parents, found = _breadth_first(kernel, stop)
     if found is None:
         return None
-    labels: list[str] = []
-    tokens: list[tuple] = []
-    state = found
-    while parents[state] is not None:
-        state, label, token = parents[state]
-        labels.append(label)
-        if token is not None:
-            tokens.append(token)
-    return tuple(reversed(labels)), tuple(reversed(tokens)), found
+    return *_schedule_to(parents, found), found
 
 
 def count_schedules(kernel: _Kernel):
@@ -715,12 +738,12 @@ def count_schedules(kernel: _Kernel):
     bound makes the state graph acyclic, so a post-order walk with an
     explicit stack sums each state's counts from its successors'.
 
-    sweep_config passes the kernel of its configuration with every
-    enqueuer enqueuing one value.  The counts are the same, since a
-    plain transition or endpoint status tests a slot or result against
-    NULL and nothing else, and the walk is shorter: the enqueuers form
-    one group, so states that differ only in which value sits where
-    fold into one.
+    sweep_config passes the stamped kernel of its configuration with
+    its enqueue values erased.  The counts are the same, since a plain
+    transition or endpoint status tests a slot or result against NULL
+    and nothing else, and the walk is shorter: the enqueuers form one
+    group, so states that differ only in which enqueuer took which
+    invocation rank fold into one.
     """
     successors, canon_step = kernel.successors, kernel.canon_step
     memo: dict[int, tuple] = {}
@@ -772,8 +795,10 @@ def reachable_states(kernel: _Kernel):
     return seen, bound_hit
 
 
-def purity_scan(kernel: _Kernel, states):
-    """Purity-check every pending dequeue in the given states.
+def purity_scan(kernel: _Kernel, real: _Kernel, states):
+    """Purity-check every pending dequeue that real reaches, over
+    states: the canonical states count_schedules visited on kernel, the
+    stamped kernel of real's configuration with its values erased.
 
     A check runs the dequeue alone from its state with a fresh loop
     budget (its iteration counter cleared).  The verdict is TERMINATES
@@ -782,28 +807,30 @@ def purity_scan(kernel: _Kernel, states):
     slots, scratch), VIOLATION when one does.
 
     The (shared state, dequeue frame) pair, with the counter cleared,
-    fully determines the verdict, which is memoized on it
-    (kernel.pending_dequeues).  A verdict also holds for the pair
-    renamed by each of kernel.value_renamings(), since renaming values
-    maps solo runs to solo runs, so it is recorded for those pairs at
-    once.  Over the states collect_histories hands back, or any states
-    holding every reachable pair up to those renamings, this covers
-    every reachable pair.
+    fully determines the verdict, which is memoized on the stamped pair
+    (kernel.pending_dequeues) and recorded for every pair of real it
+    stands for (kernel.real_pairs): a solo run only tests a slot
+    against NULL, so whether it blocks, and whether it changes the
+    shared state, does not depend on the values the stamps stand for.
+    Every reachable state of the stamped kernel is a canonical one with
+    its threads permuted, which keeps its pairs, so this covers every
+    pair real reaches.
 
-    Returns the count of pairs per verdict and one (state, tid) per
-    VIOLATION pair: a state holding the pair, renamed from the scanned
-    state that held its original, and the dequeuer whose frame it is.
+    Returns the count of real pairs per verdict, and one SweepImpurity
+    per VIOLATION pair: the first raw state of real, breadth-first in
+    hwmodel's order, that holds the pair, and the dequeuer whose frame
+    it is, listed in the order the walk finds them.
     """
     successors, shifts, f_mask = kernel.successors, kernel.shifts, kernel.f_mask
     shared_mask = kernel.shared_mask
-    memo: dict = {}
-    outcomes: Counter = Counter()
-    bad: list = []
-    renamings = kernel.value_renamings()
+    memo: set = set()
+    verdicts: dict = {}  # real pair -> verdict
     for state in states:
-        for (shared, fresh), tid in kernel.pending_dequeues(state):
-            if (shared, fresh) in memo:
+        for pair, tid in kernel.pending_dequeues(state):
+            if pair in memo:
                 continue
+            memo.add(pair)
+            shared, fresh = pair
             sh = shifts[tid]
             start = (state & ~(f_mask << sh)) | (fresh << sh)
             verdict = "TERMINATES"
@@ -823,24 +850,30 @@ def purity_scan(kernel: _Kernel, states):
                     if ns not in seen:
                         seen.add(ns)
                         stack.append(ns)
-            for renaming in renamings:
-                renamed = kernel.rename(start, renaming)
-                key = (renamed & shared_mask, (renamed >> sh) & f_mask)
-                if key in memo:
-                    continue  # another renaming gave this pair
-                memo[key] = verdict
-                outcomes[verdict] += 1
-                if verdict == "VIOLATION":
-                    bad.append((kernel.rename(state, renaming), tid))
-    return outcomes, bad
+            for real_pair in kernel.real_pairs(pair, real):
+                verdicts.setdefault(real_pair, verdict)
+    outcomes = Counter(verdicts.values())
+    left = {pair for pair, verdict in verdicts.items() if verdict == "VIOLATION"}
+    found: list = []
+
+    def all_found(state: int) -> bool:
+        for pair, tid in real.pending_dequeues(state):
+            if pair in left:
+                left.remove(pair)
+                found.append((state, tid))
+        return not left
+
+    impure: tuple = ()
+    if left:
+        parents, _ = _breadth_first(real, all_found)
+        impure = tuple(SweepImpurity(tid, _schedule_to(parents, state)[0])
+                       for state, tid in found)
+    return outcomes, impure
 
 
 def collect_histories(kernel: _Kernel):
     """Representative complete token sequences, at least one per
-    isomorphism class, the number of nodes the walk visited, and for
-    every pending-dequeue pair (kernel.pending_dequeues) in the states
-    it reached, the state it first reached the pair in: a list in the
-    order the walk reached them.
+    isomorphism class, and the number of nodes the walk visited.
 
     A node is a state and a history prefix.  A prefix is a chain of
     closed runs and an open run, where a run is a maximal stretch of
@@ -860,12 +893,8 @@ def collect_histories(kernel: _Kernel):
     node's key in the visited set is its prefix id shifted past the
     state's bits, so the set holds single integers.
 
-    The states reached are those of every run whose enqueuers invoke in
-    value order and whose identical threads invoke in thread order, and
-    purity_scan reads the pairs of every other run off theirs by
-    renaming values.  A level's states are looked up as the walk
-    reaches them and none is kept past its level unless it holds a new
-    pair, so the walk's peak memory is that of its visited set.
+    No state is kept past its level, so the walk's peak memory is that
+    of its visited set.
     """
     gate_groups = kernel.emit_groups()
 
@@ -911,13 +940,8 @@ def collect_histories(kernel: _Kernel):
     complete: set[tuple] = set()
     successors, classify = kernel.successors, kernel.classify
     seen = {init}  # key = prefix id << state_bits | state
-    pending = kernel.pending_dequeues
-    firsts: dict[tuple, int] = {}  # pending-dequeue pair -> first state holding it
     level: dict[int, list[int]] = {init: [0]}
     while level:
-        for state in level:
-            for pair, _ in pending(state):
-                firsts.setdefault(pair, state)
         following: defaultdict[int, list[int]] = defaultdict(list)
         for state, pids in level.items():
             succs = successors(state, gate_groups)
@@ -935,7 +959,7 @@ def collect_histories(kernel: _Kernel):
                         seen.add(key)
                         following[ns].append(npid)
         level = following
-    return complete, len(seen), list(dict.fromkeys(firsts.values()))
+    return complete, len(seen)
 
 
 def sweep_config(config: Config, *, oracle: bool = False,
@@ -943,16 +967,17 @@ def sweep_config(config: Config, *, oracle: bool = False,
                  quotient: bool = True) -> SweepReport:
     """Full exhaustive sweep of one plain configuration.
 
-    Counts every maximal schedule on the configuration with its enqueue
-    values erased, so ``canonical_states`` counts that walk's states;
-    checks the representative complete histories (at least one per
+    Counts every maximal schedule on the stamped kernel of the
+    configuration with its enqueue values erased, so
+    ``canonical_states`` counts that walk's states; optionally
+    purity-checks every reachable pending dequeue over those states;
+    and checks the representative complete histories (at least one per
     isomorphism class, which cover the rest; see module docstring) with
-    the aspect detectors and optionally the brute-force oracle; and
-    optionally purity-checks every reachable pending dequeue, over
-    states history collection reached.  Violations and impure dequeues
-    carry a replayable schedule.  ``quotient`` accepts only True; the
-    exact collection of every distinct history is the test suite's
-    reference walk.
+    the aspect detectors and optionally the brute-force oracle.  History
+    collection runs only when some schedule is complete; otherwise
+    ``nodes`` is 0.  Violations and impure dequeues carry a replayable
+    schedule.  ``quotient`` accepts only True; the exact collection of
+    every distinct history is the test suite's reference walk.
 
     Choice threads and prophecy dequeues raise SweepScopeError: history
     collection renames values, which is unsound once a transition
@@ -970,16 +995,19 @@ def sweep_config(config: Config, *, oracle: bool = False,
         raise SweepScopeError("sweep_config handles plain enq/deq threads only")
     erased = replace(config, threads=tuple(
         EnqOp(1) if isinstance(op, EnqOp) else op for op in config.threads))
-    counts, counted = count_schedules(_Kernel(erased))
+    stamped = _Kernel(erased, stamped=True)
+    counts, counted = count_schedules(stamped)
     canonical_states = len(counted)
+    purity_outcomes: Counter = Counter()
+    impure: tuple[SweepImpurity, ...] = ()
+    if check_purity:
+        purity_outcomes, impure = purity_scan(stamped, kernel, counted)
     del counted  # collection's peak memory comes on top otherwise
 
-    complete, nodes, states = collect_histories(kernel)
-    purity_outcomes: Counter = Counter()
-    purity_bad: list = []
-    if check_purity:
-        purity_outcomes, purity_bad = purity_scan(kernel, states)
-    impure = tuple(_impurity(kernel, state, tid) for state, tid in purity_bad)
+    complete: set = set()
+    nodes = 0
+    if counts["COMPLETE"]:
+        complete, nodes = collect_histories(kernel)
 
     violations = []
     oracle_checked = 0
@@ -1011,13 +1039,3 @@ def sweep_config(config: Config, *, oracle: bool = False,
         purity_outcomes=purity_outcomes,
         impure=impure,
     )
-
-
-def _impurity(kernel: _Kernel, state: int, tid: int) -> SweepImpurity:
-    """Evidence for an impure dequeue of thread tid in state: the first
-    raw state of its orbit and the thread holding tid's frame there."""
-    target = kernel.canon(state)
-    schedule, _, raw = first_schedule(kernel, lambda s: kernel.canon(s) == target)
-    frame = kernel.frame(state, tid)
-    group = next((g for g in kernel.sym_groups if tid in g), (tid,))
-    return SweepImpurity(next(t for t in group if kernel.frame(raw, t) == frame), schedule)

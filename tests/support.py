@@ -33,11 +33,14 @@ under the history quotient.  ``reference_collect_histories`` walks
 history collection node by node; without ``quotient`` it is the exact
 collection of every distinct complete history, which only the tests
 run and which the quotient collection is checked against.
-``erased_canonical_states`` counts, on the readable model, the states
-the count walk visits once every enqueuer enqueues one value, and
-``gated_reachable_states`` is the plain walk over the packed states of
-runs whose enqueuers invoke in value order, the states history
-collection and the purity check read.
+``stamped_canonical_states`` counts, on the readable model, the states
+the count walk visits once each enqueued value is replaced by its
+enqueuer's invocation rank among the enqueuers;
+``reference_purity_scan`` runs one solo run per pending-dequeue pair of
+the real-valued packed states, the reference for the purity verdicts
+the product reads off that walk; and ``gated_reachable_states`` is the
+plain walk over the packed states of runs whose identical threads
+invoke in thread order.
 
 The checkers of the source paper's reformulation lemmas are not
 references for product code; they live in ``lemmas.py``, and
@@ -91,6 +94,8 @@ from qlin.history import (
 )
 from qlin.hwmodel import (
     MUTANT_NONE,
+    PC_E1B,
+    PC_E2,
     Config,
     DeqOp,
     EnqOp,
@@ -893,42 +898,65 @@ def erase_values(config: Config) -> Config:
         EnqOp(1) if isinstance(op, EnqOp) else op for op in config.threads))
 
 
-def erased_canonical_states(config: Config) -> int:
-    """Number of states the value-erased count walk visits, from the
-    readable model: every state of the value-erased configuration,
-    reached breadth-first, counted up to permuting the frames of
-    threads with the same declared operation.
+def stamped_canonical_states(config: Config) -> int:
+    """Number of states the stamped count walk visits, from the readable
+    model: every state of the configuration, reached breadth-first, with
+    each enqueued value replaced by the invocation rank of its enqueuer
+    among the enqueuers (1 for the first), counted up to permuting the
+    enqueuers' frames and the dequeuers' frames.
 
-    A plain configuration's packed state keeps no invocation rank, so
-    every invoked frame's uid is set to 0 as the walk goes.  That
-    changes no successor: a transition reads only whether uid is set,
-    and writes it only into the actions.  Two states then lie in one
-    orbit exactly when each group of identical threads holds the same
-    multiset of frames.
+    The enqueuers get distinct values first, so that each value names
+    its enqueuer.  As the walk goes, each invoked enqueuer's uid is set
+    to its rank among the enqueuers and each invoked dequeuer's to 0,
+    which changes no successor: a transition reads only whether uid is
+    set, and writes it only into the actions.  A newly invoked
+    enqueuer's uid, the number of threads invoked, exceeds every rank
+    set before, so sorting by uid keeps the ranks.  A frame is read as
+    its program counter, slot, scan range, loop counter and result,
+    plus an enqueuer's rank while it still has its value to write (at
+    E1b or E2); once written, the rank sits in the slot.
     """
-    erased = erase_values(config)
-    groups: dict = {}
-    for tid, op in enumerate(erased.threads):
-        groups.setdefault(op, []).append(tid)
+    distinct = replace(config, threads=tuple(
+        EnqOp(tid + 1) if isinstance(op, EnqOp) else op
+        for tid, op in enumerate(config.threads)))
+    enqs = [t for t, op in enumerate(distinct.threads) if isinstance(op, EnqOp)]
 
-    def unranked(state: HWState) -> HWState:
-        return replace(state, frames=tuple(
-            f if f.uid is None else replace(f, uid=0) for f in state.frames))
+    def ranked(state: HWState) -> HWState:
+        invoked = sorted((state.frames[t].uid, t) for t in enqs
+                         if state.frames[t].uid is not None)
+        rank = {t: r for r, (_, t) in enumerate(invoked)}
+        frames = tuple(f if f.uid in (None, rank.get(t, 0)) else replace(f, uid=rank.get(t, 0))
+                       for t, f in enumerate(state.frames))
+        return state if frames == state.frames else replace(state, frames=frames)
 
-    init = hw_init(erased)
+    def stamped(state: HWState) -> tuple:
+        stamp = {distinct.threads[t].value: state.frames[t].uid + 1
+                 for t in enqs if state.frames[t].uid is not None}
+
+        def frame(f):
+            writing = stamp[f.op.value] if f.pc in (PC_E1B, PC_E2) else 0
+            return (f.pc, f.slot, f.rng, f.iters, stamp.get(f.result, 0), writing)
+
+        enq_frames = sorted(frame(f) for t, f in enumerate(state.frames) if t in enqs)
+        deq_frames = sorted(frame(f) for t, f in enumerate(state.frames) if t not in enqs)
+        items = tuple(stamp.get(v, 0) for v in state.items)
+        return state.back, items, state.scratch, tuple(enq_frames), tuple(deq_frames)
+
+    init = hw_init(distinct)
     seen = {init}
     queue = deque([init])
     while queue:
-        for succ in _expand(erased, queue.popleft()):
-            ns = unranked(succ.state)
+        for succ in _expand(distinct, queue.popleft()):
+            ns = ranked(succ.state)
             if ns not in seen:
                 seen.add(ns)
                 queue.append(ns)
-    return len({
-        (s.back, s.items, s.scratch,
-         tuple(frozenset(Counter(s.frames[t] for t in tids).items()) for tids in groups.values()))
-        for s in seen
-    })
+    return len({stamped(s) for s in seen})
+
+
+def kernel_frame(kernel: _Kernel, state: int, tid: int) -> int:
+    """Thread tid's frame in a packed state."""
+    return (state >> kernel.shifts[tid]) & kernel.f_mask
 
 
 def gated_reachable_states(kernel: _Kernel) -> set[int]:
@@ -1284,6 +1312,41 @@ def purely_blocking_check(config: Config, state: HWState, tid: int) -> str:
         stack.extend(succ.state for succ in succs)
     return "PURE" if blocked_pure else "TERMINATES"
 
+
+
+def reference_purity_scan(kernel: _Kernel, states) -> dict:
+    """The verdict of every pending-dequeue pair (kernel.pending_dequeues)
+    in the given packed states, from one solo run per distinct pair on
+    the kernel's own transitions, as purely_blocking_check runs one on
+    the readable model.  Over the canonical states of the kernel's own
+    count walk, count_schedules(kernel)[1], these are the verdicts of
+    every pair a run reaches, with the real enqueue values: the
+    reference for the verdicts sweep_config reads off its stamped
+    walk."""
+    verdicts: dict = {}
+    for state in states:
+        for (shared, fresh), tid in kernel.pending_dequeues(state):
+            if (shared, fresh) in verdicts:
+                continue
+            sh = kernel.shifts[tid]
+            start = (state & ~(kernel.f_mask << sh)) | (fresh << sh)
+            blocked = set()
+            seen = {start}
+            stack = [start]
+            while stack:
+                s = stack.pop()
+                if kernel.done(s, tid):
+                    continue
+                succs = [ns for t, _, _, ns in kernel.successors(s) if t == tid]
+                if not succs:
+                    blocked.add(s & kernel.shared_mask == shared)
+                for ns in succs:
+                    if ns not in seen:
+                        seen.add(ns)
+                        stack.append(ns)
+            verdicts[shared, fresh] = ("VIOLATION" if False in blocked
+                                       else "PURE" if blocked else "TERMINATES")
+    return verdicts
 
 
 @dataclass(frozen=True)

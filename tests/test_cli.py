@@ -16,6 +16,7 @@ from qlin.cli import generate_history, main
 from qlin.explorer import induce_history, replay_schedule
 from qlin.history import NULL, parse_history
 from qlin.hwmodel import MUTANT_DIRTY_SPIN, MUTANT_NO_SWAP_CLEAR, Config, DeqOp, EnqOp
+from qlin.sweep import _Kernel
 
 from support import (
     DEQ,
@@ -390,6 +391,23 @@ def test_explore_dirty_spin_purity_fails(capsys):
     code, out, _ = run(capsys, argv + ["--purity", "--format", "lines"])
     assert code == 1
     assert out.splitlines()[0].endswith("purity-violations=7")
+
+
+def test_explore_without_purity_looks_up_no_pending_dequeue(capsys, monkeypatch):
+    # pending-dequeue pairs serve the purity check alone
+    calls = []
+    real = _Kernel.pending_dequeues
+
+    def counting(kernel, state):
+        calls.append(state)
+        return real(kernel, state)
+
+    monkeypatch.setattr(_Kernel, "pending_dequeues", counting)
+    argv = ["explore", "--enq", "2", "--deq", "1"]
+    assert run(capsys, argv)[0] == 0
+    assert len(calls) == 0
+    assert run(capsys, argv + ["--purity"])[0] == 0
+    assert len(calls) > 0
 
 
 def test_explore_impure_dequeue_schedules_replay(capsys):

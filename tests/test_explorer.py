@@ -44,6 +44,7 @@ from support import (
     check_configuration,
     count_traces,
     enumerate_traces,
+    kernel_frame,
     plain_config,
     purity_sweep,
     reference_divergence_vord,
@@ -416,7 +417,7 @@ def test_orbit_size_is_the_sorted_multinomial(kind, params):
     for state in canonical:
         size = 1
         for tids in kernel.sym_groups:
-            frames = sorted(kernel.frame(state, t) for t in tids)
+            frames = sorted(kernel_frame(kernel, state, t) for t in tids)
             size *= factorial(len(frames))
             for _, equal in groupby(frames):
                 size //= factorial(len(list(equal)))
@@ -465,7 +466,7 @@ def test_finished_dequeues_hold_a_value():
                 if prog is None or prog[0] or not kernel.done(state, t):
                     continue
                 checked += 1
-                res = (kernel.frame(state, t) & kernel.low_mask) >> kernel.res_sh
+                res = (kernel_frame(kernel, state, t) & kernel.low_mask) >> kernel.res_sh
                 assert res, (kind, params, state, t)
     assert checked
 

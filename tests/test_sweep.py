@@ -10,6 +10,7 @@ isomorphism.  Numeric literals were frozen from those cross-runs.
 """
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -30,13 +31,11 @@ from qlin.hwmodel import (
 )
 from qlin.sweep import (
     SweepScopeError,
-    _impurity,
     _Kernel,
     _T_EINV,
     collect_histories,
     count_schedules,
     first_schedule,
-    purity_scan,
     reachable_states,
     sweep_config,
 )
@@ -48,13 +47,15 @@ from support import (
     count_traces,
     enumerate_traces,
     erase_values,
-    erased_canonical_states,
     gated_reachable_states,
     isomorphic,
+    kernel_frame,
     plain_config,
     purely_blocking_check,
     purity_sweep,
     reference_collect_histories,
+    reference_purity_scan,
+    stamped_canonical_states,
     traced_lines,
 )
 
@@ -244,7 +245,7 @@ COLLECT_CONFIGS = [p for p in CANON_CONFIGS if not _Kernel(p.values[0]).ranked] 
     "config", [pytest.param(*p.values, id=f"quotient-{p.id}") for p in COLLECT_CONFIGS])
 def test_collect_matches_the_reference_walk(config):
     kernel = _Kernel(config)
-    assert collect_histories(kernel)[:2] == reference_collect_histories(kernel, quotient=True)
+    assert collect_histories(kernel) == reference_collect_histories(kernel, quotient=True)
 
 
 @pytest.mark.parametrize("cell, expanded, nodes", [
@@ -267,7 +268,7 @@ def test_collect_expands_each_state_once_per_level(monkeypatch, cell, expanded, 
         return real(state, gate_groups)
 
     monkeypatch.setattr(kernel, "successors", counting)
-    _, got_nodes, _ = collect_histories(kernel)
+    _, got_nodes = collect_histories(kernel)
     assert got_nodes == nodes
     assert len(calls) == expanded
 
@@ -307,89 +308,106 @@ def test_exact_violations_match_reference(config):
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
 def test_purity_scan_agrees_with_reference(config):
-    kernel = _Kernel(config)
-    outcomes, bad = purity_scan(kernel, count_schedules(kernel)[1])
+    r = sweep_config(config, check_purity=True)
     ref = purity_sweep(config)
-    assert (len(bad) == 0) == ref.clean
-    assert set(outcomes) == set(ref.outcomes)
+    assert (not r.impure) == ref.clean
+    assert set(r.purity_outcomes) == set(ref.outcomes)
 
 
 # ---------------------------------------------------------------------------
-# value erasure: sweep_config counts on the value-erased kernel and reads
-# purity off the collection walk; the real-valued count walk is the
-# reference for both
+# the stamped count walk: sweep_config counts on the stamped kernel of its
+# configuration with the enqueue values erased, and reads purity off the
+# states that walk visits; the real-valued count walk is the reference
+# for both
 
 
 ERASURE_CONFIGS = CROSS_CONFIGS + COLLECT_CONFIGS
+
+
+def stamped_kernel(config) -> _Kernel:
+    return _Kernel(erase_values(config), stamped=True)
 
 
 @pytest.mark.parametrize("config", ERASURE_CONFIGS)
 def test_erased_counts_match_the_real_count_walk(config):
     erased = _Kernel(erase_values(config))
     assert len(erased.values) == (1 if any(erased.is_enq) else 0)
-    assert count_schedules(erased)[0] == count_schedules(_Kernel(config))[0]
+    want = count_schedules(_Kernel(config))[0]
+    assert count_schedules(erased)[0] == count_schedules(stamped_kernel(config))[0] == want
 
 
 @pytest.mark.parametrize("config", ERASURE_CONFIGS + [
     pytest.param(plain_config(2, 1, mutant=MUTANT_DIRTY_SPIN), id="dirty-spin-2+1"),
+    pytest.param(plain_config(3, 1, mutant=MUTANT_NONATOMIC_ENQ), id="nonatomic-3+1"),
+    pytest.param(plain_config(2, 2, mutant=MUTANT_NO_SWAP_CLEAR, capacity=3, loop_bound=3),
+                 id="no-swap-clear-2+2"),
 ])
-def test_purity_over_collected_states_matches_the_count_walk(monkeypatch, config):
+def test_purity_over_collected_states_matches_the_count_walk(config):
+    # sweep_config's verdict counts, read off the stamped count walk,
+    # against one solo run per pair over the real-valued count walk.
+    # Stamping by claimed slot instead of invocation rank fails the
+    # nonatomic configs (two enqueuers can claim one slot); erasing the
+    # values and weighting each pair by its number of value maps fails
+    # no-swap-clear (one value in a slot and in a result at once)
     kernel = _Kernel(config)
-    k = len(kernel.values)
-    renamings = kernel.value_renamings()
-    if k < sum(kernel.is_enq):
-        # a value enqueued twice: renaming values is no symmetry
-        assert renamings == (tuple(range(k + 1)),)
-    got, got_bad = purity_scan(kernel, collect_histories(kernel)[2])
-    # the count walk reaches every state, so it needs no renaming
-    reference = _Kernel(config)
-    monkeypatch.setattr(reference, "value_renamings", lambda: (tuple(range(k + 1)),))
-    want, want_bad = purity_scan(reference, count_schedules(reference)[1])
-    assert got == want
-    assert len(got_bad) == len(want_bad) == want["VIOLATION"]
-
-
-def test_renaming_adds_the_pairs_gating_leaves_out(monkeypatch):
-    # collection gates the enqueuers into value order, so without the
-    # renamings its states miss purity pairs
-    kernel = _Kernel(plain_config(2, 1))
-    states = collect_histories(kernel)[2]
-    full, _ = purity_scan(kernel, states)
-    monkeypatch.setattr(kernel, "value_renamings", lambda: ((0, 1, 2),))
-    gated, _ = purity_scan(kernel, states)
-    assert dict(full) == {"PURE": 7, "TERMINATES": 36}
-    assert sum(gated.values()) < sum(full.values())
-
-
-def test_impurity_evidence_replays_from_renamed_states():
-    # one evidence entry per VIOLATION pair, whose state for a renamed
-    # pair is the renamed state: from every renaming of an impure state,
-    # the schedule parks the named thread where its solo run on the
-    # readable model is impure
-    config = plain_config(2, 1, mutant=MUTANT_DIRTY_SPIN)
-    kernel = _Kernel(config)
+    want = Counter(reference_purity_scan(kernel, count_schedules(kernel)[1]).values())
     r = sweep_config(config, check_purity=True)
-    assert r.purity_violations == r.purity_outcomes["VIOLATION"] > 0
-    _, bad = purity_scan(kernel, collect_histories(kernel)[2])
-    found = list(r.impure)
-    for state, tid in bad:
-        found.extend(_impurity(kernel, kernel.rename(state, renaming), tid)
-                     for renaming in kernel.value_renamings()[1:])
-    assert len(found) == 2 * len(r.impure)
-    for imp in found:
-        trace = replay_schedule(config, imp.schedule)
-        assert purely_blocking_check(config, trace.final, imp.tid) == "VIOLATION"
+    assert r.purity_outcomes == want
+    assert len(r.impure) == want["VIOLATION"]
 
 
 @pytest.mark.parametrize("config", ERASURE_CONFIGS)
 def test_renamed_gated_states_are_the_reachable_states(config):
-    # every run is a gated run with its values renamed and its enqueuer
-    # and identical threads swapped
+    # the stamped walk's pairs, renamed through every injective map of
+    # their stamps to the enqueuers, are exactly the pairs the real
+    # count walk reaches, each with the verdict the real one has
     kernel = _Kernel(config)
-    renamed = {kernel.canon(kernel.rename(state, renaming))
-               for state in gated_reachable_states(kernel)
-               for renaming in kernel.value_renamings()}
-    assert renamed == set(count_schedules(kernel)[1])
+    stamped = stamped_kernel(config)
+    want = reference_purity_scan(kernel, count_schedules(kernel)[1])
+    got: dict = {}
+    for pair, verdict in reference_purity_scan(stamped, count_schedules(stamped)[1]).items():
+        for real_pair in stamped.real_pairs(pair, kernel):
+            assert got.setdefault(real_pair, verdict) == verdict
+    assert got == want
+
+
+@pytest.mark.parametrize("config", ERASURE_CONFIGS)
+def test_collected_states_hold_every_gated_pair(config):
+    # the canonical states the stamped count walk hands purity_scan hold
+    # every pending-dequeue pair of the raw states of runs whose
+    # identical threads invoke in thread order, and no other pair
+    stamped = stamped_kernel(config)
+
+    def pairs(states):
+        return {pair for state in states for pair, _ in stamped.pending_dequeues(state)}
+
+    assert pairs(count_schedules(stamped)[1]) == pairs(gated_reachable_states(stamped))
+
+
+def test_impurity_evidence_replays():
+    # one evidence entry per impure pair, in the order a breadth-first
+    # walk first reaches them: each schedule parks the named thread
+    # where its solo run on the readable model is impure
+    config = plain_config(2, 1, mutant=MUTANT_DIRTY_SPIN)
+    r = sweep_config(config, check_purity=True)
+    assert len(r.impure) == r.purity_outcomes["VIOLATION"] == 27
+    depths = [len(imp.schedule) for imp in r.impure]
+    assert depths == sorted(depths)
+    for imp in r.impure:
+        trace = replay_schedule(config, imp.schedule)
+        assert purely_blocking_check(config, trace.final, imp.tid) == "VIOLATION"
+
+
+def test_purity_needs_no_collection_when_nothing_completes(monkeypatch):
+    # no run of grid cell 1+3 completes, so its sweep collects nothing,
+    # and purity is read off the count walk alone
+    def collect(kernel):
+        raise AssertionError("collect_histories ran")
+
+    monkeypatch.setattr(sweep, "collect_histories", collect)
+    r = sweep_config(grid_config(1, 3), check_purity=True)
+    assert (r.distinct_complete, r.nodes) == (0, 0)
+    assert dict(r.purity_outcomes) == {"PURE": 3, "TERMINATES": 3}
 
 
 @pytest.mark.parametrize("config", CANON_CONFIGS + [
@@ -398,13 +416,17 @@ def test_renamed_gated_states_are_the_reachable_states(config):
 ])
 def test_no_slot_at_or_above_back_holds_a_value(config):
     # an enqueue writes only the slot it claimed below back, which is
-    # why rename reads no slot at or above back.  nonatomic_enq claims
-    # the slot at back before it moves back past it, and writes it after
-    kernel = _Kernel(config)
-    for state in reachable_states(kernel)[0]:
-        back = state & kernel.back_mask
-        assert all((state >> (kernel.items_sh + kernel.item_w * i)) & kernel.item_mask == 0
-                   for i in range(back, kernel.cap)), state
+    # why real_pairs reads no slot of a stamped state at or above back.
+    # nonatomic_enq claims the slot at back before it moves back past
+    # it, and writes it after
+    kernels = [_Kernel(config)]
+    if not kernels[0].ranked:
+        kernels.append(stamped_kernel(config))
+    for kernel in kernels:
+        for state in reachable_states(kernel)[0]:
+            back = state & kernel.back_mask
+            assert all((state >> (kernel.items_sh + kernel.item_w * i)) & kernel.item_mask == 0
+                       for i in range(back, kernel.cap)), state
 
 
 def test_purity_sweep_lines_do_not_grow_with_capacity():
@@ -419,22 +441,6 @@ def test_purity_sweep_lines_do_not_grow_with_capacity():
     assert small.purity_outcomes == large.purity_outcomes
 
 
-@pytest.mark.parametrize("config", ERASURE_CONFIGS)
-def test_collected_states_hold_every_gated_pair(config):
-    # collection hands back gated states, one per pending-dequeue pair
-    # it reached first there, and together they hold every gated pair
-    kernel = _Kernel(config)
-    _, _, states = collect_histories(kernel)
-    gated = gated_reachable_states(kernel)
-
-    def pairs(found):
-        return {pair for state in found for pair, _ in kernel.pending_dequeues(state)}
-
-    assert set(states) <= gated
-    assert pairs(states) == pairs(gated)
-    assert len(set(states)) == len(states) <= len(pairs(states))
-
-
 @pytest.mark.parametrize("config", [
     pytest.param(plain_config(2, 1), id="2enq-1deq"),
     pytest.param(plain_config(3, 1, mutant=MUTANT_NONATOMIC_ENQ), id="nonatomic-3+1"),
@@ -442,6 +448,7 @@ def test_collected_states_hold_every_gated_pair(config):
                  id="repeated-value"),
 ])
 def test_sweep_config_counts_once_on_the_erased_kernel(monkeypatch, config):
+    # counts once, on the stamped kernel of the value-erased configuration
     real = sweep.count_schedules
     kernels = []
 
@@ -453,7 +460,8 @@ def test_sweep_config_counts_once_on_the_erased_kernel(monkeypatch, config):
     r = sweep_config(config, check_purity=True)
     assert len(kernels) == 1
     (kernel,) = kernels
-    assert len(kernel.values) == 1
+    assert kernel.stamped and len(kernel.values) == 1
+    assert kernel.item_mask >= sum(kernel.is_enq)
     assert kernel.sym_groups[0] == tuple(t for t in range(kernel.n) if kernel.is_enq[t])
     assert r.trace_counts == count_schedules(_Kernel(config))[0]
 
@@ -466,7 +474,7 @@ def test_sweep_config_counts_once_on_the_erased_kernel(monkeypatch, config):
 def test_quotient_is_canonical_image_of_exact(config):
     kernel = _Kernel(config)
     exact, _ = reference_collect_histories(kernel, quotient=False)
-    quot, _, _ = collect_histories(kernel)
+    quot, _ = collect_histories(kernel)
     assert {canonicalize_tokens(kernel, t) for t in exact} == quot
 
 
@@ -474,7 +482,7 @@ def test_quotient_is_canonical_image_of_exact(config):
 def test_quotient_matches_semantic_classes(config):
     kernel = _Kernel(config)
     exact, _ = reference_collect_histories(kernel, quotient=False)
-    quot, _, _ = collect_histories(kernel)
+    quot, _ = collect_histories(kernel)
     exact_hs = [kernel.tokens_to_history(t) for t in exact]
     quot_hs = [kernel.tokens_to_history(t) for t in quot]
     if len(kernel.values) == sum(kernel.is_enq):
@@ -499,7 +507,7 @@ def test_quotient_matches_semantic_classes(config):
 
 def test_canonical_form_refuses_repeated_values():
     kernel = _Kernel(Config((EnqOp(5), EnqOp(5), DeqOp()), capacity=2, loop_bound=3))
-    tokens, _, _ = collect_histories(kernel)
+    tokens, _ = collect_histories(kernel)
     with pytest.raises(ValueError):
         canonical_form(kernel.tokens_to_history(min(tokens)))
 
@@ -516,7 +524,7 @@ def test_quotient_sizes_at_small_scale():
     ]:
         kernel = _Kernel(config)
         exact, exact_nodes = reference_collect_histories(kernel, quotient=False)
-        quot, quot_nodes, _ = collect_histories(kernel)
+        quot, quot_nodes = collect_histories(kernel)
         sizes[key] = (len(exact), exact_nodes, len(quot), quot_nodes)
     assert sizes == {
         "1+1": (5, 53, 2, 32),
@@ -586,8 +594,8 @@ def test_starved_dequeues_never_complete():
     big = sweep_config(config)
     assert big.distinct_complete == 0
     assert dict(big.trace_counts) == {"BOUND_HIT": 1131613866168}
-    # the value-erased count walk's states; 5,614 with the real values
-    assert big.canonical_states == erased_canonical_states(config) == 2476
+    # the stamped count walk's states; 5,614 with the real values
+    assert big.canonical_states == stamped_canonical_states(config) == 2503
 
 
 def test_deep_state_graph_leaves_the_recursion_limit_alone():
@@ -640,8 +648,8 @@ def test_nonatomic_clean_at_two_enqueuers():
     assert r.clean
     assert r.distinct_complete == 14
     assert dict(r.trace_counts) == {"COMPLETE": 84780, "BOUND_HIT": 5140}
-    # the value-erased count walk's states; 633 with the real values
-    assert r.canonical_states == erased_canonical_states(config) == 295
+    # the stamped count walk's states; 633 with the real values
+    assert r.canonical_states == stamped_canonical_states(config) == 401
 
 
 def test_purity_outcome_counts():
@@ -656,10 +664,9 @@ def test_purity_outcome_counts():
         ("2+1", plain_config(2, 1)),
         ("skip0", plain_config(2, 1, mutant=MUTANT_SKIP_SLOT_ZERO)),
     ]:
-        kernel = _Kernel(config)
-        outcomes, bad = purity_scan(kernel, count_schedules(kernel)[1])
-        assert not bad
-        got[key] = dict(outcomes)
+        r = sweep_config(config, check_purity=True)
+        assert not r.impure
+        got[key] = dict(r.purity_outcomes)
     assert got == expect
 
 
@@ -728,7 +735,7 @@ def test_first_schedule_tokens_match_replay_on_choice_threads():
     choice = [t for t in range(kernel.n) if kernel.progs[t] is None]
     choice_enqs = {(_T_EINV, t) for t in choice}
     invoked = [s for s in sorted(states)
-               if any(kernel.frame(s, t) & 0x7 for t in choice)][:40]
+               if any(kernel_frame(kernel, s, t) & 0x7 for t in choice)][:40]
     assert len(invoked) == 40
     enqueued_by_choice = 0
     for state in invoked:

@@ -53,7 +53,12 @@ walk the real ones.
 The sweep produces
   - exact counts of maximal schedules by endpoint status, computed by
     dynamic programming in one iterative post-order walk over the
-    canonical states of the stamped, value-erased configuration;
+    canonical states of the stamped, value-erased configuration; a
+    state's counts are packed into one integer like the state itself,
+    one field per status, each as wide as the bit length of a bound on
+    the number of maximal schedules (the largest out-degree raised to
+    the longest schedule's length), so summing successors adds every
+    status at once;
   - a purity verdict for every reachable (shared state, pending dequeue
     frame) pair, from solo runs of the dequeue with a fresh loop budget,
     memoized on exactly that projection with the loop counter cleared,
@@ -272,13 +277,34 @@ class _Kernel:
         self.fresh_mask = ~(self.it_mask << self.it_sh)
         self.shifts = tuple(self.frames_sh + self.f_bits * t for t in range(self.n))
         self.deq_shifts = tuple((t, sh) for t, sh in enumerate(self.shifts) if not self.is_enq[t])
-        # what successors reads, unpacked in one step per call
+        # what successors reads, unpacked in one step per call, and per
+        # thread the frame shift and program, None for a choice thread's
         self.layout = (
-            self.shifts, self.low_mask, slot_sh, (1 << slot_w) - 1, rng_sh,
-            self.back_mask, self.it_sh, self.it_mask, self.res_sh,
-            self.items_sh, self.item_w, self.item_mask,
-            self.cap, self.lb, self.scan_start, self.progs, self.ranked, stamped,
+            self.low_mask, slot_sh, (1 << slot_w) - 1, rng_sh, self.it_sh, self.it_mask,
+            self.res_sh, self.items_sh, self.item_w, self.item_mask,
+            self.cap, self.lb, self.scan_start,
         )
+        self.plan = tuple((tid, sh, *(prog or (None, None)))
+                          for tid, (sh, prog) in enumerate(zip(self.shifts, self.progs)))
+
+        # count_schedules packs one count per endpoint status into an int,
+        # count_w bits each.  A field holds every count it can reach: no
+        # more maximal schedules than the largest out-degree raised to the
+        # longest schedule's length.  A thread has one step at a time, or
+        # one per menu entry while uncommitted.  Each enqueuer claims one
+        # slot, so a dequeuer's scan round probes at most n_enq slots
+        # below back, whatever the capacity; it makes lb rounds and a ret.
+        n_enq = sum(1 for t in threads if any(isinstance(op, EnqOp) for op in ops_of(t)))
+
+        def steps(op):
+            if isinstance(op, EnqOp):
+                return 4 if self.nonatomic else 3
+            return self.lb * (1 + n_enq) + 1
+
+        degree = sum(len(t.menu) if isinstance(t, ChoiceOp) else 1 for t in threads)
+        longest = sum(1 + max(map(steps, ops_of(t))) if isinstance(t, ChoiceOp) else steps(t)
+                      for t in threads)
+        self.count_w = (degree ** longest).bit_length()
 
         # threads with identical programs are interchangeable; the flag
         # thread is not, since gates read its pc
@@ -441,26 +467,20 @@ class _Kernel:
         group-internal identity is fixed by invocation order.
         """
         out = []
-        (shifts, low_mask, slot_sh, slot_mask, rng_sh, rng_mask, it_sh, it_mask,
-         res_sh, items_sh, item_w, item_mask, cap, lb, scan_start, progs, ranked,
-         stamped) = self.layout
+        (low_mask, slot_sh, slot_mask, rng_sh, it_sh, it_mask, res_sh,
+         items_sh, item_w, item_mask, cap, lb, scan_start) = self.layout
         back = state & self.back_mask
-        gate: dict[int, int] = {}
-        for tids in gate_groups:
-            for t in tids:
-                if (state >> shifts[t]) & 0x7 == _IDLE:
-                    gate.update((u, t) for u in tids)
-                    break
-        for tid, sh in enumerate(shifts):
+        gate = self._gate(state, gate_groups) if gate_groups else None
+        # invocation ranks, read off state once, when an idle thread first moves
+        rank = stamp = None
+        for tid, sh, vbits, pidx in self.plan:
             f = (state >> sh) & low_mask
             pc = f & 0x7
             if pc == _DONE:
                 continue
-            if pc == _IDLE and gate.get(tid, tid) != tid:
+            if pc == _IDLE and gate and gate.get(tid, tid) != tid:
                 continue
-            base = state & ~(low_mask << sh)
-            prog = progs[tid]
-            if prog is None:
+            if vbits is None:
                 # choice thread: its menu entry, or one commit per open entry
                 menu = self.menus[tid]
                 entry = self._entry(state, tid)
@@ -471,69 +491,52 @@ class _Kernel:
                             ns = state | (entry << (sh + self.op_sh))
                             out.append((tid, label, None, ns))
                     continue
-                prog = menu[entry - 1][0]
-            vbits, pidx = prog
+                vbits, pidx = menu[entry - 1][0]
+            # base is the state with the frame's moving fields cleared,
+            # computed once the thread is known to move
             if vbits:
-                if pc == _IDLE:
-                    if back >= cap:
-                        continue  # slot array exhausted
-                    if self.nonatomic:
-                        nf = _E1B | (back << slot_sh)
-                        ns = base | (nf << sh)
-                    else:
-                        nf = _E2 | (back << slot_sh)
-                        ns = (base | (nf << sh)) + 1  # back += 1
-                    if ranked:
-                        ns |= self._rank(state) << (sh + self.uid_sh)
-                    if stamped:
-                        ns |= self._stamp(state) << (sh + res_sh)
-                    out.append((tid, "E1", (_T_EINV, tid, vbits), ns))
-                elif pc == _E1B:
-                    # the claimed slot, and the stamp when stamped
-                    nf = _E2 | (f & ((slot_mask << slot_sh) | (item_mask << res_sh)))
-                    ns = (base | (nf << sh)) + 1
-                    out.append((tid, "E1b", None, ns))
-                elif pc == _E2:
-                    slot = (f >> slot_sh) & slot_mask
-                    ish = items_sh + item_w * slot
+                if pc == _E2:
+                    base = state ^ (f << sh)
+                    ish = items_sh + item_w * ((f >> slot_sh) & slot_mask)
                     # an unstamped enqueuer's result field holds 0
                     ns = (base & ~(item_mask << ish)) | ((f >> res_sh or vbits) << ish)
-                    ns |= _RET << sh
-                    out.append((tid, "E2", None, ns))
-                else:  # _RET
-                    ns = base | (_DONE << sh)
-                    out.append((tid, "ret", (_T_ERES, tid, 0), ns))
-                continue
-            # dequeue thread
-            if pc == _IDLE or pc == _D1:
-                iters = (f >> it_sh) & it_mask
-                if iters >= lb:
-                    continue  # loop budget exhausted
-                rng = back - 1
-                if scan_start <= rng:
-                    nf = _D2 | (scan_start << slot_sh) | ((rng + 1) << rng_sh)
-                else:
-                    nf = _D1
-                nf |= (iters + 1) << it_sh
-                ns = base | (nf << sh)
-                token = None
-                if pc == _IDLE:
-                    token = (_T_DINV, tid, 0)
-                    if ranked:
-                        ns |= self._rank(state) << (sh + self.uid_sh)
-                out.append((tid, "D1", token, ns))
+                    out.append((tid, "E2", None, ns | (_RET << sh)))
+                elif pc == _RET:
+                    base = state ^ (f << sh)
+                    out.append((tid, "ret", (_T_ERES, tid, 0), base | (_DONE << sh)))
+                elif pc == _IDLE:
+                    if back >= cap:
+                        continue  # slot array exhausted
+                    base = state ^ (f << sh)
+                    if self.nonatomic:
+                        ns = base | ((_E1B | (back << slot_sh)) << sh)
+                    else:
+                        ns = (base | ((_E2 | (back << slot_sh)) << sh)) + 1  # back += 1
+                    if self.ranked:
+                        if rank is None:
+                            rank = self._rank(state)
+                        ns |= rank << (sh + self.uid_sh)
+                    if self.stamped:
+                        if stamp is None:
+                            stamp = self._stamp(state)
+                        ns |= stamp << (sh + res_sh)
+                    out.append((tid, "E1", (_T_EINV, tid, vbits), ns))
+                else:  # _E1B
+                    base = state ^ (f << sh)
+                    # the claimed slot, and the stamp when stamped
+                    nf = _E2 | (f & ((slot_mask << slot_sh) | (item_mask << res_sh)))
+                    out.append((tid, "E1b", None, (base | (nf << sh)) + 1))
             elif pc == _D2:
                 slot = (f >> slot_sh) & slot_mask
-                rng = ((f >> rng_sh) & rng_mask) - 1
                 ish = items_sh + item_w * slot
                 held = (state >> ish) & item_mask
                 if held == 0:
                     # an empty slot: move on (a prophecy dequeue's skip branch)
-                    nxt = slot + 1
-                    if nxt > rng:
+                    base = state ^ (f << sh)
+                    if slot + 1 >= (f >> rng_sh) & self.back_mask:
                         nf = _D1 | (f & (it_mask << it_sh))
-                    else:
-                        nf = (f & ~(slot_mask << slot_sh)) | (nxt << slot_sh)
+                    else:  # the next slot, which lies below back: no carry
+                        nf = f + (1 << slot_sh)
                     ns = base | (nf << sh)
                     if self.dirty:
                         if (state >> self.scratch_sh) & self.scratch_mask == self.scratch_mask:
@@ -542,17 +545,47 @@ class _Kernel:
                     out.append((tid, "D2" if pidx is None else "D2B", None, ns))
                 elif pidx is None or held == pidx:
                     # take the value (a prophecy dequeue's commit branch)
+                    base = state ^ (f << sh)
                     ns = base if self.keep_on_swap else base & ~(item_mask << ish)
-                    nf = _RET | (held << res_sh)
-                    ns |= nf << sh
+                    ns |= (_RET | (held << res_sh)) << sh
                     out.append((tid, "D2" if pidx is None else "D2A", None, ns))
                 # a prophecy dequeue facing another value blocks here
-            else:  # _RET
+            elif pc == _RET:
+                base = state ^ (f << sh)
                 res = f >> res_sh
-                nf = _DONE | (res << res_sh)
-                ns = base | (nf << sh)
+                ns = base | ((_DONE | (res << res_sh)) << sh)
                 out.append((tid, "ret", (_T_DRES, tid, res), ns))
+            else:  # _IDLE or _D1
+                iters = (f >> it_sh) & it_mask
+                if iters >= lb:
+                    continue  # loop budget exhausted
+                base = state ^ (f << sh)
+                nf = (iters + 1) << it_sh
+                if scan_start < back:
+                    nf |= _D2 | (scan_start << slot_sh) | (back << rng_sh)
+                else:
+                    nf |= _D1
+                ns = base | (nf << sh)
+                if pc == _D1:
+                    out.append((tid, "D1", None, ns))
+                    continue
+                # an idle dequeuer's first round is its invocation
+                if self.ranked:
+                    if rank is None:
+                        rank = self._rank(state)
+                    ns |= rank << (sh + self.uid_sh)
+                out.append((tid, "D1", (_T_DINV, tid, 0), ns))
         return out
+
+    def _gate(self, state: int, gate_groups) -> dict:
+        # each member of a listed group -> the group's lowest idle member
+        gate = {}
+        for tids in gate_groups:
+            for t in tids:
+                if (state >> self.shifts[t]) & 0x7 == _IDLE:
+                    gate.update((u, t) for u in tids)
+                    break
+        return gate
 
     def _rank(self, state: int) -> int:
         # invocation rank of the next operation: the threads already invoked
@@ -678,7 +711,8 @@ class _Kernel:
 
 def _breadth_first(kernel: _Kernel, stop) -> tuple[dict, int | None]:
     """Raw states breadth-first until one satisfies stop: (the step
-    that first reached each state discovered, that state or None).
+    that first reached each state discovered, as (parent, tid, instr,
+    token), that state or None).
 
     Threads and branches are expanded in hwmodel's order and each state
     keeps the step that first reached it, so this is the order of a
@@ -694,7 +728,7 @@ def _breadth_first(kernel: _Kernel, stop) -> tuple[dict, int | None]:
         state = queue.popleft()
         for tid, instr, token, ns in kernel.successors(state):
             if ns not in parents:
-                parents[ns] = (state, f"{tid}:{instr}", token)
+                parents[ns] = (state, tid, instr, token)
                 if stop(ns):
                     return parents, ns
                 queue.append(ns)
@@ -702,12 +736,13 @@ def _breadth_first(kernel: _Kernel, stop) -> tuple[dict, int | None]:
 
 
 def _schedule_to(parents: dict, state: int) -> tuple[tuple[str, ...], tuple]:
-    """The schedule _breadth_first found to state, and its tokens."""
+    """The schedule _breadth_first found to state, and its tokens; the
+    labels are formatted for this path's steps only."""
     labels: list[str] = []
     tokens: list[tuple] = []
     while parents[state] is not None:
-        state, label, token = parents[state]
-        labels.append(label)
+        state, tid, instr, token = parents[state]
+        labels.append(f"{tid}:{instr}")
         if token is not None:
             tokens.append(token)
     return tuple(reversed(labels)), tuple(reversed(tokens))
@@ -738,6 +773,13 @@ def count_schedules(kernel: _Kernel):
     bound makes the state graph acyclic, so a post-order walk with an
     explicit stack sums each state's counts from its successors'.
 
+    A state's counts are one int, with one kernel.count_w-bit field per
+    status in _STATUS_ORDER from the low bits: a dead end is 1 in its
+    status's field, and any other state the plain sum of its
+    successors' ints, which adds field by field with no carry, since no
+    count exceeds the largest out-degree raised to the longest
+    schedule's length, and count_w is that bound's bit length.
+
     sweep_config passes the stamped kernel of its configuration with
     its enqueue values erased.  The counts are the same, since a plain
     transition or endpoint status tests a slot or result against NULL
@@ -746,7 +788,10 @@ def count_schedules(kernel: _Kernel):
     invocation rank fold into one.
     """
     successors, canon_step = kernel.successors, kernel.canon_step
-    memo: dict[int, tuple] = {}
+    width = kernel.count_w
+    leaf = {name: 1 << (width * i) for i, name in enumerate(_STATUS_ORDER)}
+    memo: dict[int, int] = {}
+    count_of = memo.__getitem__
     init = kernel.canon(kernel.init_state())
     stack: list = [(init, None)]
     while stack:
@@ -759,13 +804,10 @@ def count_schedules(kernel: _Kernel):
             stack.extend((k, None) for k in kids if k not in memo)
         else:
             stack.pop()
-            if kids:
-                memo[state] = tuple(map(sum, zip(*(memo[k] for k in kids))))
-            else:
-                status = kernel.classify(state)
-                memo[state] = tuple(int(name == status) for name in _STATUS_ORDER)
-    totals = memo[init]
-    counts = Counter({name: n for name, n in zip(_STATUS_ORDER, totals) if n})
+            memo[state] = sum(map(count_of, kids)) if kids else leaf[kernel.classify(state)]
+    total, field = memo[init], (1 << width) - 1
+    counts = Counter({name: n for i, name in enumerate(_STATUS_ORDER)
+                      if (n := (total >> (width * i)) & field)})
     return counts, memo.keys()
 
 
@@ -823,9 +865,19 @@ def purity_scan(kernel: _Kernel, real: _Kernel, states):
     """
     successors, shifts, f_mask = kernel.successors, kernel.shifts, kernel.f_mask
     shared_mask = kernel.shared_mask
+    # what pending_dequeues reads: the shared fields and every dequeuer
+    # frame; states that differ only in enqueuer frames hold the same pairs
+    view_mask = shared_mask
+    for _, sh in kernel.deq_shifts:
+        view_mask |= f_mask << sh
+    views: set = set()
     memo: set = set()
     verdicts: dict = {}  # real pair -> verdict
     for state in states:
+        view = state & view_mask
+        if view in views:
+            continue
+        views.add(view)
         for pair, tid in kernel.pending_dequeues(state):
             if pair in memo:
                 continue

@@ -441,6 +441,70 @@ def test_purity_sweep_lines_do_not_grow_with_capacity():
     assert small.purity_outcomes == large.purity_outcomes
 
 
+def test_purity_looks_up_each_dequeuer_view_once(monkeypatch):
+    # a pending-dequeue lookup reads the shared fields and the dequeuer
+    # frames, so purity_scan looks up once per such view of the count
+    # walk's states, not once per state
+    config = grid_config(2, 2)
+    stamped = stamped_kernel(config)
+    states = count_schedules(stamped)[1]
+    deqs = [t for t in range(stamped.n) if not stamped.is_enq[t]]
+    views = {(s & stamped.shared_mask, *(kernel_frame(stamped, s, t) for t in deqs))
+             for s in states}
+    calls = []
+    real = _Kernel.pending_dequeues
+
+    def counting(kernel, state):
+        calls.append(kernel.stamped)
+        return real(kernel, state)
+
+    monkeypatch.setattr(_Kernel, "pending_dequeues", counting)
+    r = sweep_config(config, check_purity=True)
+    assert dict(r.purity_outcomes) == {"PURE": 7, "TERMINATES": 36}
+    assert (len(calls), len(views), len(states)) == (len(views), 875, 1762)
+    assert all(calls)
+
+
+def test_count_fields_hold_every_frozen_count():
+    # count_schedules packs one count per endpoint status into count_w
+    # bits, a width read off the configuration: every grid count frozen
+    # by the acceptance suite fits, 3+3's 95-bit bound-hit count too,
+    # and the dequeuers' scan rounds are bounded by the enqueuers, so the
+    # width does not grow with the capacity
+    from test_acceptance import GRID_EXPECT
+
+    for (ne, nd), (n_complete, n_bound, _) in GRID_EXPECT.items():
+        width = stamped_kernel(grid_config(ne, nd)).count_w
+        assert width >= max(n_complete, n_bound).bit_length(), (ne, nd)
+    assert GRID_EXPECT[(3, 3)][1].bit_length() == 95
+    assert (_Kernel(plain_config(2, 1, capacity=4)).count_w
+            == _Kernel(plain_config(2, 1, capacity=10_000)).count_w)
+
+
+def test_count_walk_lines_stay_in_budget():
+    # the count walk's own lines at grid 2+2, with every successor list
+    # and canonical step looked up instead of computed: summing one
+    # packed int per state, not a tuple of four, keeps it under budget
+    kernel = stamped_kernel(grid_config(2, 2))
+    want, states = count_schedules(kernel)
+    succs = {s: kernel.successors(s) for s in states}
+    canon = {(ns, tid): kernel.canon_step(ns, tid)
+             for s in states for tid, _, _, ns in succs[s]}
+    kernel.successors = succs.__getitem__
+    kernel.canon_step = lambda ns, tid: canon[ns, tid]
+    (got, _), _ = traced_lines(sweep.__file__, lambda: count_schedules(kernel), 42_000)
+    assert got == want
+
+
+def test_successors_lines_stay_in_budget():
+    # successors over the stamped 2+2 kernel's states: a thread that
+    # cannot move costs no base, and the invocation stamp is read once
+    # per call, which keeps it under budget
+    kernel = stamped_kernel(grid_config(2, 2))
+    states = count_schedules(kernel)[1]
+    traced_lines(sweep.__file__, lambda: [kernel.successors(s) for s in states], 120_000)
+
+
 @pytest.mark.parametrize("config", [
     pytest.param(plain_config(2, 1), id="2enq-1deq"),
     pytest.param(plain_config(3, 1, mutant=MUTANT_NONATOMIC_ENQ), id="nonatomic-3+1"),

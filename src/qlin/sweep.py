@@ -72,7 +72,14 @@ The sweep produces
     nodes that goes one level at a time and expands each state once per
     level for all the prefixes that reached it; each prefix is an
     integer id in one table that also names the chain of runs it
-    closes, and extending it by a token is one memo lookup.
+    closes, and extending it by a token is one memo lookup.  The walk
+    stops at tail states, where every thread has invoked and only
+    responses remain, which all land in the history's last, sorted run:
+    a post-order walk over tail states alone memoizes per state the
+    response runs that complete it, expanding a ret, or a dequeuer's
+    re-scan while back is final, as the state's only step (an ample set
+    of one, after Peled), and each prefix reaching the state is
+    extended by each of its runs.
 
 History collection sorts each maximal run of same-kind actions
 (adjacent invocations, adjacent responses) and renames enqueue values
@@ -140,6 +147,10 @@ class SweepImpurity:
 
 @dataclass
 class SweepReport:
+    """What sweep_config found.  nodes counts history collection's work:
+    its level walk's (state, prefix) nodes plus the tail states it
+    memoized (see collect_histories)."""
+
     trace_counts: Counter
     canonical_states: int
     nodes: int
@@ -315,6 +326,14 @@ class _Kernel:
         self.sym_groups = tuple(
             tuple(tids) for tids in by_op.values() if len(tids) > 1
         )
+        # per thread, for canon_step: its group's frame shifts and its
+        # index in the group, or None for a thread in no group
+        group_at: list = [None] * self.n
+        for tids in self.sym_groups:
+            group_shifts = tuple(self.shifts[t] for t in tids)
+            for i, t in enumerate(tids):
+                group_at[t] = (group_shifts, i)
+        self.group_at = tuple(group_at)
         # enqueuers listed by ascending value index, for value renaming
         # in history collection; sound while no transition compares a
         # stored value with anything, so not with prophecy dequeues
@@ -395,26 +414,25 @@ class _Kernel:
         the new frame moves left or right past the neighbours it no
         longer fits between, one insertion-sort step.
         """
-        for tids in self.sym_groups:
-            if tid in tids:
-                break
-        else:
+        at = self.group_at[tid]
+        if at is None:
             return state
-        shifts, f_mask = self.shifts, self.f_mask
-        i = j = tids.index(tid)
-        f = (state >> shifts[tid]) & f_mask
-        while j and (g := (state >> shifts[tids[j - 1]]) & f_mask) > f:
-            sh = shifts[tids[j]]
+        shifts, i = at
+        f_mask = self.f_mask
+        j = i
+        f = (state >> shifts[i]) & f_mask
+        while j and (g := (state >> shifts[j - 1]) & f_mask) > f:
+            sh = shifts[j]
             state = (state & ~(f_mask << sh)) | (g << sh)
             j -= 1
         if j == i:
-            last = len(tids) - 1
-            while j < last and (g := (state >> shifts[tids[j + 1]]) & f_mask) < f:
-                sh = shifts[tids[j]]
+            last = len(shifts) - 1
+            while j < last and (g := (state >> shifts[j + 1]) & f_mask) < f:
+                sh = shifts[j]
                 state = (state & ~(f_mask << sh)) | (g << sh)
                 j += 1
         if j != i:
-            sh = shifts[tids[j]]
+            sh = shifts[j]
             state = (state & ~(f_mask << sh)) | (f << sh)
         return state
 
@@ -923,6 +941,30 @@ def purity_scan(kernel: _Kernel, real: _Kernel, states):
     return outcomes, impure
 
 
+def _members(bits: int):
+    """The indices of the set bits of bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _ample(succs: list) -> list:
+    """The steps of a tail state that collection expands: a ret alone,
+    else a dequeuer's re-scan D1 alone while no enqueuer sits at E1B,
+    else every step (see collect_histories)."""
+    rescan = None  # the first D1, or False once an E1b shows up
+    for step in succs:
+        instr = step[1]
+        if instr == "ret":
+            return [step]
+        if instr == "E1b":
+            rescan = False
+        elif instr == "D1" and rescan is None:
+            rescan = step
+    return [rescan] if rescan else succs
+
+
 def collect_histories(kernel: _Kernel):
     """Representative complete token sequences, at least one per
     isomorphism class, and the number of nodes the walk visited.
@@ -945,8 +987,32 @@ def collect_histories(kernel: _Kernel):
     node's key in the visited set is its prefix id shifted past the
     state's bits, so the set holds single integers.
 
-    No state is kept past its level, so the walk's peak memory is that
-    of its visited set.
+    The walk stops at tail states, where no thread is idle.  The step
+    into one is the last invocation, so every token after it is a
+    response and lands in the history's last run, which is sorted: what
+    a tail state appends to the prefix that reached it is a set of
+    response tokens, and which sets it can append depends on the state
+    alone.  A post-order walk over tail states alone memoizes, for
+    each, the sorted response runs that reach COMPLETE, and each prefix
+    that reaches the state is extended by each of them.  Token tuples
+    are built once per prefix, at the end.
+
+    Inside the tail a state expands one step alone when it has a ret,
+    which reads and writes only its own frame, or else a dequeuer's
+    re-scan D1 while no enqueuer sits at E1B: D1 reads back, which in
+    the tail only E1b writes, and its own frame.  No other step reads
+    what such a step writes and none disables it, so every complete run
+    from the state takes it, and moving it to the front keeps the final
+    state and the set of responses; the state's runs are its one
+    successor's, with the ret's token added.  E2 and D2 race for slots
+    and are expanded in full.  The argument holds for COMPLETE
+    endpoints only: a run stopped at the loop bound need not take the
+    step taken alone, so a walk that keeps such endpoints must argue
+    again before it reuses the memo.
+
+    The nodes counted are the level walk's (state, prefix) nodes, at
+    tail states too, plus the tail states memoized.  No state of the
+    level walk is kept past its level.
     """
     gate_groups = kernel.emit_groups()
 
@@ -987,21 +1053,73 @@ def collect_histories(kernel: _Kernel):
             runs.append(open_seqs[oid])
         return tuple(t for run in reversed(runs) for t in run)
 
+    successors, classify = kernel.successors, kernel.classify
+    # the sorted response runs that end histories, by id, and for each
+    # tail state the set of runs that complete it, as an int with bit i
+    # set for run i: bit 0, the empty run, marks a COMPLETE dead end
+    run_seqs: list[tuple] = [()]
+    run_ids: dict[tuple, int] = {(): 0}
+    tail_runs: dict[int, int] = {}
+    run_sets: dict[int, int] = {}
+    with_token: dict[tuple, int] = {}  # (runs, token) -> token added to each
+
+    def plus(runs: int, token: tuple) -> int:
+        got = with_token.get((runs, token))
+        if got is None:
+            got = 0
+            for rid in _members(runs):
+                run = tuple(sorted(run_seqs[rid] + (token,)))
+                added = run_ids.get(run)
+                if added is None:
+                    added = run_ids[run] = len(run_seqs)
+                    run_seqs.append(run)
+                got |= 1 << added
+            with_token[(runs, token)] = got
+        return got
+
+    def walk_tail(roots) -> None:
+        # post-order over tail states alone, with an explicit stack: a
+        # dequeuer's spin rounds make tail paths longer than the
+        # recursion limit at large loop bounds
+        stack: list = [(root, None) for root in roots]
+        while stack:
+            state, kids = stack.pop()
+            if kids is None:
+                if state not in tail_runs:
+                    kids = _ample(successors(state))
+                    stack.append((state, kids))
+                    stack.extend([(ns, None) for _, _, _, ns in kids])
+            elif kids:
+                runs = 0
+                for _, _, token, ns in kids:
+                    runs |= tail_runs[ns] if token is None else plus(tail_runs[ns], token)
+                # one object per distinct set
+                tail_runs[state] = run_sets.setdefault(runs, runs)
+            else:
+                tail_runs[state] = 1 if classify(state) == "COMPLETE" else 0
+
     init = kernel.init_state()
     state_bits = kernel.frames_sh + kernel.f_bits * kernel.n
-    complete: set[tuple] = set()
-    successors, classify = kernel.successors, kernel.classify
     seen = {init}  # key = prefix id << state_bits | state
+    pcs = sum(1 << sh for sh in kernel.shifts)  # the low bit of each frame's pc
+    endings: dict[int, int] = {}  # prefix id -> the runs that complete it
     level: dict[int, list[int]] = {init: [0]}
     while level:
+        # the tail states of this level end their prefixes' walk: no
+        # frame's pc, its low 3 bits, is 0 (idle)
+        tails = [state for state in level if (state | state >> 1 | state >> 2) & pcs == pcs]
+        if tails:
+            walk_tail(tails)
+        for state in tails:
+            pids = level.pop(state)
+            if runs := tail_runs[state]:
+                for pid in pids:
+                    endings[pid] = endings.get(pid, 0) | runs
         following: defaultdict[int, list[int]] = defaultdict(list)
+        # a state with an idle thread is not COMPLETE, so a dead end among
+        # them ends no history
         for state, pids in level.items():
-            succs = successors(state, gate_groups)
-            if not succs:
-                if classify(state) == "COMPLETE":
-                    complete.update(map(tokens_of, pids))
-                continue
-            for _, _, token, ns in succs:
+            for _, _, token, ns in successors(state, gate_groups):
                 memo = None if token is None else moves.setdefault(token, {})
                 for pid in pids:
                     # a stored id is never 0, the empty prefix's
@@ -1011,7 +1129,14 @@ def collect_histories(kernel: _Kernel):
                         seen.add(key)
                         following[ns].append(npid)
         level = following
-    return complete, len(seen)
+    nodes = len(seen) + len(tail_runs)
+    # the step into a tail state is an invocation, so a prefix that
+    # reached one ends with invocations and its response run follows it
+    complete: set[tuple] = set()
+    for pid, runs in endings.items():
+        head = tokens_of(pid)
+        complete.update(head + run_seqs[rid] for rid in _members(runs))
+    return complete, nodes
 
 
 def sweep_config(config: Config, *, oracle: bool = False,

@@ -400,9 +400,10 @@ def test_orbit_sum_equals_unreduced_state_count(kind, params):
     kernel = _Kernel(config)
     canonical, _ = reachable_states(kernel)
     orbit_sum = sum(kernel.orbit_size(s) for s in canonical)
-    # explore every raw state, one orbit each: canon and canon_step both
-    # read the groups off sym_groups, so no other index needs clearing
+    # explore every raw state, one orbit each: canon reads the groups off
+    # sym_groups and canon_step off group_at, its per-thread table of them
     kernel.sym_groups = ()
+    kernel.group_at = (None,) * kernel.n
     raw, _ = reachable_states(kernel)
     assert len(raw) == orbit_sum
     assert all(kernel.orbit_size(s) == 1 for s in raw)

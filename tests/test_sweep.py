@@ -227,7 +227,13 @@ def test_reachable_states_match_the_count_walk(config):
 
 # the plain configurations among CANON_CONFIGS, a repeated enqueue value,
 # and the mutants that add a step (nonatomic_enq) or a shared counter
-# (dirty_spin) to a run
+# (dirty_spin) to a run; then configurations that stress the tail rule of
+# collection (see collect_histories): loop bounds 1 and 2, where a re-scan
+# taken alone is more often a dequeuer's last, capacity below the thread
+# count, a dequeue that leaves its value in the slot (no_swap_clear), a
+# re-scan next to a NULL swap that writes the scratch counter (dirty_spin),
+# and re-scans while an enqueuer sits between claiming a slot and moving
+# back (nonatomic_enq)
 COLLECT_CONFIGS = [p for p in CANON_CONFIGS if not _Kernel(p.values[0]).ranked] + [
     pytest.param(
         Config((EnqOp(1), EnqOp(1), EnqOp(2), DeqOp()), capacity=3, loop_bound=2),
@@ -237,40 +243,81 @@ COLLECT_CONFIGS = [p for p in CANON_CONFIGS if not _Kernel(p.values[0]).ranked] 
                  id="nonatomic-enq"),
     pytest.param(plain_config(1, 2, mutant=MUTANT_DIRTY_SPIN, capacity=1, loop_bound=3),
                  id="dirty-spin"),
+] + [
+    pytest.param(plain_config(ne, nd, capacity=4, loop_bound=lb), id=f"{ne}+{nd}-lb{lb}")
+    for ne, nd in ((2, 1), (2, 2), (3, 1)) for lb in (1, 2)
+] + [
+    pytest.param(plain_config(1, 2, capacity=1, loop_bound=3), id="1+2-cap1"),
+    pytest.param(plain_config(2, 2, capacity=2, loop_bound=3), id="2+2-cap2"),
+    pytest.param(plain_config(2, 2, mutant=MUTANT_NO_SWAP_CLEAR, capacity=3, loop_bound=3),
+                 id="no-swap-clear-2+2"),
+    pytest.param(plain_config(2, 1, mutant=MUTANT_DIRTY_SPIN, capacity=2, loop_bound=3),
+                 id="dirty-spin-2+1"),
+    pytest.param(plain_config(2, 2, mutant=MUTANT_NONATOMIC_ENQ, capacity=2, loop_bound=3),
+                 id="nonatomic-enq-2+2-lb3"),
 ]
+
+
+def has_idle_thread(kernel, state) -> bool:
+    # program counter 0 is idle
+    return any(kernel_frame(kernel, state, t) & 0x7 == 0 for t in range(kernel.n))
+
+
+def count_successors(monkeypatch, kernel) -> list:
+    """The (state, gate groups) of every successors call on kernel."""
+    calls = []
+    real = kernel.successors
+
+    def counting(state, gate_groups=()):
+        calls.append((state, gate_groups))
+        return real(state, gate_groups)
+
+    monkeypatch.setattr(kernel, "successors", counting)
+    return calls
 
 
 # ids name the reference walk's mode; its exact mode has no product twin
 @pytest.mark.parametrize(
     "config", [pytest.param(*p.values, id=f"quotient-{p.id}") for p in COLLECT_CONFIGS])
-def test_collect_matches_the_reference_walk(config):
+def test_collect_matches_the_reference_walk(monkeypatch, config):
+    # the same histories as the node-by-node walk; the level walk expands
+    # each (depth, state) pair of it whose state has an idle thread once,
+    # gated, and the tail walk each state it memoizes once, ungated
     kernel = _Kernel(config)
-    assert collect_histories(kernel) == reference_collect_histories(kernel, quotient=True)
+    pairs: set = set()
+    want, _ = reference_collect_histories(kernel, quotient=True, expanded=pairs)
+    calls = count_successors(monkeypatch, kernel)
+    got, _ = collect_histories(kernel)
+    assert got == want
+    level = Counter(state for state, groups in calls if has_idle_thread(kernel, state))
+    assert level == Counter(state for _, state in pairs if has_idle_thread(kernel, state))
+    assert all(groups == kernel.emit_groups() for state, groups in calls
+               if has_idle_thread(kernel, state))
+    tail = [(state, groups) for state, groups in calls if not has_idle_thread(kernel, state)]
+    assert len({state for state, _ in tail}) == len(tail)
+    assert all(groups == () for _, groups in tail)
 
 
-@pytest.mark.parametrize("cell, expanded, nodes", [
-    pytest.param((2, 2), 4_033, 7_127, id="grid-2+2"),
-    pytest.param((3, 1), 1_104, 2_589, id="grid-3+1"),
-    pytest.param((1, 3), 3_399, 4_969, id="grid-1+3"),
+@pytest.mark.parametrize("cell, expanded, nodes, level, calls, got_nodes", [
+    pytest.param((2, 2), 4_033, 7_127, 514, 2_460, 3_259, id="grid-2+2"),
+    pytest.param((3, 1), 1_104, 2_589, 240, 846, 1_301, id="grid-3+1"),
+    pytest.param((1, 3), 3_399, 4_969, 401, 1_447, 1_951, id="grid-1+3"),
 ])
-def test_collect_expands_each_state_once_per_level(monkeypatch, cell, expanded, nodes):
+def test_collect_expands_level_states_once_per_level_and_tail_states_once(
+        monkeypatch, cell, expanded, nodes, level, calls, got_nodes):
     # the node-by-node walk expands a state once per prefix that reaches
-    # it; the level walk, once per BFS depth at which some prefix does
+    # it; collection's level walk, once per BFS depth at which some
+    # prefix does, while the state has an idle thread, and its tail walk
+    # once per state it memoizes.  A level walk without the tail rule
+    # makes one call per (depth, state) pair: 4,033 at 2+2
     kernel = _Kernel(grid_config(*cell))
     pairs: set = set()
     _, ref_nodes = reference_collect_histories(kernel, quotient=True, expanded=pairs)
     assert (len(pairs), ref_nodes) == (expanded, nodes)
-    calls = []
-    real = kernel.successors
-
-    def counting(state, gate_groups=()):
-        calls.append(state)
-        return real(state, gate_groups)
-
-    monkeypatch.setattr(kernel, "successors", counting)
-    _, got_nodes = collect_histories(kernel)
-    assert got_nodes == nodes
-    assert len(calls) == expanded
+    assert sum(has_idle_thread(kernel, state) for _, state in pairs) == level
+    got = count_successors(monkeypatch, kernel)
+    assert collect_histories(kernel)[1] == got_nodes
+    assert len(got) == calls
 
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
@@ -336,11 +383,10 @@ def test_erased_counts_match_the_real_count_walk(config):
     assert count_schedules(erased)[0] == count_schedules(stamped_kernel(config))[0] == want
 
 
+# ERASURE_CONFIGS holds dirty-spin-2+1 and no-swap-clear-2+2 through
+# COLLECT_CONFIGS
 @pytest.mark.parametrize("config", ERASURE_CONFIGS + [
-    pytest.param(plain_config(2, 1, mutant=MUTANT_DIRTY_SPIN), id="dirty-spin-2+1"),
     pytest.param(plain_config(3, 1, mutant=MUTANT_NONATOMIC_ENQ), id="nonatomic-3+1"),
-    pytest.param(plain_config(2, 2, mutant=MUTANT_NO_SWAP_CLEAR, capacity=3, loop_bound=3),
-                 id="no-swap-clear-2+2"),
 ])
 def test_purity_over_collected_states_matches_the_count_walk(config):
     # sweep_config's verdict counts, read off the stamped count walk,
@@ -591,12 +637,12 @@ def test_quotient_sizes_at_small_scale():
         quot, quot_nodes = collect_histories(kernel)
         sizes[key] = (len(exact), exact_nodes, len(quot), quot_nodes)
     assert sizes == {
-        "1+1": (5, 53, 2, 32),
-        "2+1": (124, 1230, 12, 261),
-        "2+2": (1704, 23457, 67, 3075),
-        "noswap": (33, 634, 6, 250),
-        "skip0": (66, 774, 7, 175),
-        "nonatomic": (132, 3176, 14, 613),
+        "1+1": (5, 53, 2, 29),
+        "2+1": (124, 1230, 12, 182),
+        "2+2": (1704, 23457, 67, 1259),
+        "noswap": (33, 634, 6, 168),
+        "skip0": (66, 774, 7, 99),
+        "nonatomic": (132, 3176, 14, 406),
     }
 
 
@@ -618,7 +664,7 @@ def test_report_small_clean():
     assert dict(r.trace_counts) == {"COMPLETE": 42, "BOUND_HIT": 4}
     assert r.total_traces == 46
     assert r.canonical_states == 29
-    assert r.nodes == 32
+    assert r.nodes == 29
     assert r.distinct_complete == 2
     assert (r.oracle_checked, r.oracle_disagreements) == (2, 0)
     assert dict(r.purity_outcomes) == {"PURE": 3, "TERMINATES": 3}

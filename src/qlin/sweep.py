@@ -30,7 +30,8 @@ states each canonical state stands for.  A step rewrites the frame of
 the thread that moves and no other, so the canonical walks put a
 successor of a canonical state in canonical form by moving that one
 frame to its place in its group (``_Kernel.canon_step``); ``canon``
-sorts every group and serves raw states.  ``first_schedule`` walks raw
+sorts every group and serves raw states, and ``canon_map`` also returns
+the thread permutation it applied.  ``first_schedule`` walks raw
 states breadth-first in hwmodel's order when a replayable schedule to
 some state is needed, and returns the tokens that schedule emits too:
 the divergence harnesses read their counterexample histories off them.
@@ -75,11 +76,12 @@ The sweep produces
     closes, and extending it by a token is one memo lookup.  The walk
     stops at tail states, where every thread has invoked and only
     responses remain, which all land in the history's last, sorted run:
-    a post-order walk over tail states alone memoizes per state the
-    response runs that complete it, expanding a ret, or a dequeuer's
-    re-scan while back is final, as the state's only step (an ample set
-    of one, after Peled), and each prefix reaching the state is
-    extended by each of its runs.
+    a post-order walk over tail states alone memoizes per canonical
+    state the response runs that complete it, and each prefix reaching
+    a state is extended by each of its runs.  A step that enables a ret
+    takes the ret along, and a dequeuer's re-scan while back is final
+    is a state's only step (ample sets of one, after Peled); a state's
+    runs are its canonical twin's with thread ids mapped back.
 
 History collection sorts each maximal run of same-kind actions
 (adjacent invocations, adjacent responses) and renames enqueue values
@@ -148,8 +150,8 @@ class SweepImpurity:
 @dataclass
 class SweepReport:
     """What sweep_config found.  nodes counts history collection's work:
-    its level walk's (state, prefix) nodes plus the tail states it
-    memoized (see collect_histories)."""
+    its level walk's (state, prefix) nodes plus the canonical tail
+    states and the tail roots it memoized (see collect_histories)."""
 
     trace_counts: Counter
     canonical_states: int
@@ -397,14 +399,24 @@ class _Kernel:
         return 0
 
     def canon(self, state: int) -> int:
+        return self.canon_map(state)[0]
+
+    def canon_map(self, state: int) -> tuple:
+        """canon(state), and the map back to state: per thread of the
+        canonical state, the thread of state whose frame it holds, or
+        None when state is canonical already."""
         # sort frames within each interchangeable group
         shifts, f_mask = self.shifts, self.f_mask
+        perm = None
         for tids in self.sym_groups:
-            fields = sorted((state >> shifts[t]) & f_mask for t in tids)
-            for t, fbits in zip(tids, fields):
-                sh = shifts[t]
-                state = (state & ~(f_mask << sh)) | (fbits << sh)
-        return state
+            fields = sorted([((state >> shifts[t]) & f_mask, t) for t in tids])
+            for t, (fbits, u) in zip(tids, fields):
+                if u != t:
+                    perm = perm or list(range(self.n))
+                    perm[t] = u
+                    sh = shifts[t]
+                    state = (state & ~(f_mask << sh)) | (fbits << sh)
+        return state, perm and tuple(perm)
 
     def canon_step(self, state: int, tid: int) -> int:
         """canon of a successor of a canonical state by a step of tid.
@@ -520,8 +532,7 @@ class _Kernel:
                     ns = (base & ~(item_mask << ish)) | ((f >> res_sh or vbits) << ish)
                     out.append((tid, "E2", None, ns | (_RET << sh)))
                 elif pc == _RET:
-                    base = state ^ (f << sh)
-                    out.append((tid, "ret", (_T_ERES, tid, 0), base | (_DONE << sh)))
+                    out.append(self.ret(state, tid, True))
                 elif pc == _IDLE:
                     if back >= cap:
                         continue  # slot array exhausted
@@ -569,10 +580,7 @@ class _Kernel:
                     out.append((tid, "D2" if pidx is None else "D2A", None, ns))
                 # a prophecy dequeue facing another value blocks here
             elif pc == _RET:
-                base = state ^ (f << sh)
-                res = f >> res_sh
-                ns = base | ((_DONE | (res << res_sh)) << sh)
-                out.append((tid, "ret", (_T_DRES, tid, res), ns))
+                out.append(self.ret(state, tid, False))
             else:  # _IDLE or _D1
                 iters = (f >> it_sh) & it_mask
                 if iters >= lb:
@@ -594,6 +602,15 @@ class _Kernel:
                     ns |= rank << (sh + self.uid_sh)
                 out.append((tid, "D1", (_T_DINV, tid, 0), ns))
         return out
+
+    def ret(self, state: int, tid: int, enq: bool) -> tuple:
+        """The response of thread tid, which sits at RET in state, as
+        successors lists it: (tid, "ret", token, next state).  A frame at
+        RET holds its pc and, for a dequeue, the value it took, 0 for an
+        enqueue; the response moves pc on to DONE, which is RET + 1."""
+        sh = self.shifts[tid]
+        res = (state >> (sh + self.res_sh)) & self.item_mask
+        return tid, "ret", (_T_ERES if enq else _T_DRES, tid, res), state + (1 << sh)
 
     def _gate(self, state: int, gate_groups) -> dict:
         # each member of a listed group -> the group's lowest idle member
@@ -860,11 +877,12 @@ def purity_scan(kernel: _Kernel, real: _Kernel, states):
     states: the canonical states count_schedules visited on kernel, the
     stamped kernel of real's configuration with its values erased.
 
-    A check runs the dequeue alone from its state with a fresh loop
-    budget (its iteration counter cleared).  The verdict is TERMINATES
-    when every solo run finishes the operation, PURE when some run
-    blocks but none blocks after changing the shared state (back,
-    slots, scratch), VIOLATION when one does.
+    A check runs the dequeue alone from its pair: the shared fields, its
+    frame with a fresh loop budget (its iteration counter cleared), and
+    every other thread DONE, so that no other thread moves.  The verdict
+    is TERMINATES when every solo run finishes the operation, PURE when
+    some run blocks but none blocks after changing the shared state
+    (back, slots, scratch), VIOLATION when one does.
 
     The (shared state, dequeue frame) pair, with the counter cleared,
     fully determines the verdict, which is memoized on the stamped pair
@@ -883,6 +901,9 @@ def purity_scan(kernel: _Kernel, real: _Kernel, states):
     """
     successors, shifts, f_mask = kernel.successors, kernel.shifts, kernel.f_mask
     shared_mask = kernel.shared_mask
+    # a solo run starts from the pair alone, every other thread DONE, so
+    # that successors yields the dequeuer's steps only
+    dones = sum(_DONE << sh for sh in shifts)
     # what pending_dequeues reads: the shared fields and every dequeuer
     # frame; states that differ only in enqueuer frames hold the same pairs
     view_mask = shared_mask
@@ -902,7 +923,7 @@ def purity_scan(kernel: _Kernel, real: _Kernel, states):
             memo.add(pair)
             shared, fresh = pair
             sh = shifts[tid]
-            start = (state & ~(f_mask << sh)) | (fresh << sh)
+            start = shared | (dones & ~(f_mask << sh)) | (fresh << sh)
             verdict = "TERMINATES"
             seen = {start}
             stack = [start]
@@ -910,7 +931,7 @@ def purity_scan(kernel: _Kernel, real: _Kernel, states):
                 s = stack.pop()
                 if ((s >> sh) & 0x7) == _DONE:
                     continue
-                succs = [ns for t, _, _, ns in successors(s) if t == tid]
+                succs = [ns for _, _, _, ns in successors(s)]
                 if not succs:
                     if (s & shared_mask) != shared:
                         verdict = "VIOLATION"
@@ -950,17 +971,17 @@ def _members(bits: int):
 
 
 def _ample(succs: list) -> list:
-    """The steps of a tail state that collection expands: a ret alone,
-    else a dequeuer's re-scan D1 alone while no enqueuer sits at E1B,
-    else every step (see collect_histories)."""
-    rescan = None  # the first D1, or False once an E1b shows up
+    """The steps of a tail state that collection expands: a dequeuer's
+    re-scan D1 alone while no enqueuer sits at E1B, else every step.  No
+    ret is among them: collection takes each ret with the step that
+    enables it, so no tail state it expands has a thread at RET (see
+    collect_histories)."""
+    rescan = None
     for step in succs:
         instr = step[1]
-        if instr == "ret":
-            return [step]
         if instr == "E1b":
-            rescan = False
-        elif instr == "D1" and rescan is None:
+            return succs
+        if instr == "D1" and rescan is None:
             rescan = step
     return [rescan] if rescan else succs
 
@@ -997,22 +1018,40 @@ def collect_histories(kernel: _Kernel):
     that reaches the state is extended by each of them.  Token tuples
     are built once per prefix, at the end.
 
-    Inside the tail a state expands one step alone when it has a ret,
-    which reads and writes only its own frame, or else a dequeuer's
-    re-scan D1 while no enqueuer sits at E1B: D1 reads back, which in
-    the tail only E1b writes, and its own frame.  No other step reads
-    what such a step writes and none disables it, so every complete run
-    from the state takes it, and moving it to the front keeps the final
-    state and the set of responses; the state's runs are its one
-    successor's, with the ret's token added.  E2 and D2 race for slots
-    and are expanded in full.  The argument holds for COMPLETE
-    endpoints only: a run stopped at the loop bound need not take the
-    step taken alone, so a walk that keeps such endpoints must argue
-    again before it reuses the memo.
+    Inside the tail a ret reads and writes only its own frame, and a
+    dequeuer's re-scan D1 while no enqueuer sits at E1B reads only its
+    own frame and back, which in the tail only E1b writes.  No other
+    step reads what such a step writes and none disables it, so every
+    complete run from a state where it is enabled takes it, and moving
+    it to the front keeps the final state and the set of responses: it
+    is an ample set of one.  A ret is taken as soon as it is enabled:
+    a step that leaves its thread at RET (an E2, or a D2 that takes a
+    value) applies the thread's ret at once and carries both tokens on
+    one edge, and a tail root's threads at RET respond before the root
+    is walked, so no memoized tail state has a thread at RET.  A re-scan
+    is taken alone when a state has one.  E2 and D2 race for slots and
+    are expanded in full.
+
+    Tail states are memoized by their canonical form (kernel.canon_map,
+    the frames of identical threads sorted).  Identical threads run one
+    program and no transition reads a thread's id, so swapping two of
+    them maps the complete runs from a state one-to-one onto those from
+    the swapped state, each token's thread swapped too: a state's
+    runs are its canonical twin's with each token's thread mapped back
+    through the permutation that canonicalized it, re-sorted, and no
+    run is lost.  A successor's permutation comes from where canon_step
+    moved the stepping thread's frame, a root's from canon_map; the
+    relabelled runs are memoized per (run set, permutation), as added
+    tokens are per (run set, token).  Both the ample sets and the key
+    are argued for COMPLETE endpoints only: a run stopped at the loop
+    bound need not take a step taken alone, so a walk that keeps such
+    endpoints must argue both again before it reuses the memo.
 
     The nodes counted are the level walk's (state, prefix) nodes, at
-    tail states too, plus the tail states memoized.  No state of the
-    level walk is kept past its level.
+    tail states too, plus the tail states memoized: the canonical ones
+    the tail walk expands and the roots as the level walk reached them,
+    a root counted once when it is canonical with no thread at RET.  No
+    state of the level walk is kept past its level.
     """
     gate_groups = kernel.emit_groups()
 
@@ -1053,46 +1092,105 @@ def collect_histories(kernel: _Kernel):
             runs.append(open_seqs[oid])
         return tuple(t for run in reversed(runs) for t in run)
 
-    successors, classify = kernel.successors, kernel.classify
+    successors, classify, ret = kernel.successors, kernel.classify, kernel.ret
+    canon_step, canon_map = kernel.canon_step, kernel.canon_map
+    shifts, is_enq, f_mask = kernel.shifts, kernel.is_enq, kernel.f_mask
+    members = {t: (tids, i) for tids in kernel.sym_groups for i, t in enumerate(tids)}
+    landed: dict = {}
     # the sorted response runs that end histories, by id, and for each
-    # tail state the set of runs that complete it, as an int with bit i
-    # set for run i: bit 0, the empty run, marks a COMPLETE dead end
+    # canonical tail state the set of runs that complete it, as an int
+    # with bit i set for run i: bit 0, the empty run, marks a COMPLETE
+    # dead end
     run_seqs: list[tuple] = [()]
     run_ids: dict[tuple, int] = {(): 0}
     tail_runs: dict[int, int] = {}
     run_sets: dict[int, int] = {}
     with_token: dict[tuple, int] = {}  # (runs, token) -> token added to each
+    relabelled: dict[tuple, int] = {}  # (runs, map) -> tids mapped through it
+
+    def intern_run(run: tuple) -> int:
+        got = run_ids.get(run)
+        if got is None:
+            got = run_ids[run] = len(run_seqs)
+            run_seqs.append(run)
+        return got
 
     def plus(runs: int, token: tuple) -> int:
         got = with_token.get((runs, token))
         if got is None:
             got = 0
             for rid in _members(runs):
-                run = tuple(sorted(run_seqs[rid] + (token,)))
-                added = run_ids.get(run)
-                if added is None:
-                    added = run_ids[run] = len(run_seqs)
-                    run_seqs.append(run)
-                got |= 1 << added
+                got |= 1 << intern_run(tuple(sorted(run_seqs[rid] + (token,))))
             with_token[(runs, token)] = got
         return got
+
+    def relabel(runs: int, perm: tuple) -> int:
+        got = relabelled.get((runs, perm))
+        if got is None:
+            got = 0
+            for rid in _members(runs):
+                run = sorted((kind, perm[tid], val) for kind, tid, val in run_seqs[rid])
+                got |= 1 << intern_run(tuple(run))
+            relabelled[(runs, perm)] = got
+        return got
+
+    def step(ns: int, tid: int) -> tuple:
+        # a step into ns by tid, with tid's ret taken along when the step
+        # enabled it: (canonical state, map back to ns or None, tokens)
+        tokens = ()
+        if (ns >> shifts[tid]) & 0x7 == _RET:
+            _, _, token, ns = ret(ns, tid, is_enq[tid])
+            tokens = (token,)
+        canonical = canon_step(ns, tid)
+        if canonical == ns:
+            return canonical, None, tokens
+        # tid's frame moved to the first place in its group holding it,
+        # and the frames it passed moved one place back
+        tids, i = members[tid]
+        f = (ns >> shifts[tid]) & f_mask
+        j = next(j for j, t in enumerate(tids) if (canonical >> shifts[t]) & f_mask == f)
+        perm = landed.get((tid, j))
+        if perm is None:
+            order = list(tids)
+            order.insert(j, order.pop(i))
+            moved = dict(zip(tids, order))
+            perm = landed[tid, j] = tuple(moved.get(t, t) for t in range(kernel.n))
+        return canonical, perm, tokens
+
+    def settle(root: int) -> tuple:
+        # a tail root's threads at RET respond at once, as in step
+        tokens = []
+        for tid, sh in enumerate(shifts):
+            if (root >> sh) & 0x7 == _RET:
+                _, _, token, root = ret(root, tid, is_enq[tid])
+                tokens.append(token)
+        return (*canon_map(root), tokens)
 
     def walk_tail(roots) -> None:
         # post-order over tail states alone, with an explicit stack: a
         # dequeuer's spin rounds make tail paths longer than the
-        # recursion limit at large loop bounds
-        stack: list = [(root, None) for root in roots]
+        # recursion limit at large loop bounds.  A root with a thread at
+        # RET, or not canonical, has one kid: its settled canonical form
+        stack: list = []
+        for root in roots:
+            kid = settle(root)
+            stack += [(root, None)] if kid[0] == root else [(root, [kid]), (kid[0], None)]
         while stack:
             state, kids = stack.pop()
             if kids is None:
                 if state not in tail_runs:
-                    kids = _ample(successors(state))
+                    kids = [step(ns, tid) for tid, _, _, ns in _ample(successors(state))]
                     stack.append((state, kids))
-                    stack.extend([(ns, None) for _, _, _, ns in kids])
+                    stack.extend([(kid[0], None) for kid in kids])
             elif kids:
                 runs = 0
-                for _, _, token, ns in kids:
-                    runs |= tail_runs[ns] if token is None else plus(tail_runs[ns], token)
+                for kid, perm, tokens in kids:
+                    got = tail_runs[kid]
+                    if perm:
+                        got = relabel(got, perm)
+                    for token in tokens:
+                        got = plus(got, token)
+                    runs |= got
                 # one object per distinct set
                 tail_runs[state] = run_sets.setdefault(runs, runs)
             else:
@@ -1109,7 +1207,7 @@ def collect_histories(kernel: _Kernel):
         # frame's pc, its low 3 bits, is 0 (idle)
         tails = [state for state in level if (state | state >> 1 | state >> 2) & pcs == pcs]
         if tails:
-            walk_tail(tails)
+            walk_tail([state for state in tails if state not in tail_runs])
         for state in tails:
             pids = level.pop(state)
             if runs := tail_runs[state]:

@@ -233,7 +233,10 @@ def test_reachable_states_match_the_count_walk(config):
 # count, a dequeue that leaves its value in the slot (no_swap_clear), a
 # re-scan next to a NULL swap that writes the scratch counter (dirty_spin),
 # and re-scans while an enqueuer sits between claiming a slot and moving
-# back (nonatomic_enq)
+# back (nonatomic_enq); last, configurations where the tail memo's key
+# folds states that differ by swapping identical threads: a group of
+# three dequeuers, three dequeuers that can return one value twice
+# (no_swap_clear), and two groups, so enqueue responses are relabelled too
 COLLECT_CONFIGS = [p for p in CANON_CONFIGS if not _Kernel(p.values[0]).ranked] + [
     pytest.param(
         Config((EnqOp(1), EnqOp(1), EnqOp(2), DeqOp()), capacity=3, loop_bound=2),
@@ -255,6 +258,13 @@ COLLECT_CONFIGS = [p for p in CANON_CONFIGS if not _Kernel(p.values[0]).ranked] 
                  id="dirty-spin-2+1"),
     pytest.param(plain_config(2, 2, mutant=MUTANT_NONATOMIC_ENQ, capacity=2, loop_bound=3),
                  id="nonatomic-enq-2+2-lb3"),
+    pytest.param(plain_config(3, 3, capacity=3, loop_bound=1), id="3+3-lb1"),
+    pytest.param(plain_config(2, 3, mutant=MUTANT_NO_SWAP_CLEAR, capacity=2, loop_bound=2),
+                 id="no-swap-clear-2+3"),
+] + [
+    pytest.param(Config((EnqOp(1), EnqOp(1), DeqOp(), DeqOp()), capacity=cap, loop_bound=cap),
+                 id=f"two-groups-cap{cap}")
+    for cap in (2, 3)
 ]
 
 
@@ -282,7 +292,8 @@ def count_successors(monkeypatch, kernel) -> list:
 def test_collect_matches_the_reference_walk(monkeypatch, config):
     # the same histories as the node-by-node walk; the level walk expands
     # each (depth, state) pair of it whose state has an idle thread once,
-    # gated, and the tail walk each state it memoizes once, ungated
+    # gated, and the tail walk each state it memoizes once, ungated: a
+    # canonical state with no thread at RET (program counter 5)
     kernel = _Kernel(config)
     pairs: set = set()
     want, _ = reference_collect_histories(kernel, quotient=True, expanded=pairs)
@@ -296,12 +307,15 @@ def test_collect_matches_the_reference_walk(monkeypatch, config):
     tail = [(state, groups) for state, groups in calls if not has_idle_thread(kernel, state)]
     assert len({state for state, _ in tail}) == len(tail)
     assert all(groups == () for _, groups in tail)
+    assert all(kernel.canon(state) == state for state, _ in tail)
+    assert not any(kernel_frame(kernel, state, t) & 0x7 == 5
+                   for state, _ in tail for t in range(kernel.n))
 
 
 @pytest.mark.parametrize("cell, expanded, nodes, level, calls, got_nodes", [
-    pytest.param((2, 2), 4_033, 7_127, 514, 2_460, 3_259, id="grid-2+2"),
-    pytest.param((3, 1), 1_104, 2_589, 240, 846, 1_301, id="grid-3+1"),
-    pytest.param((1, 3), 3_399, 4_969, 401, 1_447, 1_951, id="grid-1+3"),
+    pytest.param((2, 2), 4_033, 7_127, 514, 1_075, 2_206, id="grid-2+2"),
+    pytest.param((3, 1), 1_104, 2_589, 240, 473, 1_047, id="grid-3+1"),
+    pytest.param((1, 3), 3_399, 4_969, 401, 599, 1_397, id="grid-1+3"),
 ])
 def test_collect_expands_level_states_once_per_level_and_tail_states_once(
         monkeypatch, cell, expanded, nodes, level, calls, got_nodes):
@@ -637,12 +651,12 @@ def test_quotient_sizes_at_small_scale():
         quot, quot_nodes = collect_histories(kernel)
         sizes[key] = (len(exact), exact_nodes, len(quot), quot_nodes)
     assert sizes == {
-        "1+1": (5, 53, 2, 29),
-        "2+1": (124, 1230, 12, 182),
-        "2+2": (1704, 23457, 67, 1259),
-        "noswap": (33, 634, 6, 168),
-        "skip0": (66, 774, 7, 99),
-        "nonatomic": (132, 3176, 14, 406),
+        "1+1": (5, 53, 2, 25),
+        "2+1": (124, 1230, 12, 145),
+        "2+2": (1704, 23457, 67, 960),
+        "noswap": (33, 634, 6, 134),
+        "skip0": (66, 774, 7, 85),
+        "nonatomic": (132, 3176, 14, 312),
     }
 
 
@@ -664,7 +678,7 @@ def test_report_small_clean():
     assert dict(r.trace_counts) == {"COMPLETE": 42, "BOUND_HIT": 4}
     assert r.total_traces == 46
     assert r.canonical_states == 29
-    assert r.nodes == 29
+    assert r.nodes == 25
     assert r.distinct_complete == 2
     assert (r.oracle_checked, r.oracle_disagreements) == (2, 0)
     assert dict(r.purity_outcomes) == {"PURE": 3, "TERMINATES": 3}

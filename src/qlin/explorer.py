@@ -8,14 +8,17 @@ model.  ``divergence_check_vrepet`` and ``divergence_check_vord``
 build the two theorem-shaped programs around the prophecy-instrumented
 dequeue and hand them, with the predicates that state their termination
 properties and a note for each, to one runner, ``_run``.  It reaches
-the states only through the packed kernel in sweep, by
-``sweep.reachable_states``, which counts no schedules, up to permuting
-threads with the same declared operation: the reported state count is
-the sum of the orbit sizes of the canonical states, each predicate is
-invariant under those permutations and must hold at every one of them,
-and a failing predicate's counterexample is the breadth-first schedule
-to its first failing state, with the history read off the tokens that
-walk emits (``sweep.first_schedule``).
+the states only through the packed kernel in sweep, by one
+breadth-first walk, ``sweep.reachable_states``, which counts no
+schedules, up to permuting threads with the same declared operation:
+the reported state count is the sum of the orbit sizes of the
+canonical states, each predicate is invariant under those permutations
+and must hold at every one of them, and a failing predicate's
+counterexample is the breadth-first schedule to its first failing
+state, with the history read off the tokens that schedule emits.  With
+no such permutation the walk's own parents give that schedule
+(``sweep.walked_schedule``); otherwise a raw breadth-first walk finds
+it (``sweep.first_schedule``).
 
 Schedules are tuples of ``tid:instruction`` labels and are always
 replayable: feeding one back through ``replay_schedule`` reproduces the
@@ -24,7 +27,9 @@ same final state and the same induced history byte for byte.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .history import Action, History
 from .hwmodel import (
@@ -40,7 +45,7 @@ from .hwmodel import (
     successors,
 )
 from . import sweep
-from .sweep import _Kernel
+from .sweep import _DONE, _Kernel
 
 
 @dataclass(frozen=True)
@@ -119,35 +124,45 @@ class DivergenceReport:
         return " ".join(parts)
 
 
-def _run(name: str, params: tuple, config: Config, check, invariant=None) -> DivergenceReport:
+def _run(name: str, params: tuple, kernel: _Kernel, check, invariant=None) -> DivergenceReport:
     """Walk the harness configuration and report on its predicates.
 
     check and invariant are (predicate, note) pairs.  A predicate is a
-    function of (kernel, packed state) that must hold at every reachable
-    state.  Each is invariant under permuting threads with the same
-    declared operation, so it is evaluated on the canonical states only,
-    and no more once it has failed; the state count is the sum of their
-    orbits.  The states come from sweep.reachable_states, which counts
-    no schedules: the harnesses need none.  A failing predicate's
-    counterexample is sweep.first_schedule's breadth-first schedule to
-    its first failing state, with the history its tokens spell.
+    function of a packed state of kernel that must hold at every
+    reachable state.  Each is invariant under permuting threads with the
+    same declared operation, so it is evaluated on the canonical states
+    only, in the breadth-first order of sweep.reachable_states, up to
+    its first failing state.  The state count is the sum of the
+    canonical states' orbits; an orbit's size reads only the frames of
+    the symmetry groups, so it is computed once per distinct projection
+    onto them.  A failing predicate's counterexample is the breadth-first
+    schedule to its first failing state, with the history its tokens
+    spell: with no symmetry group the canonical states are the raw ones
+    and the walk's parents give it (sweep.walked_schedule), otherwise
+    sweep.first_schedule walks the raw states again for it.
     """
-    kernel = _Kernel(config)
-    canonical, bound_hit = sweep.reachable_states(kernel)
-    pairs = [pair for pair in (check, invariant) if pair is not None]
-    failing: list = []
-    states = 0
-    for state in canonical:
-        states += kernel.orbit_size(state)
-        for pair in pairs:
-            if pair not in failing and not pair[0](kernel, state):
-                failing.append(pair)
+    parents, bound_hit = sweep.reachable_states(kernel)
+    if kernel.sym_groups:
+        group_mask = 0
+        for tids in kernel.sym_groups:
+            for t in tids:
+                group_mask |= kernel.f_mask << kernel.shifts[t]
+        frames = Counter(state & group_mask for state in parents)
+        states = sum(kernel.orbit_size(f) * n for f, n in frames.items())
+    else:
+        states = len(parents)
 
     def example(pair) -> Counterexample | None:
-        if pair not in failing:
+        if pair is None:
             return None
         holds, note = pair
-        schedule, tokens, _ = sweep.first_schedule(kernel, lambda s: not holds(kernel, s))
+        bad = next(filterfalse(holds, parents), None)
+        if bad is None:
+            return None
+        if kernel.sym_groups:
+            schedule, tokens, _ = sweep.first_schedule(kernel, lambda s: not holds(s))
+        else:
+            schedule, tokens = sweep.walked_schedule(kernel, parents, bad)
         return Counterexample(schedule, kernel.tokens_to_history(tokens), note)
 
     ce, inv_example = example(check), example(invariant)
@@ -200,17 +215,23 @@ def divergence_check_vrepet(m: int = 2, k: int = 0, *,
     """
     v = VREPET_V
     config = vrepet_config(m, k, loop_bound=loop_bound, mutant=mutant)
+    kernel = _Kernel(config)
     # a kernel dequeue finishes only by taking a value, and the choice
-    # menus dequeue only 8 or 9, so a finished deq(7) thread took a value
-    watched = [t for t, op in enumerate(config.threads) if op == DeqOp(prophecy=v)]
+    # menus dequeue only 8 or 9, so a finished deq(7) thread took a value.
+    # watched holds the lowest pc bit of each deq(7) frame; of the pcs
+    # 0 to 6, DONE, 6, is the only one with both higher bits set, so
+    # state >> 1 & state >> 2 & watched has a bit per finished deq(7)
+    watched = sum(1 << kernel.shifts[t] for t, op in enumerate(config.threads)
+                  if op == DeqOp(prophecy=v))
 
-    def at_most_one(kernel: _Kernel, state: int) -> bool:
-        return sum(kernel.done(state, t) for t in watched) <= 1
+    def at_most_one(state: int) -> bool:
+        done = state >> 1 & state >> 2 & watched
+        return not done & (done - 1)
 
     return _run(
         "vrepet",
         (("v", v), ("m", m), ("k", k), ("loop_bound", loop_bound), ("mutant", mutant)),
-        config,
+        kernel,
         (at_most_one, f"two deq({v}) threads finished on one enq({v})"),
     )
 
@@ -256,18 +277,26 @@ def divergence_check_vord(k: int = 0, *,
     1 with no 2 in any earlier slot.
     """
     v1, v2 = VORD_V1, VORD_V2
-    config = vord_config(k, loop_bound=loop_bound, mutant=mutant)
+    kernel = _Kernel(vord_config(k, loop_bound=loop_bound, mutant=mutant))
+    deq_sh, enq_sh = kernel.shifts[0], kernel.shifts[1]
+    # slots hold 1-based value indices, 0 for NULL; v2 is enqueued only
+    # by a choice thread's menu, so with none it has no index
+    index = {v: i for i, v in enumerate(kernel.values, 1)}
+    i1, i2 = index[v1], index.get(v2, -1)
+    back_mask, item_mask = kernel.back_mask, kernel.item_mask
+    cells = [kernel.items_sh + kernel.item_w * i for i in range(kernel.cap)]
 
-    def main_deq_blocked(kernel: _Kernel, state: int) -> bool:
-        return not kernel.done(state, 0)
+    def main_deq_blocked(state: int) -> bool:
+        return (state >> deq_sh) & 0x7 != _DONE
 
-    def slot_invariant(kernel: _Kernel, state: int) -> bool:
-        if not kernel.done(state, 1):
+    def slot_invariant(state: int) -> bool:
+        if (state >> enq_sh) & 0x7 != _DONE:
             return True
-        for held in kernel.items(state):
-            if held == v2:
+        for sh in cells[:state & back_mask]:
+            held = (state >> sh) & item_mask
+            if held == i2:
                 return False
-            if held == v1:
+            if held == i1:
                 return True
         return False
 
@@ -277,7 +306,7 @@ def divergence_check_vord(k: int = 0, *,
     return _run(
         "vord",
         (("k", k), ("v1", v1), ("v2", v2), ("loop_bound", loop_bound), ("mutant", mutant)),
-        config,
+        kernel,
         (main_deq_blocked,
          f"deq({v2}) finished although enq({v1}) came first and was never dequeued"),
         invariant,

@@ -32,9 +32,11 @@ successor of a canonical state in canonical form by moving that one
 frame to its place in its group (``_Kernel.canon_step``); ``canon``
 sorts every group and serves raw states, and ``canon_map`` also returns
 the thread permutation it applied.  ``first_schedule`` walks raw
-states breadth-first in hwmodel's order when a replayable schedule to
-some state is needed, and returns the tokens that schedule emits too:
-the divergence harnesses read their counterexample histories off them.
+states breadth-first in hwmodel's order, up to the first state that
+satisfies a condition, when a replayable schedule to some state is
+needed, and returns the tokens that schedule emits too: the divergence
+harnesses read their counterexample histories off them, where their
+own walk cannot give the schedule.
 
 Two walks visit the canonical states.  ``count_schedules`` counts
 schedules; ``sweep_config`` runs it on the stamped kernel of the
@@ -46,10 +48,14 @@ independence), so no plain transition and no endpoint status reads
 which value a slot or result holds, only whether it holds one, and all
 enqueuers then form one symmetry group.  The ranks still tell which
 enqueuer's value sits where, so the purity check reads every pending
-dequeue off the same states.  ``reachable_states`` keeps only a visited
-set and whether some run stops at the loop bound, which is all the
-divergence harnesses in explorer read; they compare values, so they
-walk the real ones.
+dequeue off the same states.  ``reachable_states`` walks the
+canonical states breadth-first in hwmodel's order and keeps, for each,
+only the canonical state that first reached it, and whether some run
+stops at the loop bound, which is all the divergence harnesses in
+explorer read; they compare values, so they walk the real ones.  With
+no symmetry group the walk is ``first_schedule``'s, run to the end, so
+``walked_schedule`` reads first_schedule's schedule to any state off
+the parents.
 
 The sweep produces
   - exact counts of maximal schedules by endpoint status, computed by
@@ -102,7 +108,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, replace
 from itertools import permutations
 
-from .history import NULL, Action, History, deq_inv, deq_res, enq_inv, enq_res
+from .history import Action, History, deq_inv, deq_res, enq_inv, enq_res
 from .hwmodel import (
     ChoiceOp,
     Config,
@@ -454,6 +460,9 @@ class _Kernel:
 
         The state must be canonical: its groups' frames are then sorted,
         so equal frames sit next to each other and are counted as runs.
+        Only the groups' frames are read, so the state may as well be a
+        canonical state's projection onto them, its other bits cleared:
+        states with the same projection have the same orbit size.
         """
         shifts, f_mask = self.shifts, self.f_mask
         size = 1
@@ -472,14 +481,6 @@ class _Kernel:
 
     def done(self, state: int, tid: int) -> bool:
         return (state >> self.shifts[tid]) & 0x7 == _DONE
-
-    def items(self, state: int) -> tuple:
-        """The slots below back, as values with NULL for empty."""
-        out = []
-        for i in range(state & self.back_mask):
-            held = (state >> (self.items_sh + self.item_w * i)) & self.item_mask
-            out.append(self.values[held - 1] if held else NULL)
-        return tuple(out)
 
     # -- transitions -------------------------------------------------------
 
@@ -847,29 +848,59 @@ def count_schedules(kernel: _Kernel):
 
 
 def reachable_states(kernel: _Kernel):
-    """The reachable canonical states, and whether some maximal run
-    stops at the loop bound.
+    """The reachable canonical states, breadth-first, and whether some
+    maximal run stops at the loop bound: (parents, bound_hit).
 
-    The same states as count_schedules visits, with no counts: a
-    depth-first walk with a visited set that classifies dead ends only,
-    for callers that need neither schedule counts nor visiting order.
+    parents maps each state, in the order the walk discovers it, to the
+    canonical state that first reached it, as an int, and the initial
+    state to -1.  Threads and branches are expanded in hwmodel's order,
+    as in first_schedule, and no schedule is counted or step kept; dead
+    ends are classified for the loop-bound flag only.  With no symmetry
+    group every state is canonical, and this is first_schedule's walk
+    run to the end: the same states in the same order, each with the
+    same parent (see walked_schedule).
     """
     successors, canon_step, classify = kernel.successors, kernel.canon_step, kernel.classify
     init = kernel.canon(kernel.init_state())
-    seen = {init}
-    stack = [init]
+    parents = {init: -1}
+    queue = deque([init])
+    pop, push = queue.popleft, queue.append
     bound_hit = False
-    while stack:
-        state = stack.pop()
+    while queue:
+        state = pop()
         succs = successors(state)
         if not succs:
             bound_hit = bound_hit or classify(state) == "BOUND_HIT"
         for tid, _, _, ns in succs:
             ns = canon_step(ns, tid)
-            if ns not in seen:
-                seen.add(ns)
-                stack.append(ns)
-    return seen, bound_hit
+            if ns not in parents:
+                parents[ns] = state
+                push(ns)
+    return parents, bound_hit
+
+
+def walked_schedule(kernel: _Kernel, parents: dict, state: int) -> tuple[tuple[str, ...], tuple]:
+    """The schedule reachable_states found to state on a kernel with no
+    symmetry group, and the tokens it emits.
+
+    Each hop is the first of its parent's successors that reaches it,
+    the step first_schedule's walk keeps, so this is first_schedule's
+    schedule to the same state; one successors call per hop.
+    """
+    path = []
+    while state != -1:
+        path.append(state)
+        state = parents[state]
+    path.reverse()
+    labels: list[str] = []
+    tokens: list[tuple] = []
+    for parent, child in zip(path, path[1:]):
+        tid, instr, token, _ = next(step for step in kernel.successors(parent)
+                                    if step[3] == child)
+        labels.append(f"{tid}:{instr}")
+        if token is not None:
+            tokens.append(token)
+    return tuple(labels), tuple(tokens)
 
 
 def purity_scan(kernel: _Kernel, real: _Kernel, states):
@@ -1042,10 +1073,12 @@ def collect_histories(kernel: _Kernel):
     run is lost.  A successor's permutation comes from where canon_step
     moved the stepping thread's frame, a root's from canon_map; the
     relabelled runs are memoized per (run set, permutation), as added
-    tokens are per (run set, token).  Both the ample sets and the key
-    are argued for COMPLETE endpoints only: a run stopped at the loop
-    bound need not take a step taken alone, so a walk that keeps such
-    endpoints must argue both again before it reuses the memo.
+    tokens are per (run set, token).  With no symmetry group every state
+    is canonical, and neither canon_step nor canon_map is called.  Both
+    the ample sets and the key are argued for COMPLETE endpoints only: a
+    run stopped at the loop bound need not take a step taken alone, so a
+    walk that keeps such endpoints must argue both again before it
+    reuses the memo.
 
     The nodes counted are the level walk's (state, prefix) nodes, at
     tail states too, plus the tail states memoized: the canonical ones
@@ -1141,6 +1174,8 @@ def collect_histories(kernel: _Kernel):
         if (ns >> shifts[tid]) & 0x7 == _RET:
             _, _, token, ns = ret(ns, tid, is_enq[tid])
             tokens = (token,)
+        if not members:
+            return ns, None, tokens
         canonical = canon_step(ns, tid)
         if canonical == ns:
             return canonical, None, tokens
@@ -1164,6 +1199,8 @@ def collect_histories(kernel: _Kernel):
             if (root >> sh) & 0x7 == _RET:
                 _, _, token, root = ret(root, tid, is_enq[tid])
                 tokens.append(token)
+        if not members:
+            return root, None, tokens
         return (*canon_map(root), tokens)
 
     def walk_tail(roots) -> None:

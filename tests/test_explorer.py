@@ -377,6 +377,20 @@ HARNESSES = [
     pytest.param("vord", dict(k=1, mutant=MUTANT_SKIP_SLOT_ZERO), id="vord-skip-slot-zero"),
 ]
 
+# the unmutated harnesses, and a small one of each kind under every mutant
+FINISHED_DEQUEUE_HARNESSES = [p.values for p in HARNESSES if "mutant" not in p.values[1]] + [
+    (kind, dict(params, mutant=mutant))
+    for kind, params in (("vrepet", dict(m=2, k=0)), ("vord", dict(k=1)))
+    for mutant in MUTANTS if mutant != MUTANT_NONE
+]
+
+# every harness above, each once; ids as HARNESSES names its mutant ones
+REFERENCE_HARNESSES = HARNESSES + [
+    pytest.param(kind, params, id=f"{kind}-{params['mutant'].replace('_', '-')}")
+    for kind, params in FINISHED_DEQUEUE_HARNESSES
+    if (kind, params) not in [p.values for p in HARNESSES]
+]
+
 
 def report_lines(r):
     lines = [r.summary(), repr((r.passed, r.states, r.bound_caveat, r.invariant_ok))]
@@ -385,7 +399,7 @@ def report_lines(r):
     return lines
 
 
-@pytest.mark.parametrize("kind, params", HARNESSES)
+@pytest.mark.parametrize("kind, params", REFERENCE_HARNESSES)
 def test_harness_matches_reference(kind, params):
     if kind == "vrepet":
         mine, ref = divergence_check_vrepet(**params), reference_divergence_vrepet(**params)
@@ -443,12 +457,51 @@ def test_harness_walks_through_the_sweep_module(monkeypatch):
     assert len(calls) == 2
 
 
-# the unmutated harnesses, and a small one of each kind under every mutant
-FINISHED_DEQUEUE_HARNESSES = [p.values for p in HARNESSES if "mutant" not in p.values[1]] + [
-    (kind, dict(params, mutant=mutant))
-    for kind, params in (("vrepet", dict(m=2, k=0)), ("vord", dict(k=1)))
-    for mutant in MUTANTS if mutant != MUTANT_NONE
-]
+def test_harness_without_twins_reads_its_counterexample_off_its_walk(monkeypatch):
+    # vord has no two threads with one declared operation, so its walk is
+    # first_schedule's and the counterexample costs one successors call
+    # per hop on top of one per state
+    want = divergence_check_vord(k=1, mutant=MUTANT_SKIP_SLOT_ZERO)
+
+    def refuse(kernel, stop):
+        raise AssertionError("first_schedule walked the states again")
+
+    real = _Kernel.successors
+    calls = []
+
+    def counting(self, state, gate_groups=()):
+        calls.append(state)
+        return real(self, state, gate_groups)
+
+    monkeypatch.setattr(sweep, "first_schedule", refuse)
+    monkeypatch.setattr(_Kernel, "successors", counting)
+    got = divergence_check_vord(k=1, mutant=MUTANT_SKIP_SLOT_ZERO)
+    assert got == want
+    assert got.states == 1829
+    assert got.counterexample.schedule == (
+        "1:E1", "1:E2", "1:ret", "2:choose[enq(2)]", "2:E1",
+        "0:D1", "2:E2", "0:D2A", "0:ret",
+    )
+    assert len(calls) <= got.states + len(got.counterexample.schedule)
+
+
+def test_harness_with_twins_walks_raw_states_once_for_its_counterexample(monkeypatch):
+    # the two deq(7) threads of vrepet are twins: the canonical walk's
+    # parents are not a raw breadth-first tree, so first_schedule finds
+    # the counterexample, once
+    real = sweep.first_schedule
+    calls = []
+
+    def counting(kernel, stop):
+        calls.append(kernel)
+        return real(kernel, stop)
+
+    monkeypatch.setattr(sweep, "first_schedule", counting)
+    r = divergence_check_vrepet(m=2, k=0, mutant=MUTANT_NO_SWAP_CLEAR)
+    assert not r.passed
+    assert r.states == 968
+    assert len(calls) == 1
+
 
 
 def test_finished_dequeues_hold_a_value():

@@ -38,6 +38,7 @@ from qlin.sweep import (
     first_schedule,
     reachable_states,
     sweep_config,
+    walked_schedule,
 )
 
 from support import (
@@ -213,7 +214,7 @@ def test_canon_step_is_canon_on_every_successor(config):
             if full not in seen:
                 seen.add(full)
                 stack.append(full)
-    assert reachable_states(kernel)[0] == seen
+    assert reachable_states(kernel)[0].keys() == seen
 
 
 @pytest.mark.parametrize("config", CANON_CONFIGS)
@@ -221,8 +222,37 @@ def test_reachable_states_match_the_count_walk(config):
     kernel = _Kernel(config)
     states, bound_hit = reachable_states(kernel)
     counts, counted = count_schedules(kernel)
-    assert states == set(counted)
+    assert states.keys() == set(counted)
     assert bound_hit == (counts["BOUND_HIT"] > 0)
+
+
+@pytest.mark.parametrize("config", CANON_CONFIGS)
+def test_reachable_states_walk_breadth_first(config):
+    # expanding the states in the walk's order, canonicalising with canon
+    # alone, discovers them in that same order, each first from its parent
+    kernel = _Kernel(config)
+    parents, _ = reachable_states(kernel)
+    init = kernel.canon(kernel.init_state())
+    first = {init: -1}
+    for state in parents:
+        for tid, _, _, ns in kernel.successors(state):
+            first.setdefault(kernel.canon(ns), state)
+    assert list(first.items()) == list(parents.items())
+
+
+@pytest.mark.parametrize(
+    "config", [p for p in CANON_CONFIGS if not _Kernel(p.values[0]).sym_groups])
+def test_walk_without_symmetry_is_first_schedules_walk(config):
+    # with no two threads alike the canonical walk is the raw walk
+    # first_schedule makes, so its parents give first_schedule's
+    # schedule, and tokens, to every state
+    kernel = _Kernel(config)
+    parents, _ = reachable_states(kernel)
+    raw, found = sweep._breadth_first(kernel, lambda state: False)
+    assert found is None
+    assert list(parents) == list(raw)
+    for state in parents:
+        assert walked_schedule(kernel, parents, state) == sweep._schedule_to(raw, state)
 
 
 # the plain configurations among CANON_CONFIGS, a repeated enqueue value,
@@ -332,6 +362,21 @@ def test_collect_expands_level_states_once_per_level_and_tail_states_once(
     got = count_successors(monkeypatch, kernel)
     assert collect_histories(kernel)[1] == got_nodes
     assert len(got) == calls
+
+
+def test_collect_without_symmetry_leaves_states_as_they_are(monkeypatch):
+    # grid 3+1 has distinct enqueue values and one dequeuer, so no state
+    # has a twin: collection canonicalises nothing
+    kernel = _Kernel(grid_config(3, 1))
+    assert not kernel.sym_groups
+
+    def refuse(*args):
+        raise AssertionError("canonicalised a state with no twin")
+
+    monkeypatch.setattr(kernel, "canon_map", refuse)
+    monkeypatch.setattr(kernel, "canon_step", refuse)
+    complete, nodes = collect_histories(kernel)
+    assert (len(complete), nodes) == (72, 1_047)
 
 
 @pytest.mark.parametrize("config", CROSS_CONFIGS)
